@@ -32,7 +32,6 @@ from cgeckit.generator import (
     generate_corpus,
     generate_pair,
     random_augment,
-    stream_augment,
     stream_generate,
 )
 from cgeckit.lm import (

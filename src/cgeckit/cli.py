@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import random
 import sys
@@ -89,17 +88,6 @@ def _pick(flag_value, config: dict, key: str, default):
 
 # --- subcommands ------------------------------------------------------------
 
-_LM_STATE: dict = {}
-
-
-def _init_lm_worker(model) -> None:
-    _LM_STATE["model"] = model
-
-
-def _ppl_job(sentence: str) -> float:
-    return lm_mod.perplexity(_LM_STATE["model"], sentence)
-
-
 def _cmd_filter(args) -> int:
     if args.model:
         model = lm_mod.load_lm(args.model)
@@ -110,18 +98,10 @@ def _cmd_filter(args) -> int:
         )
         if args.save_model:
             lm_mod.save_lm(model, args.save_model)
-    sentences = list(_read_lines(args.input))
-    if args.workers > 1 and len(sentences) > 1:
-        with multiprocessing.Pool(
-            args.workers, initializer=_init_lm_worker, initargs=(model,)
-        ) as pool:
-            ppls = pool.map(_ppl_job, sentences, chunksize=256)
-    else:
-        ppls = [lm_mod.perplexity(model, s) for s in sentences]
-    kept = lm_mod.keep_indices(ppls, args.keep)
+    kept = lm_mod.filter_percentile(_read_lines(args.input), model, args.keep, args.workers)
     with open(args.output, "w", encoding="utf-8") as out:
-        for index in kept:
-            out.write(sentences[index] + "\n")
+        for sentence in kept:
+            out.write(sentence + "\n")
     return EXIT_OK
 
 
@@ -188,10 +168,7 @@ def _cmd_augment(args) -> int:
             _read_lines(args.input), config, args.workers
         ):
             out.write(pair_to_json(pair) + "\n")
-            report.sentences_read += 1
-            report.words_seen += sum(counts.values())
-            for op, count in counts.items():
-                report.op_counts[op] += count
+            report.add(counts)
     report_path = args.report or args.output + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -348,7 +325,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     except ConfigError as exc:
         return _fail(EXIT_USAGE, "usage", exc)
-    except (ValidationError, ParseError) as exc:
+    except (ValidationError, ParseError, UnicodeDecodeError) as exc:
         return _fail(EXIT_DATA, "data", exc)
     except OSError as exc:
         return _fail(EXIT_IO, "io", exc)

@@ -9,9 +9,10 @@ All offsets are Unicode code point indices, never bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import multiprocessing
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class CgecError(Exception):
@@ -363,3 +364,33 @@ def read_pairs(path: str) -> Iterator[CorpusPair]:
             line = line.strip()
             if line:
                 yield pair_from_json(line, lineno)
+
+
+# (fn, state) of the running ordered_map; set only inside spawned pool workers.
+_MAP_JOB: tuple = ()
+
+
+def _init_map_worker(fn: Callable, state) -> None:
+    global _MAP_JOB
+    _MAP_JOB = (fn, state)
+
+
+def _map_call(item):
+    fn, state = _MAP_JOB
+    return fn(state, item)
+
+
+def ordered_map(fn: Callable, state, items: Iterable, workers: int) -> Iterator:
+    """Yield fn(state, item) for each item, in input order.
+
+    With workers <= 1 everything runs in-process. Otherwise one spawn-context
+    pool runs the calls in chunks of 64 items; its initializer ships
+    (fn, state) to each worker once, so both must pickle.
+    """
+    if workers <= 1:
+        for item in items:
+            yield fn(state, item)
+        return
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(workers, initializer=_init_map_worker, initargs=(fn, state)) as pool:
+        yield from pool.imap(_map_call, items, chunksize=64)

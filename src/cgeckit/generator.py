@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from cgeckit.core import ConfigError, CorpusPair, ErrorType, TaggedSentence, diff_edits
+from cgeckit.core import (
+    ConfigError,
+    CorpusPair,
+    ErrorType,
+    TaggedSentence,
+    apply_edits,
+    diff_edits,
+    ordered_map,
+)
 from cgeckit.resources import RuleResources
 from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
 from cgeckit.tagging import RoleSpans, identify_roles, parse_pretagged, segment_and_tag
@@ -138,11 +145,13 @@ def generate_pair(
     if not fired:
         return None
     incorrect = current.text
+    edits = diff_edits(incorrect, sentence.text)
+    assert apply_edits(incorrect, edits) == sentence.text
     return CorpusPair(
         id=f"pair-{sentence_index:06d}-{attempt:02d}",
         incorrect=incorrect,
         correct=sentence.text,
-        edits=diff_edits(incorrect, sentence.text),
+        edits=edits,
         error_types=tuple(ErrorType.from_fine(r) for r in fired),
         rule_id="+".join(fired),
         seed=pair_seed,
@@ -177,25 +186,11 @@ class GenerationReport:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(config, resources, pretagged):
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["resources"] = resources
-    _WORKER_STATE["pretagged"] = pretagged
-
-
-def _sentence_job(args: tuple[int, str]) -> tuple[list[CorpusPair], GenerationReport]:
-    index, line = args
-    return _generate_for_sentence(
-        index, line, _WORKER_STATE["config"], _WORKER_STATE["resources"], _WORKER_STATE["pretagged"]
-    )
-
-
-def _generate_for_sentence(
-    index: int, line: str, config: GenConfig, resources: RuleResources, pretagged: bool
+def _generate_job(
+    state: tuple[GenConfig, RuleResources, bool], item: tuple[int, str]
 ) -> tuple[list[CorpusPair], GenerationReport]:
+    config, resources, pretagged = state
+    index, line = item
     report = GenerationReport(sentences_read=1)
     sentence = parse_pretagged(line) if pretagged else segment_and_tag(line)
     roles = identify_roles(sentence)
@@ -225,15 +220,8 @@ def stream_generate(
     bounded memory. Output is a pure function of (corpus, config): worker
     count only changes wall-clock time, never bytes.
     """
-    jobs = enumerate(corpus)
-    if workers <= 1:
-        for index, line in jobs:
-            yield _generate_for_sentence(index, line, config, resources, pretagged)
-        return
-    with multiprocessing.Pool(
-        workers, initializer=_init_worker, initargs=(config, resources, pretagged)
-    ) as pool:
-        yield from pool.imap(_sentence_job, jobs, chunksize=64)
+    state = (config, resources, pretagged)
+    return ordered_map(_generate_job, state, enumerate(corpus), workers)
 
 
 def generate_corpus(
@@ -299,50 +287,6 @@ def _augment_ops(
     return "".join(pieces), counts
 
 
-def random_augment(
-    sentence: TaggedSentence, config: AugmentConfig, sentence_index: int
-) -> CorpusPair:
-    """Per-word keep/insert/replace/delete corruption (naive baseline).
-
-    Unlike the rules, this may return an identity pair (all words kept) and
-    may produce an empty incorrect text (everything deleted); error_types
-    is empty and rule_id is "random-augment".
-    """
-    pair_seed = derive_seed(config.seed, sentence_index)
-    incorrect, _ = _augment_ops(sentence, config, random.Random(pair_seed))
-    return CorpusPair(
-        id=f"aug-{sentence_index:06d}",
-        incorrect=incorrect,
-        correct=sentence.text,
-        edits=diff_edits(incorrect, sentence.text),
-        error_types=(),
-        rule_id="random-augment",
-        seed=pair_seed,
-    )
-
-
-@dataclass
-class AugmentReport:
-    sentences_read: int = 0
-    words_seen: int = 0
-    op_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_OPS, 0))
-
-    def to_dict(self) -> dict:
-        return {
-            "sentences_read": self.sentences_read,
-            "words_seen": self.words_seen,
-            "op_counts": dict(self.op_counts),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
-
-
-def build_word_pool(sentences: Iterable[TaggedSentence]) -> tuple[str, ...]:
-    """Sorted unique token surfaces: the insert/replace vocabulary."""
-    return tuple(sorted({t.surface for s in sentences for t in s.tokens}))
-
-
 def _augment_one(
     sentence: TaggedSentence, config: AugmentConfig, index: int
 ) -> tuple[CorpusPair, dict[str, int]]:
@@ -360,30 +304,60 @@ def _augment_one(
     return pair, counts
 
 
-def stream_augment(
-    corpus: Iterable[TaggedSentence], config: AugmentConfig
-) -> Iterator[tuple[CorpusPair, dict[str, int]]]:
-    """Yield (pair, per-op draw counts) per sentence, lazily."""
-    for index, sentence in enumerate(corpus):
-        yield _augment_one(sentence, config, index)
+def random_augment(
+    sentence: TaggedSentence, config: AugmentConfig, sentence_index: int
+) -> CorpusPair:
+    """Per-word keep/insert/replace/delete corruption (naive baseline).
+
+    Unlike the rules, this may return an identity pair (all words kept) and
+    may produce an empty incorrect text (everything deleted); error_types
+    is empty and rule_id is "random-augment".
+    """
+    return _augment_one(sentence, config, sentence_index)[0]
 
 
-def _augment_line_job(args: tuple[int, str]) -> tuple[CorpusPair, dict[str, int]]:
-    index, line = args
-    return _augment_one(segment_and_tag(line), _WORKER_STATE["config"], index)
+@dataclass
+class AugmentReport:
+    sentences_read: int = 0
+    words_seen: int = 0
+    op_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_OPS, 0))
+
+    def add(self, counts: dict[str, int]) -> None:
+        """Count one augmented sentence from its per-op draw counts."""
+        self.sentences_read += 1
+        self.words_seen += sum(counts.values())
+        for op, count in counts.items():
+            self.op_counts[op] += count
+
+    def to_dict(self) -> dict:
+        return {
+            "sentences_read": self.sentences_read,
+            "words_seen": self.words_seen,
+            "op_counts": dict(self.op_counts),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
+
+
+def build_word_pool(sentences: Iterable[TaggedSentence]) -> tuple[str, ...]:
+    """Sorted unique token surfaces: the insert/replace vocabulary."""
+    return tuple(sorted({t.surface for s in sentences for t in s.tokens}))
+
+
+def _augment_job(
+    config: AugmentConfig, item: tuple[int, str]
+) -> tuple[CorpusPair, dict[str, int]]:
+    index, line = item
+    return _augment_one(segment_and_tag(line), config, index)
 
 
 def stream_augment_lines(
     lines: Iterable[str], config: AugmentConfig, workers: int = 1
 ) -> Iterator[tuple[CorpusPair, dict[str, int]]]:
-    """stream_augment over raw text lines, segmenting with the builtin tagger."""
-    if workers <= 1:
-        yield from stream_augment((segment_and_tag(line) for line in lines), config)
-        return
-    with multiprocessing.Pool(
-        workers, initializer=_init_worker, initargs=(config, None, False)
-    ) as pool:
-        yield from pool.imap(_augment_line_job, enumerate(lines), chunksize=64)
+    """Yield (pair, per-op draw counts) per raw text line, in input order,
+    segmenting with the builtin tagger."""
+    return ordered_map(_augment_job, config, enumerate(lines), workers)
 
 
 def augment_corpus(
@@ -391,10 +365,8 @@ def augment_corpus(
 ) -> tuple[list[CorpusPair], AugmentReport]:
     report = AugmentReport()
     pairs = []
-    for pair, counts in stream_augment(corpus, config):
+    for index, sentence in enumerate(corpus):
+        pair, counts = _augment_one(sentence, config, index)
         pairs.append(pair)
-        report.sentences_read += 1
-        report.words_seen += sum(counts.values())
-        for op, count in counts.items():
-            report.op_counts[op] += count
+        report.add(counts)
     return pairs, report

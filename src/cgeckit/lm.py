@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from cgeckit.core import ConfigError, ParseError
+from cgeckit.core import ConfigError, ParseError, ordered_map
 
 BOUNDARY = "<b>"
 UNK = "<unk>"
@@ -130,16 +130,17 @@ def keep_indices(perplexities: Sequence[float], keep_percent: float) -> list[int
 
 
 def filter_percentile(
-    corpus: Iterable[str], model: NGramModel, keep_percent: float
+    corpus: Iterable[str], model: NGramModel, keep_percent: float, workers: int = 1
 ) -> list[str]:
     """Keep the ceil(keep_percent% * N) lowest-perplexity sentences.
 
     Output preserves the original corpus order; ties at the threshold are
     resolved in favor of earlier input. An empty corpus yields an empty
-    list (not an error).
+    list (not an error). `workers` > 1 scores the sentences in parallel
+    processes without changing the result.
     """
     sentences = list(corpus)
-    ppls = [perplexity(model, s) for s in sentences]
+    ppls = list(ordered_map(perplexity, model, sentences, workers))
     return [sentences[i] for i in keep_indices(ppls, keep_percent)]
 
 

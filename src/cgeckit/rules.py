@@ -6,15 +6,15 @@ original. Rules never error on non-matching input; they return None.
 
 Randomness discipline: rules consume only rng.random() (via _choice), so
 an outcome is fully determined by (sentence, resources, seed) and never by
-interpreter details. When several sites or rules match, one is chosen
-uniformly.
+interpreter details. When several sites match, one is chosen uniformly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable
 
 from cgeckit.core import (
     FINE_TO_COARSE,
@@ -42,17 +42,25 @@ RULE_REGISTRY: dict[str, RuleDescriptor] = {
     fine: RuleDescriptor(fine, coarse) for fine, coarse in FINE_TO_COARSE.items()
 }
 
-FINE_ORDER: tuple[str, ...] = tuple(FINE_TO_COARSE)
-
 
 @dataclass(frozen=True)
 class RuleOutcome:
-    """A fired rule: the corrupted text plus edits restoring the original."""
+    """A fired rule: the corrupted text, the original, and the rule's label.
+
+    `edits` (restoring the original) is diffed on first read only, so a
+    caller that never reads it never pays for the diff.
+    """
 
     incorrect: str
-    edits: tuple[EditSpan, ...]
+    correct: str
     fine_type: ErrorType
     match_site: tuple[int, int]
+
+    @cached_property
+    def edits(self) -> tuple[EditSpan, ...]:
+        edits = diff_edits(self.incorrect, self.correct)
+        assert apply_edits(self.incorrect, edits) == self.correct
+        return edits
 
 
 @dataclass(frozen=True)
@@ -636,35 +644,6 @@ _CANDIDATE_FNS: dict[str, Callable] = {
     "AdverbialAttributives": _cand_adverbial_attributives,
 }
 
-COARSE_FINE_IDS: dict[CoarseType, tuple[str, ...]] = {
-    coarse: tuple(f for f in FINE_ORDER if FINE_TO_COARSE[f] is coarse)
-    for coarse in CoarseType
-}
-
-
-def _dispatch(
-    sentence: TaggedSentence,
-    roles: RoleSpans,
-    resources: RuleResources,
-    rng: random.Random,
-    fine_ids: Iterable[str],
-) -> RuleOutcome | None:
-    if not sentence.tokens:
-        return None
-    candidates: list[_Candidate] = []
-    for fine in fine_ids:
-        candidates.extend(_CANDIDATE_FNS[fine](sentence, roles, resources))
-    while candidates:
-        picked = _choice(rng, candidates)
-        new_text = picked.build(rng)
-        if new_text != sentence.text:
-            edits = diff_edits(new_text, sentence.text)
-            assert apply_edits(new_text, edits) == sentence.text
-            return RuleOutcome(new_text, edits, ErrorType.from_fine(picked.fine), picked.site)
-        # identical output counts as a non-match; try the remaining sites
-        candidates = [c for c in candidates if c is not picked]
-    return None
-
 
 def apply_fine_rule(
     sentence: TaggedSentence,
@@ -676,50 +655,16 @@ def apply_fine_rule(
     """Apply one fine-grained rule; None when it does not match."""
     if fine_id not in RULE_REGISTRY:
         raise KeyError(f"unknown rule id: {fine_id}")
-    return _dispatch(sentence, roles, resources, rng, (fine_id,))
-
-
-def corrupt_structural_confusion(sentence, roles, resources, rng):
-    return _dispatch(
-        sentence, roles, resources, rng, COARSE_FINE_IDS[CoarseType.STRUCTURAL_CONFUSION]
-    )
-
-
-def corrupt_improper_logicality(sentence, roles, resources, rng):
-    return _dispatch(
-        sentence, roles, resources, rng, COARSE_FINE_IDS[CoarseType.IMPROPER_LOGICALITY]
-    )
-
-
-def corrupt_missing_component(sentence, roles, resources, rng):
-    return _dispatch(
-        sentence, roles, resources, rng, COARSE_FINE_IDS[CoarseType.MISSING_COMPONENT]
-    )
-
-
-def corrupt_redundant_component(sentence, roles, resources, rng):
-    return _dispatch(
-        sentence, roles, resources, rng, COARSE_FINE_IDS[CoarseType.REDUNDANT_COMPONENT]
-    )
-
-
-def corrupt_improper_collocation(sentence, roles, resources, rng):
-    return _dispatch(
-        sentence, roles, resources, rng, COARSE_FINE_IDS[CoarseType.IMPROPER_COLLOCATION]
-    )
-
-
-def corrupt_improper_word_order(sentence, roles, resources, rng):
-    return _dispatch(
-        sentence, roles, resources, rng, COARSE_FINE_IDS[CoarseType.IMPROPER_WORD_ORDER]
-    )
-
-
-CORRUPTORS = {
-    CoarseType.STRUCTURAL_CONFUSION: corrupt_structural_confusion,
-    CoarseType.IMPROPER_LOGICALITY: corrupt_improper_logicality,
-    CoarseType.MISSING_COMPONENT: corrupt_missing_component,
-    CoarseType.REDUNDANT_COMPONENT: corrupt_redundant_component,
-    CoarseType.IMPROPER_COLLOCATION: corrupt_improper_collocation,
-    CoarseType.IMPROPER_WORD_ORDER: corrupt_improper_word_order,
-}
+    if not sentence.tokens:
+        return None
+    candidates = _CANDIDATE_FNS[fine_id](sentence, roles, resources)
+    while candidates:
+        picked = _choice(rng, candidates)
+        new_text = picked.build(rng)
+        if new_text != sentence.text:
+            return RuleOutcome(
+                new_text, sentence.text, ErrorType.from_fine(picked.fine), picked.site
+            )
+        # identical output counts as a non-match; try the remaining sites
+        candidates = [c for c in candidates if c is not picked]
+    return None

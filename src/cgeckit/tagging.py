@@ -34,15 +34,10 @@ def _shipped(name: str) -> str:
 
 @dataclass(frozen=True)
 class TaggerConfig:
-    """Where tokens come from: the builtin lexicon or pre-tagged input lines."""
+    """Lexicon and tag-mapping files for the builtin segmenter."""
 
-    mode: str = "builtin-lexicon"
     lexicon_path: str | None = None
     tag_mapping_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("builtin-lexicon", "pretagged-input"):
-            raise ConfigError(f"unknown tagger mode: {self.mode!r}")
 
 
 def load_tag_mapping(path: str | None = None) -> dict[str, str]:

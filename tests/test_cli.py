@@ -81,27 +81,23 @@ def test_generate_end_to_end(tmp_path, corpus_file):
     assert sum(report["rule_fires"].values()) == sum(len(p.rule_id.split("+")) for p in pairs)
 
 
-def test_generate_is_byte_deterministic_across_workers(tmp_path, corpus_file):
+@pytest.mark.parametrize("command", ["generate", "augment"])
+def test_generate_is_byte_deterministic_across_workers(tmp_path, command):
+    with open(_shipped("fixtures/correct_sentences.txt"), encoding="utf-8") as fh:
+        sentences = [line.strip() for line in fh if line.strip()] * 3
+    # more than two 64-line chunks, so both pool workers get a share
+    assert len(sentences) > 128
+    src = tmp_path / "corpus.txt"
+    src.write_text("\n".join(sentences) + "\n", encoding="utf-8")
+    extra = ["--resources", RES_DIR, "--per-sentence", "3", "--combine-max", "3"]
     outputs = []
     for name, workers in [("a.jsonl", "1"), ("b.jsonl", "1"), ("c.jsonl", "2")]:
         out = tmp_path / name
-        code = run(
-            [
-                "generate",
-                "--input",
-                str(corpus_file),
-                "--output",
-                str(out),
-                "--resources",
-                RES_DIR,
-                "--seed",
-                "42",
-                "--workers",
-                workers,
-            ]
-        )
-        assert code == 0
-        outputs.append(out.read_bytes())
+        argv = [command, "--input", str(src), "--output", str(out), "--seed", "42"]
+        argv += ["--workers", workers] + (extra if command == "generate" else [])
+        assert run(argv) == 0
+        report = tmp_path / (name + ".report.json")
+        outputs.append((out.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -187,6 +183,29 @@ def test_generate_missing_input_is_io_error(tmp_path, capsys):
     assert "cgeckit: io error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--output", "{out}", "--keep", "50", "--input"],
+        ["generate", "--output", "{out}", "--resources", RES_DIR, "--input"],
+        ["augment", "--output", "{out}", "--input"],
+        ["stats", "--input"],
+        ["score", "--hyp", "{bad}", "--m2"],
+        ["kappa", "--input"],
+        ["sample", "--output", "{out}", "--size", "1", "--input"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_input_is_data_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    fill = {"{out}": str(tmp_path / "out"), "{bad}": str(bad)}
+    assert run([fill.get(arg, arg) for arg in argv] + [str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: data error:")
+    assert err.count("\n") == 1
+
+
 # --- filter -------------------------------------------------------------------
 
 
@@ -222,7 +241,7 @@ def test_filter_model_save_and_reload_match(tmp_path):
 
 
 def test_filter_workers_do_not_change_output(tmp_path):
-    sentences = [f"数字{i}号句子" for i in range(40)]
+    sentences = [f"数字{i}号句子" for i in range(200)]  # several 64-line chunks
     src = tmp_path / "in.txt"
     src.write_text("\n".join(sentences) + "\n", encoding="utf-8")
     out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -197,9 +197,9 @@ def test_generate_corpus_byte_identical_across_runs_and_workers():
     config = GenConfig(seed=42, per_sentence=2)
     first, report_a = generate_corpus(corpus, config, RES, workers=1)
     second, report_b = generate_corpus(corpus, config, RES, workers=1)
-    forked, report_c = generate_corpus(corpus, config, RES, workers=2)
+    pooled, report_c = generate_corpus(corpus, config, RES, workers=2)
     render = lambda pairs: "".join(pair_to_json(p) + "\n" for p in pairs)
-    assert render(first) == render(second) == render(forked)
+    assert render(first) == render(second) == render(pooled)
     assert report_a.to_json() == report_b.to_json() == report_c.to_json()
 
 

@@ -6,15 +6,7 @@ import pytest
 
 from cgeckit.core import FINE_TO_COARSE, CoarseType, apply_edits
 from cgeckit.resources import load_resources
-from cgeckit.rules import (
-    CORRUPTORS,
-    RULE_REGISTRY,
-    apply_fine_rule,
-    corrupt_improper_logicality,
-    corrupt_missing_component,
-    corrupt_redundant_component,
-    corrupt_structural_confusion,
-)
+from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
 
 RES = load_resources()
@@ -151,7 +143,10 @@ def test_lack_modifier_drops_essential_word():
 
 def test_single_token_sentence_has_no_removable_role():
     sent = segment_and_tag("苹果")
-    assert corrupt_missing_component(sent, identify_roles(sent), RES, random.Random(0)) is None
+    roles = identify_roles(sent)
+    for fine, coarse in FINE_TO_COARSE.items():
+        if coarse is CoarseType.MISSING_COMPONENT:
+            assert apply_fine_rule(sent, roles, RES, random.Random(0), fine) is None
 
 
 def test_multi_words_inserts_synonym():
@@ -254,15 +249,15 @@ def test_adverbial_attributives_exchange():
 def test_no_rule_fires_on_empty_sentence():
     sent = segment_and_tag("")
     roles = identify_roles(sent)
-    for corruptor in CORRUPTORS.values():
-        assert corruptor(sent, roles, RES, random.Random(0)) is None
+    for fine in RULE_REGISTRY:
+        assert apply_fine_rule(sent, roles, RES, random.Random(0), fine) is None
 
 
 def test_unmatched_sentence_returns_none_not_error():
     sent = segment_and_tag("xyz")
     roles = identify_roles(sent)
-    for corruptor in CORRUPTORS.values():
-        assert corruptor(sent, roles, RES, random.Random(0)) is None
+    for fine in RULE_REGISTRY:
+        assert apply_fine_rule(sent, roles, RES, random.Random(0), fine) is None
 
 
 def test_unknown_rule_id_rejected():
@@ -276,20 +271,6 @@ def test_rules_deterministic_for_fixed_seed():
         a = corrupt("学生对这个问题很感兴趣", fine, seed=7)
         b = corrupt("学生对这个问题很感兴趣", fine, seed=7)
         assert a == b
-
-
-def test_coarse_dispatchers_return_matching_fine_types():
-    cases = [
-        (corrupt_structural_confusion, CoarseType.STRUCTURAL_CONFUSION, "他喜欢苹果"),
-        (corrupt_improper_logicality, CoarseType.IMPROPER_LOGICALITY, "我们不赞成这种做法"),
-        (corrupt_missing_component, CoarseType.MISSING_COMPONENT, "他喜欢苹果"),
-        (corrupt_redundant_component, CoarseType.REDUNDANT_COMPONENT, "昨天是转会的最后一天"),
-    ]
-    for dispatcher, coarse, text in cases:
-        sent = segment_and_tag(text)
-        outcome = dispatcher(sent, identify_roles(sent), RES, random.Random(3))
-        assert outcome is not None
-        assert outcome.fine_type.coarse is coarse
 
 
 def test_every_fine_rule_fires_somewhere_on_the_fixture_corpus():

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from cgeckit.core import ConfigError, POSTag, ParseError, SyntacticRole
 from cgeckit.tagging import (
     RoleSpans,
-    TaggerConfig,
     identify_roles,
     load_tag_mapping,
     map_tag,
@@ -60,11 +59,6 @@ def test_longest_match_wins():
 def test_tokens_always_tile_the_input(raw):
     sent = segment_and_tag(raw)
     assert "".join(t.surface for t in sent.tokens) == raw
-
-
-def test_bad_tagger_mode_rejected():
-    with pytest.raises(ConfigError):
-        TaggerConfig(mode="dependency-parse")
 
 
 def test_missing_lexicon_is_config_error():
