@@ -15,7 +15,6 @@ from cgeckit import (
     generate_corpus,
     load_resources,
     pair_to_json,
-    per_type_edit_stats,
     perplexity,
     train_lm,
 )
@@ -60,11 +59,12 @@ print(pair_to_json(pairs[0]))
 # Step 3: summarize. These are the tables used to sanity-check a corpus
 # before training on it.
 print("\ncorpus statistics:")
-for label, value in corpus_stats(pairs).to_dict().items():
+stats = corpus_stats(pairs)
+for label, value in stats.to_dict().items():
     print(f"  {label:<24} {value}")
 
 print("\nedit-type breakdown (character edit counts per coarse type):")
 header = f"  {'':<22}" + "".join(f"{c:>9}" for c in ("Replace", "Insert", "Delete", "Total"))
 print(header)
-for coarse, row in per_type_edit_stats(pairs).items():
+for coarse, row in stats.per_type.items():
     print(f"  {coarse:<22}" + "".join(f"{row[c]:>9.2f}" for c in ("Replace", "Insert", "Delete", "Total")))

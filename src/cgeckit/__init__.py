@@ -57,7 +57,6 @@ from cgeckit.metrics import (
     format_score,
     levenshtein,
     parse_m2,
-    per_type_edit_stats,
     score_corpus,
     write_m2,
 )

@@ -8,11 +8,12 @@ stderr. All randomness flows from --seed, so every run is reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
 import sys
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from cgeckit import lm as lm_mod
 from cgeckit.core import (
@@ -27,6 +28,7 @@ from cgeckit.generator import (
     AugmentReport,
     GenConfig,
     GenerationReport,
+    build_word_pool,
     stream_augment_lines,
     stream_generate,
 )
@@ -36,7 +38,6 @@ from cgeckit.metrics import (
     fleiss_kappa,
     format_score,
     parse_m2,
-    per_type_edit_stats,
     score_corpus,
 )
 from cgeckit.resources import load_resources
@@ -64,6 +65,24 @@ def _read_lines(path: str) -> Iterator[str]:
             line = line.rstrip("\n")
             if line.strip():
                 yield line
+
+
+@contextlib.contextmanager
+def _write_on_success(*paths: str) -> Iterator[list[TextIO]]:
+    """Yield a temporary file beside each path. They are moved onto their
+    paths when the block succeeds and deleted when it raises, so a failed
+    run leaves no half-written output behind."""
+    temps = [f"{path}.{os.getpid()}.{index}.tmp" for index, path in enumerate(paths)]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(temp, "w", encoding="utf-8")) for temp in temps]
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
 
 
 def _load_config(path: str | None) -> dict:
@@ -129,7 +148,8 @@ def _cmd_generate(args) -> int:
     config = GenConfig(**kwargs)
     pretagged = args.pretagged or bool(overrides.get("pretagged", False))
     report = GenerationReport()
-    with open(args.output, "w", encoding="utf-8") as out:
+    report_path = args.report or args.output + ".report.json"
+    with _write_on_success(args.output, report_path) as (out, report_out):
         stream = stream_generate(
             _read_lines(args.input), config, resources, args.workers, pretagged
         )
@@ -137,9 +157,7 @@ def _cmd_generate(args) -> int:
             for pair in pairs:
                 out.write(pair_to_json(pair) + "\n")
             report.merge(sub)
-    report_path = args.report or args.output + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+        report_out.write(report.to_json())
     return EXIT_OK
 
 
@@ -151,17 +169,8 @@ def _cmd_augment(args) -> int:
     unknown = set(overrides) - _AUG_CONFIG_KEYS
     if unknown:
         raise ConfigError(f"config {args.config}: unknown keys {sorted(unknown)}")
-    vocabulary: set[str] = set()
-    for line in _read_lines(args.input):
-        vocabulary.update(token.surface for token in segment_and_tag(line).tokens)
-    config = AugmentConfig(
-        p_keep=overrides.get("p_keep", 0.70),
-        p_insert=overrides.get("p_insert", 0.10),
-        p_replace=overrides.get("p_replace", 0.10),
-        p_delete=overrides.get("p_delete", 0.10),
-        word_pool=tuple(sorted(vocabulary)),
-        seed=args.seed,
-    )
+    word_pool = build_word_pool(segment_and_tag(line) for line in _read_lines(args.input))
+    config = AugmentConfig(**overrides, word_pool=word_pool, seed=args.seed)
     report = AugmentReport()
     with open(args.output, "w", encoding="utf-8") as out:
         for pair, counts in stream_augment_lines(
@@ -179,7 +188,7 @@ def _cmd_stats(args) -> int:
     report = corpus_stats(read_pairs(args.input))
     doc = report.to_dict()
     if args.per_type:
-        doc = {"corpus": doc, "per_type": per_type_edit_stats(read_pairs(args.input))}
+        doc = {"corpus": doc, "per_type": report.per_type}
     text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ All offsets are Unicode code point indices, never bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass
@@ -238,6 +239,30 @@ def apply_edits(incorrect: str, edits: Sequence[EditSpan]) -> str:
     return result
 
 
+def _distance_table(a: Sequence, b: Sequence) -> list[list[int]]:
+    """Unit-cost edit distance table over two strings or token lists:
+    len(a) + 1 rows, where [i][j] is the distance from a[:i] to b[:j]."""
+    row = list(range(len(b) + 1))
+    rows = [row]
+    for i, x in enumerate(a, 1):
+        prev, row = row, [i]
+        left = i
+        # cell = min(diag + (x != y), left + 1, up + 1); a match takes diag, as
+        # neighbouring cells differ by at most one. Written out, since a min()
+        # call per cell makes the fill about five times slower.
+        for y, diag, up in zip(b, prev, prev[1:]):
+            if x != y:
+                if left < diag:
+                    diag = left
+                if up < diag:
+                    diag = up
+                diag += 1
+            left = diag
+            row.append(left)
+        rows.append(row)
+    return rows
+
+
 def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
     """Minimal unit-cost edit script turning a into b.
 
@@ -246,20 +271,9 @@ def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
     point the step applies. Backtrace ties resolve match > replace > insert
     > delete so the script is canonical.
     """
-    m, n = len(a), len(b)
-    dp = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        dp[i][0] = i
-    for j in range(n + 1):
-        dp[0][j] = j
-    for i in range(1, m + 1):
-        ai = a[i - 1]
-        row, prev_row = dp[i], dp[i - 1]
-        for j in range(1, n + 1):
-            cost = 0 if ai == b[j - 1] else 1
-            row[j] = min(prev_row[j - 1] + cost, row[j - 1] + 1, prev_row[j] + 1)
+    dp = _distance_table(a, b)
     ops: list[tuple[str, int, int]] = []
-    i, j = m, n
+    i, j = len(a), len(b)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and a[i - 1] == b[j - 1] and dp[i][j] == dp[i - 1][j - 1]:
             ops.append(("match", i - 1, j - 1))
@@ -366,6 +380,8 @@ def read_pairs(path: str) -> Iterator[CorpusPair]:
                 yield pair_from_json(line, lineno)
 
 
+_CHUNK = 64  # items per ordered_map task
+
 # (fn, state) of the running ordered_map; set only inside spawned pool workers.
 _MAP_JOB: tuple = ()
 
@@ -383,14 +399,21 @@ def _map_call(item):
 def ordered_map(fn: Callable, state, items: Iterable, workers: int) -> Iterator:
     """Yield fn(state, item) for each item, in input order.
 
-    With workers <= 1 everything runs in-process. Otherwise one spawn-context
-    pool runs the calls in chunks of 64 items; its initializer ships
-    (fn, state) to each worker once, so both must pickle.
+    Calls run in chunks of 64 items. The first 64 * workers items are read
+    up front, and at most one process starts per chunk they fill; with one
+    chunk or workers <= 1 everything runs in-process. Otherwise one
+    spawn-context pool runs the calls; its initializer ships (fn, state)
+    to each worker once, so both must pickle.
     """
+    items = iter(items)
+    if workers > 1:
+        head = list(itertools.islice(items, _CHUNK * workers))
+        workers = min(workers, -(-len(head) // _CHUNK))
+        items = itertools.chain(head, items)
     if workers <= 1:
         for item in items:
             yield fn(state, item)
         return
     context = multiprocessing.get_context("spawn")
     with context.Pool(workers, initializer=_init_map_worker, initargs=(fn, state)) as pool:
-        yield from pool.imap(_map_call, items, chunksize=64)
+        yield from pool.imap(_map_call, items, chunksize=_CHUNK)

@@ -118,8 +118,10 @@ def generate_pair(
     Up to combine_max distinct rules are drawn by weight without
     replacement (at most five draws total); each fired rule rewrites the
     current text, which is re-segmented with the builtin tagger so the next
-    rule sees valid offsets. Gold edits are the canonical character diff of
-    the final text against the original, so they always restore it exactly.
+    rule sees valid offsets. A rule whose output is the original or an
+    earlier intermediate text undid earlier rules and counts as not fired.
+    Gold edits are the canonical character diff of the final text against
+    the original, so they always restore it exactly.
     """
     if not sentence.tokens:
         return None
@@ -132,13 +134,15 @@ def generate_pair(
     pool = [(rule, w) for rule, w in pool if w > 0]
     fired: list[str] = []
     current, current_roles = sentence, roles
+    seen = {sentence.text}
     draws = 0
     while pool and len(fired) < config.combine_max and draws < _MAX_DRAWS:
         rule = _weighted_pop(rng, pool)
         draws += 1
         outcome = apply_fine_rule(current, current_roles, resources, rng, rule)
-        if outcome is None:
+        if outcome is None or outcome.incorrect in seen:
             continue
+        seen.add(outcome.incorrect)
         fired.append(rule)
         current = segment_and_tag(outcome.incorrect)
         current_roles = identify_roles(current)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -23,6 +24,7 @@ from cgeckit.core import (
     CorpusPair,
     ParseError,
     ValidationError,
+    _distance_table,
     _edit_ops,
 )
 
@@ -43,14 +45,8 @@ def levenshtein(a: str, b: str) -> EditOps:
     insert > delete, so they are reproducible; distance == replace +
     insert + delete always holds.
     """
-    replace = insert = delete = 0
-    for op, _, _ in _edit_ops(a, b):
-        if op == "replace":
-            replace += 1
-        elif op == "insert":
-            insert += 1
-        elif op == "delete":
-            delete += 1
+    counts = Counter(op for op, _, _ in _edit_ops(a, b))
+    replace, insert, delete = counts["replace"], counts["insert"], counts["delete"]
     return EditOps(replace + insert + delete, replace, insert, delete)
 
 
@@ -223,26 +219,13 @@ def extract_system_edits(
     n, m = len(src), len(hyp)
     max_unchanged = params.max_unchanged
 
-    dstart = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dstart[i][0] = i
-    for j in range(m + 1):
-        dstart[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            cost = 0 if src[i - 1] == hyp[j - 1] else 1
-            dstart[i][j] = min(
-                dstart[i - 1][j - 1] + cost, dstart[i][j - 1] + 1, dstart[i - 1][j] + 1
-            )
-    dend = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dend[i][m] = n - i
-    for j in range(m + 1):
-        dend[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            cost = 0 if src[i] == hyp[j] else 1
-            dend[i][j] = min(dend[i + 1][j + 1] + cost, dend[i][j + 1] + 1, dend[i + 1][j] + 1)
+    dstart = _distance_table(src, hyp)
+    # dend[i][j] is the distance from src[i:] to hyp[j:]: the table of the
+    # reversed sequences, read from the far corner.
+    dend = _distance_table(src[::-1], hyp[::-1])
+    dend.reverse()
+    for row in dend:
+        row.reverse()
     total = dstart[n][m]
 
     # Value of a state: best (-(gold matches), edit count, edit tuple)
@@ -437,7 +420,8 @@ def format_score(report: ScoreReport) -> str:
 
 @dataclass
 class StatsReport:
-    """Aggregate corpus statistics; to_dict mirrors the report table rows."""
+    """Aggregate corpus statistics; to_dict mirrors the report table rows,
+    per_type holds the per-coarse-type op table (see corpus_stats)."""
 
     number_of_sentences: int = 0
     erroneous_sentences: int = 0
@@ -446,6 +430,7 @@ class StatsReport:
     average_edit_distance_chars: float = 0.0
     references_per_sentence: float = 0.0
     empty: bool = False  # set when the input stream had no pairs
+    per_type: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -461,20 +446,43 @@ class StatsReport:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
 
 
+def _display_name(coarse: CoarseType) -> str:
+    return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", coarse.value)
+
+
 def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
-    """Sentence counts, average incorrect-text length, average edit distance."""
+    """Sentence counts, average incorrect-text length, average edit distance.
+
+    per_type holds the average Replace/Insert/Delete/Total op counts per
+    coarse type, for the edit direction incorrect -> correct. A pair
+    carrying several error types counts in each distinct type's row.
+    """
     sentences = erroneous = references = 0
     length_sum = 0
     distance_sum = 0
+    sums: dict[CoarseType, list[int]] = {}  # replace, insert, delete, total, pairs
     for pair in pairs:
         sentences += 1
         references += 1
         length_sum += len(pair.incorrect)
-        distance_sum += levenshtein(pair.incorrect, pair.correct).distance
+        ops = levenshtein(pair.incorrect, pair.correct)
+        distance_sum += ops.distance
         if pair.incorrect != pair.correct:
             erroneous += 1
+        for coarse in {et.coarse for et in pair.error_types}:
+            row = sums.setdefault(coarse, [0, 0, 0, 0, 0])
+            for index, count in enumerate((ops.replace, ops.insert, ops.delete, ops.distance, 1)):
+                row[index] += count
     if sentences == 0:
         return StatsReport(empty=True)
+    per_type = {
+        _display_name(coarse): {
+            name: total / sums[coarse][4]
+            for name, total in zip(("Replace", "Insert", "Delete", "Total"), sums[coarse])
+        }
+        for coarse in CoarseType
+        if coarse in sums
+    }
     return StatsReport(
         number_of_sentences=sentences,
         erroneous_sentences=erroneous,
@@ -482,46 +490,8 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
         average_length_chars=length_sum / sentences,
         average_edit_distance_chars=distance_sum / sentences,
         references_per_sentence=references / sentences,
+        per_type=per_type,
     )
-
-
-def _display_name(coarse: CoarseType) -> str:
-    return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", coarse.value)
-
-
-def per_type_edit_stats(pairs: Iterable[CorpusPair]) -> dict[str, dict[str, float]]:
-    """Average correction op counts per coarse error type.
-
-    Counts are for the edit direction incorrect -> correct. A pair carrying
-    several error types contributes its counts to each distinct type's row.
-    """
-    sums: dict[CoarseType, list[float]] = {}
-    observations: dict[CoarseType, int] = {}
-    for pair in pairs:
-        types = {et.coarse for et in pair.error_types}
-        if not types:
-            continue
-        ops = levenshtein(pair.incorrect, pair.correct)
-        for coarse in types:
-            row = sums.setdefault(coarse, [0, 0, 0, 0])
-            row[0] += ops.replace
-            row[1] += ops.insert
-            row[2] += ops.delete
-            row[3] += ops.distance
-            observations[coarse] = observations.get(coarse, 0) + 1
-    table: dict[str, dict[str, float]] = {}
-    for coarse in CoarseType:
-        if coarse not in sums:
-            continue
-        count = observations[coarse]
-        row = sums[coarse]
-        table[_display_name(coarse)] = {
-            "Replace": row[0] / count,
-            "Insert": row[1] / count,
-            "Delete": row[2] / count,
-            "Total": row[3] / count,
-        }
-    return table
 
 
 # --- inter-annotator agreement ----------------------------------------------

@@ -65,7 +65,6 @@ class RuleOutcome:
 
 @dataclass(frozen=True)
 class _Candidate:
-    fine: str
     site: tuple[int, int]
     build: Callable[[random.Random], str]
 
@@ -118,7 +117,7 @@ def _core_end(sentence: TaggedSentence) -> int | None:
 
 
 def _mixed_candidates(
-    sentence: TaggedSentence, resources: RuleResources, kind: str, fine: str
+    sentence: TaggedSentence, resources: RuleResources, kind: str
 ) -> list[_Candidate]:
     out: list[_Candidate] = []
     end = _core_end(sentence)
@@ -133,16 +132,16 @@ def _mixed_candidates(
             (i for i, t in enumerate(sentence.tokens) if t.char_end > start and t.char_start < end)
         )
         new_text = _insert(sentence.text, end, entry.splice)
-        out.append(_Candidate(fine, (site[0], site[-1] + 1), lambda rng, t=new_text: t))
+        out.append(_Candidate((site[0], site[-1] + 1), lambda rng, t=new_text: t))
     return out
 
 
 def _cand_mixed_patterns(sentence, roles, resources):
-    return _mixed_candidates(sentence, resources, "pattern", "MixedPatterns")
+    return _mixed_candidates(sentence, resources, "pattern")
 
 
 def _cand_mixed_sentences(sentence, roles, resources):
-    return _mixed_candidates(sentence, resources, "sentence", "MixedSentences")
+    return _mixed_candidates(sentence, resources, "sentence")
 
 
 def _cand_mixed_subjects(sentence, roles, resources):
@@ -158,7 +157,7 @@ def _cand_mixed_subjects(sentence, roles, resources):
     def build(rng, pos=pos, words=tuple(words)):
         return _insert(sentence.text, pos, _choice(rng, words))
 
-    return [_Candidate("MixedSubjects", subject, build)]
+    return [_Candidate(subject, build)]
 
 
 # --- ImproperLogicality --------------------------------------------------
@@ -179,7 +178,7 @@ def _cand_measure_word(sentence, roles, resources):
             def build(rng, pos=tok.char_start, words=tuple(approx_pre)):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate("MeasureWord", (k, k + 1), build))
+            out.append(_Candidate((k, k + 1), build))
         if approx_post and any(t.surface in approx_pre for t in window):
             # approximate quantifier + numeral: add a trailing 左右/上下 too
             j = k + 1
@@ -190,7 +189,7 @@ def _cand_measure_word(sentence, roles, resources):
             def build(rng, pos=pos, words=tuple(approx_post)):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate("MeasureWord", (k, k + 1), build))
+            out.append(_Candidate((k, k + 1), build))
     return out
 
 
@@ -201,7 +200,7 @@ def _cand_unreasonable(sentence, roles, resources):
             if tok.surface == superset and subsumed not in sentence.text:
                 piece = "、" + subsumed
                 new_text = _insert(sentence.text, tok.char_end, piece)
-                out.append(_Candidate("Unreasonable", (k, k + 1), lambda rng, t=new_text: t))
+                out.append(_Candidate((k, k + 1), lambda rng, t=new_text: t))
     return out
 
 
@@ -226,7 +225,7 @@ def _cand_improper_negation(sentence, roles, resources):
                     def build(rng, pos=tokens[m].char_start, words=tuple(inserts)):
                         return _insert(sentence.text, pos, _choice(rng, words))
 
-                    out.append(_Candidate("ImproperNegation", (m, m + 1), build))
+                    out.append(_Candidate((m, m + 1), build))
                     break
     p = roles.predicate_index()
     if doubles and p is not None and p > 0 and tokens[p - 1].surface in negators:
@@ -235,7 +234,7 @@ def _cand_improper_negation(sentence, roles, resources):
             def build(rng, pos=tokens[p - 1].char_start, words=tuple(doubles)):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate("ImproperNegation", (p - 1, p), build))
+            out.append(_Candidate((p - 1, p), build))
     return out
 
 
@@ -259,7 +258,7 @@ def _cand_reverse_host_guest(sentence, roles, resources):
         left = _span(sentence, a, k)
         right = _span(sentence, k + 1, b)
         new_text = _swap(sentence.text, left, right)
-        out.append(_Candidate("ReverseHostGuest", (a, b), lambda rng, t=new_text: t))
+        out.append(_Candidate((a, b), lambda rng, t=new_text: t))
     return out
 
 
@@ -271,36 +270,32 @@ def _cand_imposing_cause_effect(sentence, roles, resources):
         return []
     comma = text.index("，")
     new_text = "因为" + text[: comma + 1] + "所以" + text[comma + 1 :]
-    return [
-        _Candidate(
-            "ImposingCauseAndEffect", (0, len(sentence.tokens)), lambda rng, t=new_text: t
-        )
-    ]
+    return [_Candidate((0, len(sentence.tokens)), lambda rng, t=new_text: t)]
 
 
 # --- MissingComponent ----------------------------------------------------
 
 
-def _delete_candidate(sentence, fine, token_range, char_range=None):
+def _delete_candidate(sentence, token_range, char_range=None):
     a, b = char_range if char_range else _span(sentence, *token_range)
     new_text = _replace(sentence.text, a, b, "")
     if not new_text:
         return []
-    return [_Candidate(fine, token_range, lambda rng, t=new_text: t)]
+    return [_Candidate(token_range, lambda rng, t=new_text: t)]
 
 
 def _cand_lack_subject(sentence, roles, resources):
     subject = roles.first(Role.SUBJECT)
     if subject is None:
         return []
-    return _delete_candidate(sentence, "LackSubject", subject)
+    return _delete_candidate(sentence, subject)
 
 
 def _cand_lack_predicate(sentence, roles, resources):
     predicate = roles.first(Role.PREDICATE)
     if predicate is None:
         return []
-    return _delete_candidate(sentence, "LackPredicate", predicate)
+    return _delete_candidate(sentence, predicate)
 
 
 def _cand_lack_object(sentence, roles, resources):
@@ -311,8 +306,8 @@ def _cand_lack_object(sentence, roles, resources):
     if i > 0 and _is_de(sentence.tokens[i - 1]):
         # delete the 的-phrase head, leaving the attribute dangling
         char_range = (sentence.tokens[i - 1].char_start, sentence.tokens[j - 1].char_end)
-        return _delete_candidate(sentence, "LackObject", (i - 1, j), char_range)
-    return _delete_candidate(sentence, "LackObject", obj)
+        return _delete_candidate(sentence, (i - 1, j), char_range)
+    return _delete_candidate(sentence, obj)
 
 
 def _cand_lack_modifier(sentence, roles, resources):
@@ -322,14 +317,14 @@ def _cand_lack_modifier(sentence, roles, resources):
         return out
     for k, tok in enumerate(sentence.tokens):
         if tok.surface in essential:
-            out.extend(_delete_candidate(sentence, "LackModifier", (k, k + 1)))
+            out.extend(_delete_candidate(sentence, (k, k + 1)))
     return out
 
 
 # --- RedundantComponent --------------------------------------------------
 
 
-def _insertion_candidates(sentence, table, fine):
+def _insertion_candidates(sentence, table):
     out = []
     for k, tok in enumerate(sentence.tokens):
         words = [w for w in table.get(tok.surface, []) if w != tok.surface]
@@ -339,28 +334,28 @@ def _insertion_candidates(sentence, table, fine):
         def build(rng, pos=tok.char_end, words=tuple(words)):
             return _insert(sentence.text, pos, _choice(rng, words))
 
-        out.append(_Candidate(fine, (k, k + 1), build))
+        out.append(_Candidate((k, k + 1), build))
     return out
 
 
 def _cand_multi_words(sentence, roles, resources):
-    return _insertion_candidates(sentence, resources.synonyms, "MultiWords")
+    return _insertion_candidates(sentence, resources.synonyms)
 
 
 def _cand_multi_meanings(sentence, roles, resources):
-    return _insertion_candidates(sentence, resources.meaning_pairs, "MultiMeanings")
+    return _insertion_candidates(sentence, resources.meaning_pairs)
 
 
 # --- ImproperCollocation -------------------------------------------------
 
 
-def _replace_word_candidate(sentence, fine, index, wrong):
+def _replace_word_candidate(sentence, index, wrong):
     tok = sentence.tokens[index]
 
     def build(rng, a=tok.char_start, b=tok.char_end, words=tuple(wrong)):
         return _replace(sentence.text, a, b, _choice(rng, words))
 
-    return _Candidate(fine, (index, index + 1), build)
+    return _Candidate((index, index + 1), build)
 
 
 def _find_after(sentence, start, end, surface):
@@ -380,11 +375,11 @@ def _cand_subject_predicate(sentence, roles, resources):
     for c in (c for c in resources.collocations if c.kind == "subject_predicate"):
         if c.left in subj_words and sentence.tokens[p].surface == c.right:
             if c.side == "right":
-                out.append(_replace_word_candidate(sentence, "SubjectPredicate", p, c.wrong))
+                out.append(_replace_word_candidate(sentence, p, c.wrong))
             else:
                 i = _find_after(sentence, subject[0], subject[1], c.left)
                 if i is not None:
-                    out.append(_replace_word_candidate(sentence, "SubjectPredicate", i, c.wrong))
+                    out.append(_replace_word_candidate(sentence, i, c.wrong))
     return out
 
 
@@ -401,7 +396,7 @@ def _cand_predicate_object(sentence, roles, resources):
         if m is None:
             continue
         index = p if c.side == "left" else m
-        out.append(_replace_word_candidate(sentence, "PredicateObject", index, c.wrong))
+        out.append(_replace_word_candidate(sentence, index, c.wrong))
     return out
 
 
@@ -420,11 +415,11 @@ def _cand_subject_object(sentence, roles, resources):
         if m is None:
             continue
         if c.side == "right":
-            out.append(_replace_word_candidate(sentence, "SubjectObject", m, c.wrong))
+            out.append(_replace_word_candidate(sentence, m, c.wrong))
         else:
             i = _find_after(sentence, subject[0], subject[1], c.left)
             if i is not None:
-                out.append(_replace_word_candidate(sentence, "SubjectObject", i, c.wrong))
+                out.append(_replace_word_candidate(sentence, i, c.wrong))
     return out
 
 
@@ -439,9 +434,7 @@ def _cand_modifier_head(sentence, roles, resources):
             for m in range(k + 1, min(k + 3, len(tokens))):
                 if tokens[m].surface == c.right:
                     index = k if c.side == "left" else m
-                    out.append(
-                        _replace_word_candidate(sentence, "ModifierHeadWord", index, c.wrong)
-                    )
+                    out.append(_replace_word_candidate(sentence, index, c.wrong))
                     break
     return out
 
@@ -455,7 +448,7 @@ def _cand_connectives(sentence, roles, resources):
                 continue
             for j in range(i + 1, len(tokens)):
                 if tokens[j].surface == pair.second:
-                    out.append(_replace_word_candidate(sentence, "Connectives", j, pair.wrong))
+                    out.append(_replace_word_candidate(sentence, j, pair.wrong))
                     break
             break
     return out
@@ -486,7 +479,7 @@ def _cand_multi_attributives(sentence, roles, resources):
                 (w1.char_start, w1.char_end),
                 (w2.char_start, w2.char_end),
             )
-            out.append(_Candidate("MultiAttributives", (k, k + 5), lambda rng, t=new_text: t))
+            out.append(_Candidate((k, k + 5), lambda rng, t=new_text: t))
     return out
 
 
@@ -502,7 +495,7 @@ def _cand_multi_adverbials(sentence, roles, resources):
             new_text = _swap(
                 sentence.text, (a.char_start, a.char_end), (b.char_start, b.char_end)
             )
-            out.append(_Candidate("MultiAdverbials", (k, k + 2), lambda rng, t=new_text: t))
+            out.append(_Candidate((k, k + 2), lambda rng, t=new_text: t))
     return out
 
 
@@ -519,7 +512,7 @@ def _cand_attributive_head(sentence, roles, resources):
         if e == h:  # no nominal head follows the attribute
             continue
         new_text = _swap(sentence.text, _span(sentence, a, b), _span(sentence, b, e))
-        out.append(_Candidate("AttributiveHeadWord", (a, e), lambda rng, t=new_text: t))
+        out.append(_Candidate((a, e), lambda rng, t=new_text: t))
     return out
 
 
@@ -552,7 +545,7 @@ def _cand_prepositions(sentence, roles, resources):
                 + sentence.text[pred_start : phrase[0]]
                 + sentence.text[phrase[1] :]
             )
-            out.append(_Candidate("Prepositions", (k, j), lambda rng, t=new_text: t))
+            out.append(_Candidate((k, j), lambda rng, t=new_text: t))
         # swap the phrase with the adverb/auxiliary run just before it
         r = k
         while (
@@ -568,7 +561,7 @@ def _cand_prepositions(sentence, roles, resources):
             r -= 1
         if r < k:
             new_text = _swap(sentence.text, _span(sentence, r, k), phrase)
-            out.append(_Candidate("Prepositions", (r, j), lambda rng, t=new_text: t))
+            out.append(_Candidate((r, j), lambda rng, t=new_text: t))
     return out
 
 
@@ -583,7 +576,7 @@ def _cand_connectives_subject(sentence, roles, resources):
             j += 1
         if j < ce and tokens[j].tag is POSTag.CCONJ:
             new_text = _swap(sentence.text, _span(sentence, cs, j), _span(sentence, j, j + 1))
-            out.append(_Candidate("ConnectivesSubject", (cs, j + 1), lambda rng, t=new_text: t))
+            out.append(_Candidate((cs, j + 1), lambda rng, t=new_text: t))
     return out
 
 
@@ -597,7 +590,7 @@ def _cand_associated_words(sentence, roles, resources):
                 (tokens[k].char_start, tokens[k].char_end),
                 (tokens[k + 1].char_start, tokens[k + 1].char_end),
             )
-            out.append(_Candidate("AssociatedWords", (k, k + 2), lambda rng, t=new_text: t))
+            out.append(_Candidate((k, k + 2), lambda rng, t=new_text: t))
     return out
 
 
@@ -609,9 +602,7 @@ def _cand_adverbial_attributives(sentence, roles, resources):
             if lo[1] > hi[0]:
                 continue
             new_text = _swap(sentence.text, _span(sentence, *adv), _span(sentence, *attr))
-            out.append(
-                _Candidate("AdverbialAttributives", (lo[0], hi[1]), lambda rng, t=new_text: t)
-            )
+            out.append(_Candidate((lo[0], hi[1]), lambda rng, t=new_text: t))
     return out
 
 
@@ -663,7 +654,7 @@ def apply_fine_rule(
         new_text = picked.build(rng)
         if new_text != sentence.text:
             return RuleOutcome(
-                new_text, sentence.text, ErrorType.from_fine(picked.fine), picked.site
+                new_text, sentence.text, ErrorType.from_fine(fine_id), picked.site
             )
         # identical output counts as a non-match; try the remaining sites
         candidates = [c for c in candidates if c is not picked]

@@ -25,7 +25,6 @@ from cgeckit.metrics import (
     fleiss_kappa,
     levenshtein,
     parse_m2,
-    per_type_edit_stats,
     score_corpus,
     write_m2,
 )
@@ -248,7 +247,7 @@ def test_acceptance_10_stats_schema_fidelity():
     ok = ok and stats["Average Length (Char.)"] == 8.0
     ok = ok and stats["Edit Distance (Char.)"] == 2.0
     ok = ok and stats["References / Sentence"] == 1.0
-    table = per_type_edit_stats(pairs)
+    table = corpus_stats(pairs).per_type
     ok = ok and set(table) == {"Redundant Component", "Structural Confusion"}
     for row in table.values():
         ok = ok and list(row) == ["Replace", "Insert", "Delete", "Total"]

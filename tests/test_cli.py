@@ -5,10 +5,11 @@ import math
 
 import pytest
 
+from cgeckit import metrics
 from cgeckit.cli import RESOURCES_ENV, run
 from cgeckit.core import apply_edits, read_pairs
 from cgeckit.generator import GenConfig, generate_corpus
-from cgeckit.metrics import write_m2
+from cgeckit.metrics import levenshtein, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
 from cgeckit.tagging import _shipped
 
@@ -204,6 +205,8 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("cgeckit: data error:")
     assert err.count("\n") == 1
+    # no output, no report and no temporary file is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
 
 
 # --- filter -------------------------------------------------------------------
@@ -355,6 +358,21 @@ def test_stats_per_type_table(tmp_path, corpus_file, capsys):
     assert set(doc) == {"corpus", "per_type"}
     for row in doc["per_type"].values():
         assert list(row) == ["Replace", "Insert", "Delete", "Total"]
+
+
+def test_stats_per_type_diffs_each_pair_once(tmp_path, corpus_file, monkeypatch):
+    pairs_file = make_pairs_file(tmp_path, corpus_file)
+    count = len(list(read_pairs(str(pairs_file))))
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr(metrics, "levenshtein", counted)
+    out = tmp_path / "stats.json"
+    assert run(["stats", "--input", str(pairs_file), "--per-type", "--output", str(out)]) == 0
+    assert len(calls) == count > 0
 
 
 def test_stats_malformed_pairs_is_data_error(tmp_path, capsys):

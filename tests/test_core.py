@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,10 @@ from cgeckit.core import (
     FINE_TO_COARSE,
     ParseError,
     ValidationError,
+    _distance_table,
     apply_edits,
     diff_edits,
+    ordered_map,
     pair_from_json,
     pair_to_json,
 )
@@ -121,6 +124,34 @@ def test_diff_edits_total_char_cost_is_levenshtein(a, b):
         # Within one span, min(deleted, inserted) chars count as replacements.
         cost += max(deleted, inserted)
     assert cost == levenshtein_recursive(a, b)
+
+
+WORDS = st.sampled_from(["我", "喜欢", "苹果", "a", "ab", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.text(TEXT_ALPHABET, max_size=10), st.text(TEXT_ALPHABET, max_size=10)),
+        st.tuples(st.lists(WORDS, max_size=8), st.lists(WORDS, max_size=8)),
+    )
+)
+def test_distance_table_cells_match_recursive_oracle(pair):
+    a, b = pair
+    table = _distance_table(a, b)
+    assert len(table) == len(a) + 1
+    for i, row in enumerate(table):
+        assert len(row) == len(b) + 1
+        for j, cell in enumerate(row):
+            assert cell == levenshtein_recursive(a[:i], b[:j])
+
+
+def _pid(state, item):
+    return os.getpid()
+
+
+def test_ordered_map_runs_a_single_chunk_in_the_calling_process():
+    assert list(ordered_map(_pid, None, range(10), 8)) == [os.getpid()] * 10
 
 
 def _sample_pair():

@@ -156,6 +156,26 @@ def test_combine_max_two_stacks_rules_and_round_trips():
     assert len(seen_orders) == 2  # both orders occur across seeds
 
 
+def test_stacked_rules_that_undo_each_other_do_not_fire():
+    # LackModifier can delete the word MeasureWord inserted, which would bring
+    # this pair back to its correct text with no edits and two error types.
+    config = GenConfig(seed=1, per_sentence=2, combine_max=2)
+    pairs, _ = generate_corpus(fixture_sentences() * 2, config, RES)
+    (pair,) = [p for p in pairs if p.id == "pair-000052-00"]
+    assert pair.incorrect != pair.correct
+    assert pair.edits
+    assert len(pair.error_types) == len(pair.rule_id.split("+"))
+
+
+@pytest.mark.parametrize("combine_max", [2, 3])
+def test_stacked_pairs_always_hold_an_edit(combine_max):
+    for seed in range(8):
+        config = GenConfig(seed=seed, per_sentence=2, combine_max=combine_max)
+        pairs, _ = generate_corpus(fixture_sentences(), config, RES)
+        assert pairs
+        assert [p.id for p in pairs if not p.edits] == []
+
+
 # --- generate_corpus -----------------------------------------------------
 
 
@@ -193,7 +213,7 @@ def test_generate_corpus_per_sentence_ids_are_distinct_attempts():
 
 
 def test_generate_corpus_byte_identical_across_runs_and_workers():
-    corpus = fixture_sentences()
+    corpus = fixture_sentences() * 3  # over two 64-line chunks, so a real pool runs
     config = GenConfig(seed=42, per_sentence=2)
     first, report_a = generate_corpus(corpus, config, RES, workers=1)
     second, report_b = generate_corpus(corpus, config, RES, workers=1)

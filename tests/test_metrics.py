@@ -25,7 +25,6 @@ from cgeckit.metrics import (
     format_score,
     levenshtein,
     parse_m2,
-    per_type_edit_stats,
     score_corpus,
     write_m2,
 )
@@ -439,7 +438,7 @@ def test_corpus_stats_identity_pair_not_erroneous():
 def test_per_type_stats_redundant_insertion_is_delete_dominated():
     # The rule inserted four characters; correcting deletes them.
     pair = make_pair("p0", "昨天是转会截止日期的最后一天", "昨天是转会的最后一天", ["MultiMeanings"])
-    table = per_type_edit_stats([pair])
+    table = corpus_stats([pair]).per_type
     assert table == {
         "Redundant Component": {"Replace": 0.0, "Insert": 0.0, "Delete": 4.0, "Total": 4.0}
     }
@@ -447,14 +446,14 @@ def test_per_type_stats_redundant_insertion_is_delete_dominated():
 
 def test_per_type_stats_multi_type_pair_counts_in_each_row():
     pair = make_pair("p0", "他是教师优秀的", "他是优秀的教师", ["AttributiveHeadWord", "MultiWords"])
-    table = per_type_edit_stats([pair])
+    table = corpus_stats([pair]).per_type
     assert set(table) == {"Improper Word Order", "Redundant Component"}
     assert table["Improper Word Order"] == table["Redundant Component"]
 
 
 def test_per_type_stats_empty_and_unlabeled_pairs():
-    assert per_type_edit_stats([]) == {}
-    assert per_type_edit_stats([make_pair("p0", "abc", "abd")]) == {}
+    assert corpus_stats([]).per_type == {}
+    assert corpus_stats([make_pair("p0", "abc", "abd")]).per_type == {}
 
 
 # --- Fleiss' kappa ----------------------------------------------------------
