@@ -20,6 +20,7 @@ from cgeckit.core import (
     ConfigError,
     ParseError,
     ValidationError,
+    open_input,
     pair_to_json,
     read_pairs,
 )
@@ -60,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_lines(path: str) -> Iterator[str]:
     """Non-blank lines of a text file, stripped of the trailing newline."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.strip():
@@ -88,7 +89,7 @@ def _write_on_success(*paths: str) -> Iterator[list[TextIO]]:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -205,7 +206,7 @@ def _cmd_score(args) -> int:
     )
     joiner = "" if args.char_tokenize else " "
     sources = [joiner.join(entry.tokens) for entry in gold]
-    with open(args.hyp, encoding="utf-8") as fh:
+    with open_input(args.hyp) as fh:
         hypotheses = fh.read().splitlines()
     report = score_corpus(sources, hypotheses, gold, params)
     sys.stdout.write(format_score(report))
@@ -217,7 +218,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_kappa(args) -> int:
     rows: list[list[int]] = []
-    with open(args.input, encoding="utf-8") as fh:
+    with open_input(args.input) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

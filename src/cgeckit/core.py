@@ -8,12 +8,14 @@ All offsets are Unicode code point indices, never bytes.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
 class CgecError(Exception):
@@ -239,18 +241,51 @@ def apply_edits(incorrect: str, edits: Sequence[EditSpan]) -> str:
     return result
 
 
-def _distance_table(a: Sequence, b: Sequence) -> list[list[int]]:
+def _distance_table(a: Sequence, b: Sequence, limit: int | None = None) -> list[list[int]]:
     """Unit-cost edit distance table over two strings or token lists:
-    len(a) + 1 rows, where [i][j] is the distance from a[:i] to b[:j]."""
-    row = list(range(len(b) + 1))
+    len(a) + 1 rows, where [i][j] is the distance from a[:i] to b[:j].
+
+    With a limit (at least the distance), only Ukkonen's band is filled:
+    the diagonals k = j - i with |k| + |k - (len(b) - len(a))| <= limit,
+    the only ones a path of cost <= limit can touch. Cells outside hold
+    len(a) + len(b) + 1. Every cell is then >= its true value and exact on
+    every minimal path of cost <= limit, so a backtrace or a walk that only
+    follows cells summing to the distance reads the same as on the whole
+    table.
+    """
+    n, m = len(a), len(b)
+    out = n + m + 1
+    if limit is None:
+        row = list(range(m + 1))
+    else:
+        delta = m - n
+        spare = (limit - abs(delta)) // 2
+        low, high = min(0, delta) - spare, max(0, delta) + spare
+        row = list(range(min(m, high) + 1))
+        row += [out] * (m + 1 - len(row))
     rows = [row]
     for i, x in enumerate(a, 1):
-        prev, row = row, [i]
-        left = i
+        prev = row
+        # Whole rows skip the band's bookkeeping, which made the fill of
+        # ~11-char tables about 10% slower.
+        if limit is None:
+            row = [i]
+            left = i
+            cells = zip(b, prev, prev[1:])
+        else:
+            first, last = i + low, i + high  # the band's columns in this row
+            if first > 0:
+                row = [out] * first
+                left = out
+                cells = zip(b[first - 1 : last], prev[first - 1 : last], prev[first : last + 1])
+            else:
+                row = [i]
+                left = i
+                cells = zip(b[:last], prev, prev[1 : last + 1])
         # cell = min(diag + (x != y), left + 1, up + 1); a match takes diag, as
         # neighbouring cells differ by at most one. Written out, since a min()
         # call per cell makes the fill about five times slower.
-        for y, diag, up in zip(b, prev, prev[1:]):
+        for y, diag, up in cells:
             if x != y:
                 if left < diag:
                     diag = left
@@ -259,8 +294,61 @@ def _distance_table(a: Sequence, b: Sequence) -> list[list[int]]:
                 diag += 1
             left = diag
             row.append(left)
+        if limit is not None and last < m:
+            row += [out] * (m - last)
         rows.append(row)
     return rows
+
+
+def _distance(a: Sequence, b: Sequence) -> int:
+    """Unit-cost edit distance of two strings or token lists, by Myers'
+    bit-vector algorithm in Hyyrö's edit-distance form: one int holds the
+    vertical deltas of a whole column of the table over a, so the cost is
+    len(b) steps of a few len(a)-bit operations."""
+    if not a:
+        return len(b)
+    match: dict = {}
+    bit = 1
+    for x in a:
+        match[x] = match.get(x, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1  # the last row, whose deltas add up to the distance
+    plus, minus, score = mask, 0, len(a)
+    for y in b:
+        eq = match.get(y, 0)
+        xv = eq | minus
+        xh = (((eq & plus) + plus) ^ plus) | eq
+        hplus = minus | ~(xh | plus)
+        hminus = plus & xh
+        if hplus & top:
+            score += 1
+        elif hminus & top:
+            score -= 1
+        # Row 0 of the table grows by one per column, hence the carried-in 1.
+        hplus = (hplus << 1) | 1
+        plus = ((hminus << 1) | ~(xv | hplus)) & mask
+        minus = hplus & xv
+    return score
+
+
+# Tables with fewer cells than this are filled whole: below it the
+# bit-vector distance plus the band cost more than they save. Measured on
+# generated and augmented pairs of the fixture sentences (mean distance 6),
+# band / whole fill time by table size: 1.13 at 256-400 cells, 0.96 at
+# 400-576, 0.88 at 576-784. Above the cut-off the band also wins when it
+# spans three quarters of a row (0.6-0.9 at distance 0.5-0.76 x length), as
+# it fills a subset of the same cells with the same loop.
+_WHOLE_BELOW = 24 * 24
+
+
+def _edit_table(a: Sequence, b: Sequence, distance: int | None = None) -> list[list[int]]:
+    """The distance table of a and b as far as a backtrace needs it: whole
+    for small tables, else Ukkonen's band at the distance (computed first
+    unless given). The corner [len(a)][len(b)] is exact either way."""
+    if (len(a) + 1) * (len(b) + 1) < _WHOLE_BELOW:
+        return _distance_table(a, b)
+    return _distance_table(a, b, _distance(a, b) if distance is None else distance)
 
 
 def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
@@ -271,7 +359,7 @@ def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
     point the step applies. Backtrace ties resolve match > replace > insert
     > delete so the script is canonical.
     """
-    dp = _distance_table(a, b)
+    dp = _edit_table(a, b)
     ops: list[tuple[str, int, int]] = []
     i, j = len(a), len(b)
     while i > 0 or j > 0:
@@ -335,6 +423,32 @@ def pair_to_json(pair: CorpusPair) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _spec(**types: type) -> tuple:
+    """(names, getter of their values, types) of some record fields."""
+    return tuple(types), itemgetter(*types), tuple(types.values())
+
+
+# Scalar fields of a pair record and of its edits, with the JSON type each
+# must have. bool is excluded where int is required, though it subclasses int.
+_PAIR_SPEC = _spec(id=str, incorrect=str, correct=str, rule_id=str, seed=int)
+_EDIT_SPEC = _spec(start=int, end=int, replacement=str)
+
+
+def _fields(obj: dict, spec: tuple, where: str) -> tuple:
+    """obj's values for the fields of a spec, each of exactly its type."""
+    names, get, types = spec
+    values = get(obj)
+    if tuple(map(type, values)) != types:
+        for name, value, kind in zip(names, values, types):
+            if type(value) is not kind:
+                expected = "a string" if kind is str else "an integer"
+                raise ParseError(
+                    f"bad pair record{where}: {name!r} must be {expected}, "
+                    f"got {json.dumps(value, ensure_ascii=False)}"
+                )
+    return values
+
+
 def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
     where = "" if lineno is None else f" at line {lineno}"
     try:
@@ -342,18 +456,19 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON{where}: {exc}") from exc
     try:
+        pair_id, incorrect, correct, rule_id, seed = _fields(obj, _PAIR_SPEC, where)
         pair = CorpusPair(
-            id=obj["id"],
-            incorrect=obj["incorrect"],
-            correct=obj["correct"],
+            id=pair_id,
+            incorrect=incorrect,
+            correct=correct,
             edits=tuple(
-                EditSpan(e["start"], e["end"], e["replacement"]) for e in obj["edits"]
+                EditSpan(*_fields(e, _EDIT_SPEC, where)) for e in obj["edits"]
             ),
             error_types=tuple(
                 ErrorType(CoarseType(t["coarse"]), t["fine"]) for t in obj["error_types"]
             ),
-            rule_id=obj["rule_id"],
-            seed=obj["seed"],
+            rule_id=rule_id,
+            seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pair record{where}: {exc}") from exc
@@ -372,8 +487,19 @@ def write_pairs(pairs: Iterable[CorpusPair], path: str) -> int:
     return n
 
 
+@contextlib.contextmanager
+def open_input(path: str) -> Iterator[TextIO]:
+    """Open a UTF-8 text input; a decoding error while it is read becomes
+    a ParseError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def read_pairs(path: str) -> Iterator[CorpusPair]:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from cgeckit.core import ConfigError, ParseError, ordered_map
+from cgeckit.core import ConfigError, ParseError, open_input, ordered_map
 
 BOUNDARY = "<b>"
 UNK = "<unk>"
@@ -169,7 +169,7 @@ def load_lm(path: str) -> NGramModel:
         ParseError: malformed document or unsupported version.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc

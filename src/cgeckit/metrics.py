@@ -24,8 +24,9 @@ from cgeckit.core import (
     CorpusPair,
     ParseError,
     ValidationError,
-    _distance_table,
     _edit_ops,
+    _edit_table,
+    open_input,
 )
 
 # --- character Levenshtein ------------------------------------------------
@@ -107,7 +108,7 @@ def parse_m2(source) -> list[M2Sentence]:
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        with open(source, encoding="utf-8") as fh:
+        with open_input(source) as fh:
             lines = fh.read().splitlines()
 
     sentences: list[M2Sentence] = []
@@ -198,11 +199,28 @@ def _as_triple(edit) -> tuple[int, int, str]:
     return (int(start), int(end), correction)
 
 
+def _alignment_tables(src: Sequence[str], hyp: Sequence[str]) -> tuple[list, list]:
+    """(dstart, dend) of a source/hypothesis pair: dstart[i][j] is the
+    distance from src[:i] to hyp[:j], dend[i][j] from src[i:] to hyp[j:].
+    Both are filled only as far as the distance needs (core._edit_table):
+    a cell may exceed its true value, but never on a minimal path, so
+    dstart[i][j] + dend[i][j] == distance holds exactly on minimal paths."""
+    dstart = _edit_table(src, hyp)
+    # dend is the table of the reversed sequences, read from the far corner.
+    dend = _edit_table(src[::-1], hyp[::-1], dstart[-1][-1])
+    dend.reverse()
+    for row in dend:
+        row.reverse()
+    return dstart, dend
+
+
 def extract_system_edits(
     source_tokens: Sequence[str],
     hypothesis_tokens: Sequence[str],
     gold: Iterable,
     params: ScoreParams = ScoreParams(),
+    *,
+    tables: tuple[list, list] | None = None,
 ) -> tuple[tuple[int, int, str], ...]:
     """System edits between source and hypothesis that best match gold.
 
@@ -211,41 +229,29 @@ def extract_system_edits(
     tokens (the merged correction keeps those tokens). Among all reachable
     edit sets the result maximizes exact overlap with gold, then has the
     fewest edits, then the lexicographically smallest spans. Corrections
-    are hypothesis tokens joined by single spaces.
+    are hypothesis tokens joined by single spaces. `tables` takes the
+    pair's (dstart, dend) from `_alignment_tables`, so that several gold
+    sets can share them; by default they are built here.
     """
     src = list(source_tokens)
     hyp = list(hypothesis_tokens)
     gold_set = frozenset(_as_triple(g) for g in gold)
     n, m = len(src), len(hyp)
     max_unchanged = params.max_unchanged
-
-    dstart = _distance_table(src, hyp)
-    # dend[i][j] is the distance from src[i:] to hyp[j:]: the table of the
-    # reversed sequences, read from the far corner.
-    dend = _distance_table(src[::-1], hyp[::-1])
-    dend.reverse()
-    for row in dend:
-        row.reverse()
+    dstart, dend = _alignment_tables(src, hyp) if tables is None else tables
     total = dstart[n][m]
 
-    # Value of a state: best (-(gold matches), edit count, edit tuple)
-    # completing the walk from there; None when the state is a dead end.
-    # seg is None between edits, else (start_i, start_j, trailing matches).
-    # Gold matching counts DISTINCT edits, and only pure insertions (which
-    # never advance the source index) can repeat a span; `used` carries the
-    # corrections already credited at the current source index and resets
-    # whenever the walk consumes a source token.
-    memo: dict = {}
+    # A state is (i, j, seg, used). seg is None between edits, else
+    # (start_i, start_j, trailing matches). Gold matching counts DISTINCT
+    # edits, and only pure insertions (which never advance the source
+    # index) can repeat a span; `used` carries the corrections already
+    # credited at the current source index and resets whenever the walk
+    # consumes a source token.
     empty: frozenset[str] = frozenset()
 
-    def best(i: int, j: int, seg, used: frozenset[str]):
-        key = (i, j, seg, used)
-        if key in memo:
-            return memo[key]
-        candidates = []
-        if i == n and j == m and seg is None:
-            memo[key] = (0, 0, ())
-            return memo[key]
+    def moves(i: int, j: int, seg, used: frozenset[str]) -> list:
+        """(next state, edit closed on the way or None, its gold credit)."""
+        out = []
         if seg is not None and seg[2] == 0:
             edit = (seg[0], i, " ".join(hyp[seg[1] : j]))
             if seg[0] == i:  # pure insertion; may duplicate an earlier one
@@ -254,18 +260,12 @@ def extract_system_edits(
             else:
                 tp = 1 if edit in gold_set else 0
                 next_used = used
-            sub = best(i, j, None, next_used)
-            if sub is not None:
-                candidates.append((sub[0] - tp, sub[1] + 1, (edit,) + sub[2]))
+            out.append(((i, j, None, next_used), edit, tp))
         if i < n and j < m and src[i] == hyp[j] and dstart[i][j] + dend[i + 1][j + 1] == total:
             if seg is None:
-                sub = best(i + 1, j + 1, None, empty)
-                if sub is not None:
-                    candidates.append(sub)
+                out.append(((i + 1, j + 1, None, empty), None, 0))
             elif seg[2] < max_unchanged:
-                sub = best(i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), empty)
-                if sub is not None:
-                    candidates.append(sub)
+                out.append(((i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), empty), None, 0))
         changed_arcs = []
         if i < n and j < m and src[i] != hyp[j] and dstart[i][j] + 1 + dend[i + 1][j + 1] == total:
             changed_arcs.append((i + 1, j + 1))
@@ -275,14 +275,39 @@ def extract_system_edits(
             changed_arcs.append((i + 1, j))
         for ni, nj in changed_arcs:
             nseg = (i, j, 0) if seg is None else (seg[0], seg[1], 0)
-            sub = best(ni, nj, nseg, used if ni == i else empty)
-            if sub is not None:
-                candidates.append(sub)
-        result = min(candidates) if candidates else None
-        memo[key] = result
-        return result
+            out.append(((ni, nj, nseg, used if ni == i else empty), None, 0))
+        return out
 
-    value = best(0, 0, None, empty)
+    # memo holds each state's value: the best (-(gold matches), edit count,
+    # edit tuple) completing the walk from there, or None for a dead end.
+    # The states form a DAG, walked depth-first with an explicit stack, so
+    # the input length is not bounded by the interpreter's recursion limit:
+    # a state is expanded once, and valued once all its successors are.
+    start = (0, 0, None, empty)
+    memo: dict = {}
+    stack: list = [(start, None)]
+    while stack:
+        state, out = stack.pop()
+        if out is None:
+            if state in memo:
+                continue
+            if state[:3] == (n, m, None):
+                memo[state] = (0, 0, ())
+                continue
+            out = moves(*state)
+            stack.append((state, out))
+            stack.extend((nxt, None) for nxt, _, _ in out if nxt not in memo)
+            continue
+        candidates = []
+        for nxt, edit, tp in out:
+            sub = memo[nxt]
+            if sub is None:
+                continue
+            if edit is not None:
+                sub = (sub[0] - tp, sub[1] + 1, (edit,) + sub[2])
+            candidates.append(sub)
+        memo[state] = min(candidates) if candidates else None
+    value = memo[start]
     assert value is not None, "alignment walk must reach the end"
     return value[2]
 
@@ -377,12 +402,13 @@ def score_corpus(
                 f"({len(src_tokens)} vs {len(entry.tokens)} tokens)"
             )
         hyp_tokens = _tokenize(hypothesis, params)
+        tables = _alignment_tables(src_tokens, hyp_tokens)
         best_id = None
         best_f = None
         best_counts = (0, 0, 0)
         for annotator in sorted(entry.by_annotator):
             gold_set = entry.by_annotator[annotator]
-            system = extract_system_edits(src_tokens, hyp_tokens, gold_set, params)
+            system = extract_system_edits(src_tokens, hyp_tokens, gold_set, params, tables=tables)
             tp, fp, fn = edit_counts(system, gold_set)
             f = _f_beta_exact(tp_total + tp, fp_total + fp, fn_total + fn, beta)
             if best_f is None or f > best_f:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from typing import Callable, Iterator
 
-from cgeckit.core import ConfigError, ParseError
+from cgeckit.core import ConfigError, ParseError, open_input
 
 FILE_NAMES = (
     "mixed_patterns.tsv",
@@ -90,7 +90,7 @@ def default_resources_dir() -> str:
 
 
 def _rows(path: str) -> Iterator[tuple[int, list[str]]]:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

@@ -26,13 +26,10 @@ def levenshtein_recursive(a: str, b: str) -> int:
     return d(len(a), len(b))
 
 
-def enumerate_minimal_paths(src: list[str], hyp: list[str]) -> list[list[tuple[str, int, int]]]:
-    """All minimal-cost alignment paths as lists of (op, i, j) steps.
-
-    Steps are emitted left to right; i/j are the source/hypothesis indices
-    BEFORE the step applies. Ops: match, sub, ins, del.
-    """
-    m, n = len(src), len(hyp)
+def full_distance_table(a, b) -> list[list[int]]:
+    """The whole unit-cost edit distance table, every cell by the textbook
+    three-way min: dist[i][j] is the distance from a[:i] to b[:j]."""
+    m, n = len(a), len(b)
     dist = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(m + 1):
         dist[i][0] = i
@@ -40,10 +37,49 @@ def enumerate_minimal_paths(src: list[str], hyp: list[str]) -> list[list[tuple[s
         dist[0][j] = j
     for i in range(1, m + 1):
         for j in range(1, n + 1):
-            cost = 0 if src[i - 1] == hyp[j - 1] else 1
+            cost = 0 if a[i - 1] == b[j - 1] else 1
             dist[i][j] = min(
                 dist[i - 1][j - 1] + cost, dist[i - 1][j] + 1, dist[i][j - 1] + 1
             )
+    return dist
+
+
+def edit_ops_reference(a, b) -> list[tuple[str, int, int]]:
+    """The canonical minimal edit script, backtraced over the whole table.
+
+    Walking back from the far corner, each step takes the first of match,
+    replace, insert, delete whose predecessor cell accounts for the current
+    cell's value. Steps are (op, i, j) in left-to-right order, with i/j the
+    indices into a/b where the step applies.
+    """
+    dist = full_distance_table(a, b)
+    steps: list[tuple[str, int, int]] = []
+    i, j = len(a), len(b)
+    while (i, j) != (0, 0):
+        here = dist[i][j]
+        diagonal = dist[i - 1][j - 1] if i and j else None
+        if diagonal is not None and a[i - 1] == b[j - 1] and here == diagonal:
+            op = "match"
+        elif diagonal is not None and here == diagonal + 1:
+            op = "replace"
+        elif j and here == dist[i][j - 1] + 1:
+            op = "insert"
+        else:
+            op = "delete"
+        i -= op != "insert"
+        j -= op != "delete"
+        steps.append((op, i, j))
+    return steps[::-1]
+
+
+def enumerate_minimal_paths(src: list[str], hyp: list[str]) -> list[list[tuple[str, int, int]]]:
+    """All minimal-cost alignment paths as lists of (op, i, j) steps.
+
+    Steps are emitted left to right; i/j are the source/hypothesis indices
+    BEFORE the step applies. Ops: match, sub, ins, del.
+    """
+    m, n = len(src), len(hyp)
+    dist = full_distance_table(src, hyp)
 
     paths: list[list[tuple[str, int, int]]] = []
 

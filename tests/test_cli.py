@@ -205,6 +205,7 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("cgeckit: data error:")
     assert err.count("\n") == 1
+    assert str(bad) in err
     # no output, no report and no temporary file is left behind
     assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
 
@@ -422,6 +423,25 @@ def test_score_do_nothing_system(tmp_path, capsys):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["precision"] == 1.0
     assert report["recall"] == 0.0
+
+
+def test_score_long_char_tokenized_sentence(tmp_path, capsys):
+    # 1,500 tokens: deeper than the interpreter's recursion limit, so the
+    # MaxMatch walk must not recurse per token.
+    source = "他喜欢苹果最后一天" * 167
+    assert len(source) >= 1500
+    hypothesis = source[:100] + "好" + source[101:700] + source[702:]
+    gold = tmp_path / "gold.m2"
+    gold.write_text(
+        "S " + " ".join(source) + "\n"
+        "A 100 101|||X|||好|||REQUIRED|||-NONE-|||0\n"
+        "A 700 702|||X||||||REQUIRED|||-NONE-|||0\n\n",
+        encoding="utf-8",
+    )
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text(hypothesis + "\n", encoding="utf-8")
+    assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]) == 0
+    assert "F_0.5 : 1.0000" in capsys.readouterr().out
 
 
 def test_score_count_mismatch_is_data_error(tmp_path, capsys):

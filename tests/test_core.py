@@ -13,14 +13,16 @@ from cgeckit.core import (
     FINE_TO_COARSE,
     ParseError,
     ValidationError,
+    _distance,
     _distance_table,
+    _edit_ops,
     apply_edits,
     diff_edits,
     ordered_map,
     pair_from_json,
     pair_to_json,
 )
-from oracles import levenshtein_recursive
+from oracles import edit_ops_reference, full_distance_table, levenshtein_recursive
 
 TEXT_ALPHABET = "ab他喜欢苹果最后一天xy ，。"
 
@@ -146,6 +148,65 @@ def test_distance_table_cells_match_recursive_oracle(pair):
             assert cell == levenshtein_recursive(a[:i], b[:j])
 
 
+@st.composite
+def _long_pairs(draw):
+    """A 40-150 item string or token list and a copy with a few random
+    edits (sometimes many), so that the band is narrower than the table."""
+    items = st.sampled_from("ab他喜欢苹果") if draw(st.booleans()) else WORDS
+    a = draw(st.lists(items, min_size=40, max_size=150))
+    b = list(a)
+    for _ in range(draw(st.integers(0, draw(st.sampled_from([4, 12, 60]))))):
+        at = draw(st.integers(0, len(b)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            b.insert(at, draw(items))
+        elif at < len(b):
+            if op == "replace":
+                b[at] = draw(items)
+            else:
+                del b[at]
+    if all(len(x) == 1 for x in a + b) and draw(st.booleans()):
+        return "".join(a), "".join(b)
+    return a, b
+
+
+def _path_cells(ops):
+    """The table cells a script passes through, from (0, 0) to the corner."""
+    cells = [(0, 0)]
+    for op, i, j in ops:
+        cells.append((i + (op != "insert"), j + (op != "delete")))
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_pairs())
+def test_edit_ops_on_long_inputs_match_full_table_reference(pair):
+    a, b = pair
+    assert _edit_ops(a, b) == edit_ops_reference(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_pairs())
+def test_bit_vector_distance_is_the_table_corner(pair):
+    a, b = pair
+    assert _distance(a, b) == _distance(b, a) == full_distance_table(a, b)[-1][-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_pairs())
+def test_banded_cells_bound_the_table_and_are_exact_on_the_path(pair):
+    a, b = pair
+    full = full_distance_table(a, b)
+    distance = full[-1][-1]
+    for limit in (distance, distance + 1):
+        band = _distance_table(a, b, limit)
+        assert [len(row) for row in band] == [len(b) + 1] * (len(a) + 1)
+        for row, true_row in zip(band, full):
+            assert all(cell >= true for cell, true in zip(row, true_row))
+        for i, j in _path_cells(edit_ops_reference(a, b)):
+            assert band[i][j] == full[i][j]
+
+
 def _pid(state, item):
     return os.getpid()
 
@@ -179,6 +240,43 @@ def test_pair_from_json_rejects_inconsistent_edits():
     obj["correct"] = "完全不同的句子"
     with pytest.raises(ParseError):
         pair_from_json(json.dumps(obj, ensure_ascii=False), lineno=7)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", 5),
+        ("incorrect", None),
+        ("correct", ["昨天"]),
+        ("rule_id", [1]),
+        ("seed", True),
+        ("seed", "12345"),
+        ("start", 5.0),
+        ("end", False),
+        ("replacement", 0),
+    ],
+)
+def test_pair_from_json_rejects_wrong_field_types(field, value):
+    obj = json.loads(pair_to_json(_sample_pair()))
+    if field in ("start", "end", "replacement"):
+        obj["edits"][0][field] = value
+    else:
+        obj[field] = value
+    with pytest.raises(ParseError) as exc:
+        pair_from_json(json.dumps(obj, ensure_ascii=False), lineno=4)
+    assert "line 4" in str(exc.value)
+    assert repr(field) in str(exc.value)
+
+
+@pytest.mark.parametrize("line", ["5", "null", '"pair"', "[1]"])
+def test_pair_from_json_rejects_records_that_are_not_objects(line):
+    with pytest.raises(ParseError) as exc:
+        pair_from_json(line, lineno=2)
+    assert "line 2" in str(exc.value)
+    obj = json.loads(pair_to_json(_sample_pair()))
+    obj["edits"] = [json.loads(line)]
+    with pytest.raises(ParseError):
+        pair_from_json(json.dumps(obj, ensure_ascii=False), lineno=2)
 
 
 def test_pair_from_json_reports_line_number():

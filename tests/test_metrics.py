@@ -15,6 +15,7 @@ from cgeckit.core import (
     ValidationError,
     diff_edits,
 )
+from cgeckit import metrics
 from cgeckit.metrics import (
     GoldEdit,
     ScoreParams,
@@ -33,6 +34,7 @@ from tests.oracles import (
     best_edit_set,
     enumerate_edit_sets,
     f_beta,
+    full_distance_table,
     levenshtein_recursive,
     score_oracle,
 )
@@ -230,6 +232,56 @@ def test_extract_matches_enumeration_oracle_on_random_cases():
             sorted(gold),
             max_unchanged,
         )
+
+
+def _whole_tables(src, hyp):
+    dend = full_distance_table(src[::-1], hyp[::-1])
+    return full_distance_table(src, hyp), [row[::-1] for row in dend[::-1]]
+
+
+def test_extract_with_banded_tables_matches_whole_tables():
+    rng = random.Random(41)
+    for case in range(40):
+        alphabet = "abxy" if case % 2 else "他喜欢苹果最后一天"
+        src = [rng.choice(alphabet) for _ in range(rng.randint(20, 90))]
+        hyp = list(src)
+        for _ in range(rng.randint(0, 6)):
+            at = rng.randint(0, len(hyp) - 1)
+            hyp[at : at + rng.randint(0, 2)] = rng.choice(alphabet) * rng.randint(0, 2)
+        gold = {
+            (lo := rng.randint(0, len(src)), min(len(src), lo + rng.randint(0, 2)), rng.choice(alphabet))
+            for _ in range(rng.randint(0, 3))
+        }
+        params = ScoreParams(max_unchanged=rng.randint(0, 2))
+        whole = _whole_tables(src, hyp)
+        assert extract_system_edits(src, hyp, gold, params) == extract_system_edits(
+            src, hyp, gold, params, tables=whole
+        ), (case, src, hyp, sorted(gold))
+
+
+def test_score_builds_tables_once_per_sentence(monkeypatch):
+    text = io.StringIO(
+        "S a b c d\nA 1 2|||X|||x|||REQUIRED|||-NONE-|||0\nA 3 4|||X|||y|||REQUIRED|||-NONE-|||0\n"
+        "A 3 4|||X|||y|||REQUIRED|||-NONE-|||1\nA 0 0|||X|||-NONE-|||REQUIRED|||-NONE-|||2\n\n"
+        "S e f\nA 0 1|||X|||g|||REQUIRED|||-NONE-|||0\n"
+        "A 0 1|||X|||h|||REQUIRED|||-NONE-|||1\nA 1 2|||X||||||REQUIRED|||-NONE-|||2\n\n"
+    )
+    built = []
+    extracted = []
+    real_tables, real_extract = metrics._alignment_tables, metrics.extract_system_edits
+    monkeypatch.setattr(
+        metrics, "_alignment_tables", lambda *a: built.append(a) or real_tables(*a)
+    )
+    monkeypatch.setattr(
+        metrics,
+        "extract_system_edits",
+        lambda *a, **k: extracted.append(a) or real_extract(*a, **k),
+    )
+    report = score_corpus(["a b c d", "e f"], ["a x c y", "g f"], text)
+    assert len(built) == 2
+    assert len(extracted) == 6
+    assert (report.tp, report.fp, report.fn) == (3, 0, 0)
+    assert report.chosen_annotators == (0, 0)
 
 
 def test_edit_counts_basic():
