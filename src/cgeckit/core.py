@@ -489,10 +489,11 @@ def write_pairs(pairs: Iterable[CorpusPair], path: str) -> int:
 
 @contextlib.contextmanager
 def open_input(path: str) -> Iterator[TextIO]:
-    """Open a UTF-8 text input; a decoding error while it is read becomes
-    a ParseError that names the file."""
+    """Open a UTF-8 text input, dropping a leading byte-order mark; a
+    decoding error while it is read becomes a ParseError that names the
+    file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -10,7 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from cgeckit.core import (
@@ -58,6 +61,19 @@ class GenConfig:
             raise ConfigError("rule weights must be >= 0")
         object.__setattr__(self, "enabled_rules", frozenset(self.enabled_rules))
 
+    @cached_property
+    def _rule_pool(self) -> tuple[tuple[str, ...], tuple[float, ...]]:
+        """The drawable rules in sorted order and their weights; rules
+        weighted 0 are left out."""
+        weighted = [
+            (rule, self.rule_weights.get(rule, RULE_REGISTRY[rule].weight))
+            for rule in sorted(self.enabled_rules)
+        ]
+        return (
+            tuple(rule for rule, w in weighted if w > 0),
+            tuple(w for _, w in weighted if w > 0),
+        )
+
 
 @dataclass(frozen=True)
 class AugmentConfig:
@@ -93,16 +109,17 @@ def derive_seed(seed: int, *parts: int) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _weighted_pop(rng: random.Random, pool: list[tuple[str, float]]) -> str:
-    total = sum(w for _, w in pool)
-    r = rng.random() * total
-    acc = 0.0
-    for index, (rule, weight) in enumerate(pool):
-        acc += weight
-        if r < acc or index == len(pool) - 1:
-            del pool[index]
-            return rule
-    raise AssertionError("unreachable")
+def _weighted_pop(rng: random.Random, rules: list[str], weights: list[float]) -> str:
+    """Draw one rule by weight and remove it from both lists.
+
+    The rule is the first whose running weight sum, added up in float from
+    0.0, exceeds the draw, or else the last rule.
+    """
+    r = rng.random() * sum(weights)
+    sums = list(accumulate(weights, initial=0.0))
+    index = min(bisect_right(sums, r, 1) - 1, len(rules) - 1)
+    del weights[index]
+    return rules.pop(index)
 
 
 def generate_pair(
@@ -127,17 +144,13 @@ def generate_pair(
         return None
     pair_seed = derive_seed(config.seed, sentence_index, attempt)
     rng = random.Random(pair_seed)
-    pool = [
-        (rule, config.rule_weights.get(rule, RULE_REGISTRY[rule].weight))
-        for rule in sorted(config.enabled_rules)
-    ]
-    pool = [(rule, w) for rule, w in pool if w > 0]
+    rules, weights = map(list, config._rule_pool)
     fired: list[str] = []
     current, current_roles = sentence, roles
     seen = {sentence.text}
     draws = 0
-    while pool and len(fired) < config.combine_max and draws < _MAX_DRAWS:
-        rule = _weighted_pop(rng, pool)
+    while rules and len(fired) < config.combine_max and draws < _MAX_DRAWS:
+        rule = _weighted_pop(rng, rules, weights)
         draws += 1
         outcome = apply_fine_rule(current, current_roles, resources, rng, rule)
         if outcome is None or outcome.incorrect in seen:

@@ -25,15 +25,16 @@ blank lines ignored. Column layouts:
 
 Missing files raise ConfigError naming the file; malformed lines raise
 ParseError with the file name and line number. Duplicate keys merge their
-candidate lists in file order.
+candidate lists in file order, keeping each word's first occurrence.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources as importlib_resources
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from cgeckit.core import ConfigError, ParseError, open_input
 
@@ -47,14 +48,14 @@ FILE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedPattern:
     kind: str  # "pattern" | "sentence"
     match: str
     splice: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Collocation:
     kind: str  # subject_predicate | predicate_object | subject_object | modifier_head
     left: str
@@ -63,16 +64,69 @@ class Collocation:
     side: str  # "left" | "right": which member gets replaced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectivePair:
     first: str
     second: str
     wrong: tuple[str, ...]
 
 
+# A lookup map takes a key to the table position of its one row, or to the
+# positions of its rows in table order. A bare int for a single-row key
+# keeps the map a fraction of the size of one list per key.
+_Positions = dict[str, int | list[int]]
+
+
+def _add_position(index: _Positions, key: str, pos: int) -> None:
+    hit = index.get(key)
+    if hit is None:
+        index[key] = pos
+    elif type(hit) is int:
+        index[key] = [hit, pos]
+    else:
+        hit.append(pos)
+
+
+def _key_map(keys: Iterable[str]) -> _Positions:
+    """Map each key to its position(s) in `keys`."""
+    index: _Positions = {}
+    for pos, key in enumerate(keys):
+        _add_position(index, key, pos)
+    return index
+
+
+def _key_maps_by_kind(rows: list, key: Callable) -> dict[str, _Positions]:
+    """One lookup map per row kind, keyed by `key(row)`."""
+    maps: dict[str, _Positions] = {}
+    for pos, row in enumerate(rows):
+        _add_position(maps.setdefault(row.kind, {}), key(row), pos)
+    return maps
+
+
+def _matching_rows(table: list, index: _Positions, keys: Iterable[str]) -> list:
+    """The rows of `table` whose key is one of the distinct `keys`, in
+    table order, so that candidates come out in the order of a whole-table
+    scan (the rules' random pick indexes into that order)."""
+    positions: list[int] = []
+    for key in keys:
+        hit = index.get(key)
+        if type(hit) is int:
+            positions.append(hit)
+        elif hit is not None:
+            positions.extend(hit)
+    positions.sort()
+    return [table[pos] for pos in positions]
+
+
 @dataclass
 class RuleResources:
-    """Parsed rule tables; read-only after load."""
+    """Parsed rule tables; read-only after load.
+
+    The rules find their rows through private lookup maps built from the
+    tables on first use. Each map takes the key a rule matches on to the
+    positions of the matching rows, so a rule's cost grows with the
+    sentence, not with the size of its table.
+    """
 
     mixed_patterns: list[MixedPattern] = field(default_factory=list)
     subsume_pairs: list[tuple[str, str]] = field(default_factory=list)
@@ -83,6 +137,41 @@ class RuleResources:
     meaning_pairs: dict[str, list[str]] = field(default_factory=dict)
     connective_pairs: list[ConnectivePair] = field(default_factory=list)
     function_words: dict[str, list[str]] = field(default_factory=dict)
+
+    @cached_property
+    def _mixed_index(self) -> dict[str, tuple[list[int], _Positions]]:
+        """Per kind: the distinct match lengths, and match -> positions.
+
+        A sentence's head ends with a match exactly when its suffix of that
+        match's length is the match.
+        """
+        maps = _key_maps_by_kind(self.mixed_patterns, lambda entry: entry.match)
+        return {kind: (sorted({len(m) for m in index}), index) for kind, index in maps.items()}
+
+    @cached_property
+    def _subsume_index(self) -> _Positions:
+        """Superset -> positions in `subsume_pairs`."""
+        return _key_map(superset for superset, _ in self.subsume_pairs)
+
+    @cached_property
+    def _collocation_index(self) -> dict[str, _Positions]:
+        """Per kind: the member a rule looks up -> positions in `collocations`.
+
+        subject_predicate rows are keyed by `right` (the rule knows the
+        predicate), all other kinds by `left`.
+        """
+        return _key_maps_by_kind(
+            self.collocations, lambda c: c.right if c.kind == "subject_predicate" else c.left
+        )
+
+    @cached_property
+    def _connective_index(self) -> _Positions:
+        """First member -> positions in `connective_pairs`."""
+        return _key_map(pair.first for pair in self.connective_pairs)
+
+    @cached_property
+    def _hostguest_set(self) -> frozenset[str]:
+        return frozenset(self.hostguest_markers)
 
 
 def default_resources_dir() -> str:
@@ -100,13 +189,6 @@ def _rows(path: str) -> Iterator[tuple[int, list[str]]]:
 
 def _split_list(cell: str) -> list[str]:
     return [w for w in cell.split(",") if w]
-
-
-def _merge(table: dict[str, list[str]], key: str, values: list[str]) -> None:
-    bucket = table.setdefault(key, [])
-    for v in values:
-        if v not in bucket:
-            bucket.append(v)
 
 
 def _bad(path: str, lineno: int, why: str) -> ParseError:
@@ -128,11 +210,9 @@ def _parse_logic(path: str, res: RuleResources) -> None:
                 raise _bad(path, lineno, "subsumed concept equals the superset")
             res.subsume_pairs.append((cols[1], cols[2]))
         elif kind == "hostguest" and len(cols) == 2 and cols[1]:
-            if cols[1] not in res.hostguest_markers:
-                res.hostguest_markers.append(cols[1])
+            res.hostguest_markers.append(cols[1])
         elif kind == "causal" and len(cols) == 2 and cols[1]:
-            if cols[1] not in res.causal_triggers:
-                res.causal_triggers.append(cols[1])
+            res.causal_triggers.append(cols[1])
         else:
             raise _bad(path, lineno, f"unknown or malformed logic pattern row {cols!r}")
 
@@ -164,9 +244,9 @@ def _parse_synonyms(path: str, res: RuleResources) -> None:
         if cols[0] in words:
             raise _bad(path, lineno, f"synonym list for {cols[0]!r} contains the word itself")
         if kind == "synonym":
-            _merge(res.synonyms, cols[0], words)
+            res.synonyms.setdefault(cols[0], []).extend(words)
         elif kind == "subsume":
-            _merge(res.meaning_pairs, cols[0], words)
+            res.meaning_pairs.setdefault(cols[0], []).extend(words)
         else:
             raise _bad(path, lineno, f"unknown synonym kind {kind!r}")
 
@@ -187,7 +267,17 @@ def _parse_function_words(path: str, res: RuleResources) -> None:
     for lineno, cols in _rows(path):
         if len(cols) != 2 or not cols[0] or not cols[1]:
             raise _bad(path, lineno, "expected `category<TAB>word`")
-        _merge(res.function_words, cols[0], [cols[1]])
+        res.function_words.setdefault(cols[0], []).append(cols[1])
+
+
+def _dedupe(res: RuleResources) -> None:
+    """Keep the first occurrence of each marker, trigger and bucket word,
+    in file order."""
+    res.hostguest_markers[:] = dict.fromkeys(res.hostguest_markers)
+    res.causal_triggers[:] = dict.fromkeys(res.causal_triggers)
+    for table in (res.synonyms, res.meaning_pairs, res.function_words):
+        for key, bucket in table.items():
+            table[key] = list(dict.fromkeys(bucket))
 
 
 _PARSERS: dict[str, Callable[[str, RuleResources], None]] = {
@@ -217,6 +307,7 @@ def load_resources(directory: str | None = None) -> RuleResources:
             _PARSERS[name](path, res)
         except OSError as exc:
             raise ConfigError(f"cannot read resource file {path}: {exc}") from exc
+    _dedupe(res)
     for label, table in (
         ("mixed_patterns", res.mixed_patterns),
         ("logic_patterns", res.subsume_pairs or res.hostguest_markers or res.causal_triggers),

@@ -26,7 +26,7 @@ from cgeckit.core import (
     apply_edits,
     diff_edits,
 )
-from cgeckit.resources import RuleResources
+from cgeckit.resources import RuleResources, _matching_rows
 from cgeckit.tagging import NOMINAL_TAGS, RoleSpans, _clauses, _is_de
 from cgeckit.core import SyntacticRole as Role
 
@@ -124,9 +124,9 @@ def _mixed_candidates(
     if end is None:
         return out
     head = sentence.text[:end]
-    for entry in resources.mixed_patterns:
-        if entry.kind != kind or not head.endswith(entry.match):
-            continue
+    lengths, index = resources._mixed_index.get(kind, ((), {}))
+    suffixes = {head[len(head) - n :] for n in lengths if n <= len(head)}
+    for entry in _matching_rows(resources.mixed_patterns, index, suffixes):
         start = end - len(entry.match)
         site = tuple(
             (i for i, t in enumerate(sentence.tokens) if t.char_end > start and t.char_start < end)
@@ -194,10 +194,11 @@ def _cand_measure_word(sentence, roles, resources):
 
 
 def _cand_unreasonable(sentence, roles, resources):
+    index = resources._subsume_index
     out = []
     for k, tok in enumerate(sentence.tokens):
-        for superset, subsumed in resources.subsume_pairs:
-            if tok.surface == superset and subsumed not in sentence.text:
+        for _, subsumed in _matching_rows(resources.subsume_pairs, index, (tok.surface,)):
+            if subsumed not in sentence.text:
                 piece = "、" + subsumed
                 new_text = _insert(sentence.text, tok.char_end, piece)
                 out.append(_Candidate((k, k + 1), lambda rng, t=new_text: t))
@@ -245,7 +246,7 @@ def _cand_reverse_host_guest(sentence, roles, resources):
     tokens = sentence.tokens
     out = []
     for k, tok in enumerate(tokens):
-        if tok.tag is not POSTag.ADP or tok.surface not in resources.hostguest_markers:
+        if tok.tag is not POSTag.ADP or tok.surface not in resources._hostguest_set:
             continue
         a = k
         while a - 1 >= 0 and tokens[a - 1].tag in _PHRASE_TAGS:
@@ -371,9 +372,10 @@ def _cand_subject_predicate(sentence, roles, resources):
     if p is None or subject is None:
         return []
     subj_words = _surfaces_in(sentence, subject)
+    index = resources._collocation_index.get("subject_predicate", {})
     out = []
-    for c in (c for c in resources.collocations if c.kind == "subject_predicate"):
-        if c.left in subj_words and sentence.tokens[p].surface == c.right:
+    for c in _matching_rows(resources.collocations, index, (sentence.tokens[p].surface,)):
+        if c.left in subj_words:
             if c.side == "right":
                 out.append(_replace_word_candidate(sentence, p, c.wrong))
             else:
@@ -388,10 +390,9 @@ def _cand_predicate_object(sentence, roles, resources):
     if p is None:
         return []
     cs, ce = _clause_of(sentence, p)
+    index = resources._collocation_index.get("predicate_object", {})
     out = []
-    for c in (c for c in resources.collocations if c.kind == "predicate_object"):
-        if sentence.tokens[p].surface != c.left:
-            continue
+    for c in _matching_rows(resources.collocations, index, (sentence.tokens[p].surface,)):
         m = _find_after(sentence, p + 1, ce, c.right)
         if m is None:
             continue
@@ -407,10 +408,9 @@ def _cand_subject_object(sentence, roles, resources):
         return []
     cs, ce = _clause_of(sentence, p)
     subj_words = _surfaces_in(sentence, subject)
+    index = resources._collocation_index.get("subject_object", {})
     out = []
-    for c in (c for c in resources.collocations if c.kind == "subject_object"):
-        if c.left not in subj_words:
-            continue
+    for c in _matching_rows(resources.collocations, index, subj_words):
         m = _find_after(sentence, p + 1, ce, c.right)
         if m is None:
             continue
@@ -425,8 +425,9 @@ def _cand_subject_object(sentence, roles, resources):
 
 def _cand_modifier_head(sentence, roles, resources):
     tokens = sentence.tokens
+    index = resources._collocation_index.get("modifier_head", {})
     out = []
-    for c in (c for c in resources.collocations if c.kind == "modifier_head"):
+    for c in _matching_rows(resources.collocations, index, {t.surface for t in tokens}):
         for k, tok in enumerate(tokens):
             if tok.surface != c.left:
                 continue
@@ -441,8 +442,9 @@ def _cand_modifier_head(sentence, roles, resources):
 
 def _cand_connectives(sentence, roles, resources):
     tokens = sentence.tokens
+    index = resources._connective_index
     out = []
-    for pair in resources.connective_pairs:
+    for pair in _matching_rows(resources.connective_pairs, index, {t.surface for t in tokens}):
         for i, tok in enumerate(tokens):
             if tok.surface != pair.first:
                 continue

@@ -21,6 +21,7 @@ from cgeckit.core import (
     SyntacticRole,
     TaggedSentence,
     Token,
+    open_input,
 )
 
 NOMINAL_TAGS = frozenset({POSTag.NOUN, POSTag.PRON, POSTag.PROPN})
@@ -45,7 +46,7 @@ def load_tag_mapping(path: str | None = None) -> dict[str, str]:
     path = path or _shipped("tag_mapping.tsv")
     mapping: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
@@ -77,7 +78,7 @@ def load_lexicon(
     path = path or _shipped("lexicon.tsv")
     lexicon: dict[str, POSTag] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):

@@ -10,6 +10,21 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from cgeckit.core import POSTag
+from cgeckit.core import SyntacticRole as Role
+from cgeckit.rules import (
+    _PHRASE_TAGS,
+    _Candidate,
+    _clause_of,
+    _core_end,
+    _find_after,
+    _insert,
+    _replace_word_candidate,
+    _span,
+    _surfaces_in,
+    _swap,
+)
+
 
 def levenshtein_recursive(a: str, b: str) -> int:
     """Plain recursive definition of edit distance, memoized."""
@@ -243,3 +258,177 @@ def all_alignment_op_counts(a: str, b: str) -> set[tuple[int, int, int]]:
         d = sum(1 for op, _, _ in path if op == "del")
         triples.add((r, i, d))
     return triples
+
+
+# --- whole-table candidate scans --------------------------------------------
+# The table-driven rules' candidate functions written as plain scans: every
+# row of the table is tested against the sentence. The library finds its
+# rows through lookup maps and must emit the same candidates in the same
+# order, because `_choice` indexes into the candidate list.
+
+def _scan_mixed(sentence, resources, kind):
+    out = []
+    end = _core_end(sentence)
+    if end is None:
+        return out
+    head = sentence.text[:end]
+    for entry in resources.mixed_patterns:
+        if entry.kind != kind or not head.endswith(entry.match):
+            continue
+        start = end - len(entry.match)
+        site = tuple(
+            (i for i, t in enumerate(sentence.tokens) if t.char_end > start and t.char_start < end)
+        )
+        new_text = _insert(sentence.text, end, entry.splice)
+        out.append(_Candidate((site[0], site[-1] + 1), lambda rng, t=new_text: t))
+    return out
+
+
+def _scan_unreasonable(sentence, roles, resources):
+    out = []
+    for k, tok in enumerate(sentence.tokens):
+        for superset, subsumed in resources.subsume_pairs:
+            if tok.surface == superset and subsumed not in sentence.text:
+                piece = "、" + subsumed
+                new_text = _insert(sentence.text, tok.char_end, piece)
+                out.append(_Candidate((k, k + 1), lambda rng, t=new_text: t))
+    return out
+
+
+def _scan_reverse_host_guest(sentence, roles, resources):
+    tokens = sentence.tokens
+    out = []
+    for k, tok in enumerate(tokens):
+        if tok.tag is not POSTag.ADP or tok.surface not in resources.hostguest_markers:
+            continue
+        a = k
+        while a - 1 >= 0 and tokens[a - 1].tag in _PHRASE_TAGS:
+            a -= 1
+        b = k + 1
+        while b < len(tokens) and tokens[b].tag in _PHRASE_TAGS:
+            b += 1
+        if a == k or b == k + 1:
+            continue
+        left = _span(sentence, a, k)
+        right = _span(sentence, k + 1, b)
+        new_text = _swap(sentence.text, left, right)
+        out.append(_Candidate((a, b), lambda rng, t=new_text: t))
+    return out
+
+
+def _scan_subject_predicate(sentence, roles, resources):
+    p = roles.predicate_index()
+    subject = roles.first(Role.SUBJECT)
+    if p is None or subject is None:
+        return []
+    subj_words = _surfaces_in(sentence, subject)
+    out = []
+    for c in (c for c in resources.collocations if c.kind == "subject_predicate"):
+        if c.left in subj_words and sentence.tokens[p].surface == c.right:
+            if c.side == "right":
+                out.append(_replace_word_candidate(sentence, p, c.wrong))
+            else:
+                i = _find_after(sentence, subject[0], subject[1], c.left)
+                if i is not None:
+                    out.append(_replace_word_candidate(sentence, i, c.wrong))
+    return out
+
+
+def _scan_predicate_object(sentence, roles, resources):
+    p = roles.predicate_index()
+    if p is None:
+        return []
+    cs, ce = _clause_of(sentence, p)
+    out = []
+    for c in (c for c in resources.collocations if c.kind == "predicate_object"):
+        if sentence.tokens[p].surface != c.left:
+            continue
+        m = _find_after(sentence, p + 1, ce, c.right)
+        if m is None:
+            continue
+        index = p if c.side == "left" else m
+        out.append(_replace_word_candidate(sentence, index, c.wrong))
+    return out
+
+
+def _scan_subject_object(sentence, roles, resources):
+    p = roles.predicate_index()
+    subject = roles.first(Role.SUBJECT)
+    if p is None or subject is None:
+        return []
+    cs, ce = _clause_of(sentence, p)
+    subj_words = _surfaces_in(sentence, subject)
+    out = []
+    for c in (c for c in resources.collocations if c.kind == "subject_object"):
+        if c.left not in subj_words:
+            continue
+        m = _find_after(sentence, p + 1, ce, c.right)
+        if m is None:
+            continue
+        if c.side == "right":
+            out.append(_replace_word_candidate(sentence, m, c.wrong))
+        else:
+            i = _find_after(sentence, subject[0], subject[1], c.left)
+            if i is not None:
+                out.append(_replace_word_candidate(sentence, i, c.wrong))
+    return out
+
+
+def _scan_modifier_head(sentence, roles, resources):
+    tokens = sentence.tokens
+    out = []
+    for c in (c for c in resources.collocations if c.kind == "modifier_head"):
+        for k, tok in enumerate(tokens):
+            if tok.surface != c.left:
+                continue
+            # head within two tokens so a linking 的 may intervene
+            for m in range(k + 1, min(k + 3, len(tokens))):
+                if tokens[m].surface == c.right:
+                    index = k if c.side == "left" else m
+                    out.append(_replace_word_candidate(sentence, index, c.wrong))
+                    break
+    return out
+
+
+def _scan_connectives(sentence, roles, resources):
+    tokens = sentence.tokens
+    out = []
+    for pair in resources.connective_pairs:
+        for i, tok in enumerate(tokens):
+            if tok.surface != pair.first:
+                continue
+            for j in range(i + 1, len(tokens)):
+                if tokens[j].surface == pair.second:
+                    out.append(_replace_word_candidate(sentence, j, pair.wrong))
+                    break
+            break
+    return out
+
+
+# Rule id -> whole-table scan candidate function (sentence, roles, resources).
+SCAN_CANDIDATE_FNS = {
+    "MixedPatterns": lambda sentence, roles, res: _scan_mixed(sentence, res, "pattern"),
+    "MixedSentences": lambda sentence, roles, res: _scan_mixed(sentence, res, "sentence"),
+    "Unreasonable": _scan_unreasonable,
+    "ReverseHostGuest": _scan_reverse_host_guest,
+    "SubjectPredicate": _scan_subject_predicate,
+    "PredicateObject": _scan_predicate_object,
+    "SubjectObject": _scan_subject_object,
+    "ModifierHeadWord": _scan_modifier_head,
+    "Connectives": _scan_connectives,
+}
+
+
+def weighted_pop_reference(rng, pool: list[tuple[str, float]]) -> str:
+    """One weighted draw without replacement from (rule, weight) pairs: a
+    running sum from 0.0, the first rule whose sum exceeds the draw, else
+    the last rule."""
+    total = sum(w for _, w in pool)
+    r = rng.random() * total
+    acc = 0.0
+    for index, (rule, weight) in enumerate(pool):
+        acc += weight
+        if r < acc or index == len(pool) - 1:
+            del pool[index]
+            return rule
+    raise AssertionError("unreachable")

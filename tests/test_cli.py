@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import random
 
 import pytest
 
@@ -100,6 +102,70 @@ def test_generate_is_byte_deterministic_across_workers(tmp_path, command):
         report = tmp_path / (name + ".report.json")
         outputs.append((out.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _fixture_text():
+    with open(_shipped("fixtures/correct_sentences.txt"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _padded_tables(directory, scale=20):
+    """The shipped tables plus (scale - 1) rows per row whose keys are
+    made of characters no fixture sentence contains."""
+    used = set(_fixture_text())
+    chars = [chr(c) for c in range(0x4E00, 0x9FA0) if chr(c) not in used][:400]
+    rng = random.Random(5)
+    w = iter(rng.sample([a + b for a in chars[:40] for b in chars[40:]], 8000)).__next__
+    pad = {
+        "mixed_patterns.tsv": lambda cols: f"{cols[0]}\t{w()}\t{w()}",
+        "logic_patterns.tsv": lambda cols: "\t".join([cols[0], w(), w()][: len(cols)]),
+        "collocations.tsv": lambda cols: f"{cols[0]}\t{w()}\t{w()}\t{w()},{w()}\t{cols[4]}",
+        "synonyms.tsv": lambda cols: "\t".join([w(), f"{w()},{w()}"] + cols[2:]),
+        "connectives.tsv": lambda cols: f"{w()}\t{w()}\t{w()},{w()}",
+        # a category no rule reads: rules draw whole categories
+        "function_words.tsv": lambda cols: f"padding\t{w()}",
+    }
+    directory.mkdir()
+    for name, row in pad.items():
+        with open(os.path.join(RES_DIR, name), encoding="utf-8") as fh:
+            text = fh.read()
+        rows = [line.split("\t") for line in text.splitlines() if line and not line.startswith("#")]
+        padding = [row(rows[k % len(rows)]) for k in range((scale - 1) * len(rows))]
+        (directory / name).write_text(text + "".join(p + "\n" for p in padding), encoding="utf-8")
+    return str(directory)
+
+
+def test_generate_bytes_do_not_change_with_non_matching_table_rows(tmp_path):
+    src = tmp_path / "corpus.txt"
+    src.write_text(_fixture_text(), encoding="utf-8")
+    padded = _padded_tables(tmp_path / "padded")
+    shipped_rows = len(load_resources(RES_DIR).collocations)
+    assert len(load_resources(padded).collocations) == 20 * shipped_rows
+    outputs = []
+    for name, tables in [("shipped.jsonl", RES_DIR), ("padded.jsonl", padded)]:
+        out = tmp_path / name
+        argv = ["generate", "--input", str(src), "--output", str(out), "--resources", tables]
+        assert run(argv + ["--seed", "1", "--per-sentence", "3", "--combine-max", "2"]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / (name + ".report.json")).read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") > 100
+
+
+@pytest.mark.parametrize("command", ["generate", "augment"])
+def test_byte_order_mark_is_not_part_of_the_input(tmp_path, command):
+    text = _fixture_text()
+    outputs = []
+    for name, data in [("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())]:
+        src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.jsonl"
+        src.write_bytes(data)
+        argv = [command, "--input", str(src), "--output", str(out), "--seed", "1"]
+        assert run(argv + (["--resources", RES_DIR] if command == "generate" else [])) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    # the first sentence gives the first pair, and its text carries no mark
+    first = json.loads(outputs[1].splitlines()[0])
+    assert first["id"].endswith("000000-00" if command == "generate" else "000000")
+    assert first["correct"] == text.splitlines()[0]
 
 
 def test_generate_resources_env_fallback(tmp_path, corpus_file, monkeypatch):

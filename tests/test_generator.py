@@ -1,5 +1,7 @@
 """Generator tests: seeding, determinism, rule policy, random baseline."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,11 @@ from cgeckit.generator import (
     generate_pair,
     random_augment,
 )
+from cgeckit.generator import _weighted_pop
 from cgeckit.resources import load_resources
 from cgeckit.rules import RULE_REGISTRY
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
+from tests.oracles import weighted_pop_reference
 
 RES = load_resources()
 
@@ -137,6 +141,35 @@ def test_zero_weight_disables_a_rule():
             sent, roles, RES, GenConfig(seed=seed, enabled_rules=enabled, rule_weights=weights), 0
         )
         assert pair is not None and pair.rule_id == "MultiWords"
+
+
+_weight = st.one_of(
+    st.sampled_from([1.0, 1 / 3, 2.7e-5, 1e9, 0.1, 5e-324, 2, 10**20 + 1]),
+    st.floats(min_value=1e-12, max_value=1e12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(_weight, min_size=1, max_size=26), seed=st.integers(0, 2**32 - 1))
+def test_weighted_draws_match_running_sum_reference(weights, seed):
+    rules = [f"rule{i:02d}" for i in range(len(weights))]
+    pool = list(zip(rules, weights))
+    rng_ref, rng = random.Random(seed), random.Random(seed)
+    expected = [weighted_pop_reference(rng_ref, pool) for _ in range(min(len(rules), 5))]
+    got_rules, got_weights = list(rules), list(weights)
+    got = [_weighted_pop(rng, got_rules, got_weights) for _ in range(min(len(rules), 5))]
+    assert got == expected
+    assert got_rules == [rule for rule, _ in pool]
+    assert got_weights == [w for _, w in pool]
+
+
+def test_rule_pool_is_built_once_per_config():
+    config = GenConfig(
+        enabled_rules=frozenset({"MultiWords", "MixedPatterns", "LackSubject"}),
+        rule_weights={"MixedPatterns": 0.0, "LackSubject": 2.5},
+    )
+    assert config._rule_pool == (("LackSubject", "MultiWords"), (2.5, 1.0))
+    assert config._rule_pool is config._rule_pool
 
 
 def test_combine_max_two_stacks_rules_and_round_trips():

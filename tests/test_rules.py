@@ -1,13 +1,23 @@
 """Corruption-rule tests: exact outputs, round-trips, and determinism."""
 
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgeckit.core import FINE_TO_COARSE, CoarseType, apply_edits
-from cgeckit.resources import load_resources
-from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
+from cgeckit.resources import (
+    Collocation,
+    ConnectivePair,
+    MixedPattern,
+    RuleResources,
+    load_resources,
+)
+from cgeckit.rules import _CANDIDATE_FNS, RULE_REGISTRY, _core_end, apply_fine_rule
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
+from tests.oracles import SCAN_CANDIDATE_FNS
 
 RES = load_resources()
 
@@ -320,3 +330,77 @@ def test_exhaustive_round_trip_over_fixtures():
                 site_lo, site_hi = outcome.match_site
                 assert 0 <= site_lo < site_hi <= len(sent.tokens)
     assert fired > 200  # the corpus gives the rules plenty to do
+
+
+# --- keyed candidate lookups against whole-table scans ---------------------
+
+TAGGED = [(s, identify_roles(s)) for s in map(segment_and_tag, fixture_sentences())]
+SURFACES = sorted({t.surface for s, _ in TAGGED for t in s.tokens})
+# every sentence's whole head and its suffixes of 1-5 characters, plus
+# strings no sentence ends with: matches of several lengths end together
+HEADS = [s.text[: _core_end(s)] for s, _ in TAGGED]
+MATCHES = sorted({h[-n:] for h in HEADS for n in range(1, 6)} | set(HEADS) | {"甲乙", "丙丁戊"})
+_word = st.sampled_from(SURFACES + ["甲乙"])
+_wrong = st.lists(_word, min_size=1, max_size=3).map(tuple)
+_tables = st.fixed_dictionaries(
+    {
+        "mixed_patterns": st.lists(
+            st.builds(MixedPattern, st.sampled_from(["pattern", "sentence"]),
+                      st.sampled_from(MATCHES), st.sampled_from(["较为安全", "是他的"])),
+            max_size=40,
+        ),
+        "subsume_pairs": st.lists(st.tuples(_word, _word), max_size=30),
+        "hostguest_markers": st.lists(_word, max_size=12),
+        "collocations": st.lists(
+            st.builds(
+                Collocation,
+                st.sampled_from(
+                    ["subject_predicate", "predicate_object", "subject_object", "modifier_head"]
+                ),
+                _word, _word, _wrong, st.sampled_from(["left", "right"]),
+            ),
+            max_size=60,
+        ),
+        "connective_pairs": st.lists(st.builds(ConnectivePair, _word, _word, _wrong), max_size=40),
+    }
+)
+
+
+def _listed(candidates, seed):
+    return [(c.site, c.build(random.Random(seed))) for c in candidates]
+
+
+def _assert_same_candidates(resources, seed=0):
+    """Each keyed rule emits the oracle scan's candidates, in its order;
+    returns how many candidates were compared."""
+    compared = 0
+    for sentence, roles in TAGGED:
+        for rule, scan in SCAN_CANDIDATE_FNS.items():
+            got = _listed(_CANDIDATE_FNS[rule](sentence, roles, resources), seed)
+            assert got == _listed(scan(sentence, roles, resources), seed), (rule, sentence.text)
+            compared += len(got)
+    return compared
+
+
+def _repeat_rows(tables):
+    """The tables with every row list repeated three times, the middle copy
+    reversed, so every key has several rows in a new order."""
+    repeated = {}
+    for f in fields(tables):
+        rows = getattr(tables, f.name)
+        repeated[f.name] = rows + rows[::-1] + rows if isinstance(rows, list) else rows
+    return RuleResources(**repeated)
+
+
+def test_keyed_candidates_match_scan_on_shipped_tables():
+    shipped = _assert_same_candidates(RES)
+    assert shipped >= 30
+    assert _assert_same_candidates(_repeat_rows(RES)) > 2 * shipped
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables=_tables, seed=st.integers(0, 2**32 - 1))
+def test_keyed_candidates_match_scan_on_random_tables(tables, seed):
+    # Random rows over the fixtures' own words: duplicate keys, repeated
+    # rows, matches of several lengths and keys shared across kinds.
+    _assert_same_candidates(RuleResources(**tables), seed)

@@ -68,6 +68,16 @@ def test_missing_lexicon_is_config_error():
         load_lexicon("/nonexistent/lexicon.tsv")
 
 
+def test_lexicon_and_tag_mapping_drop_a_byte_order_mark(tmp_path):
+    from cgeckit.tagging import load_lexicon
+
+    lexicon, mapping = tmp_path / "lexicon.tsv", tmp_path / "mapping.tsv"
+    lexicon.write_bytes("\ufeff苹果\tn\n".encode())
+    mapping.write_bytes("\ufeffn\tNOUN\n".encode())
+    assert load_tag_mapping(str(mapping)) == {"n": "NOUN"}
+    assert load_lexicon(str(lexicon), {"n": "NOUN"}) == {"苹果": POSTag.NOUN}
+
+
 def test_tag_mapping_covers_thulac_style_tags():
     mapping = load_tag_mapping()
     assert map_tag("n", mapping) is POSTag.NOUN
