@@ -19,7 +19,6 @@ from cgeckit.core import (
     pair_from_json,
     pair_to_json,
     read_pairs,
-    write_pairs,
 )
 from cgeckit.generator import (
     AugmentConfig,

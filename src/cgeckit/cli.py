@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import random
@@ -71,19 +72,37 @@ def _read_lines(path: str) -> Iterator[str]:
 @contextlib.contextmanager
 def _write_on_success(*paths: str) -> Iterator[list[TextIO]]:
     """Yield a temporary file beside each path. They are moved onto their
-    paths when the block succeeds and deleted when it raises, so a failed
-    run leaves no half-written output behind."""
+    paths when the block succeeds and deleted when anything fails, so a
+    failed run leaves no half-written output behind. A path that is a
+    directory fails before the block runs, so the moves cannot fail part
+    way. Errors name the path the caller gave, not the temporary file."""
     temps = [f"{path}.{os.getpid()}.{index}.tmp" for index, path in enumerate(paths)]
     try:
         with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(temp, "w", encoding="utf-8")) for temp in temps]
+            files = []
+            for temp, path in zip(temps, paths):
+                with _errors_name(path):
+                    if os.path.isdir(path):
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                    files.append(stack.enter_context(open(temp, "w", encoding="utf-8")))
+            yield files
+        for temp, path in zip(temps, paths):
+            with _errors_name(path):
+                os.replace(temp, path)
     except BaseException:
         for temp in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
         raise
-    for temp, path in zip(temps, paths):
-        os.replace(temp, path)
+
+
+@contextlib.contextmanager
+def _errors_name(path: str) -> Iterator[None]:
+    """Re-raise an OSError of the block as one about path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -119,7 +138,7 @@ def _cmd_filter(args) -> int:
         if args.save_model:
             lm_mod.save_lm(model, args.save_model)
     kept = lm_mod.filter_percentile(_read_lines(args.input), model, args.keep, args.workers)
-    with open(args.output, "w", encoding="utf-8") as out:
+    with _write_on_success(args.output) as (out,):
         for sentence in kept:
             out.write(sentence + "\n")
     return EXIT_OK
@@ -173,15 +192,14 @@ def _cmd_augment(args) -> int:
     word_pool = build_word_pool(segment_and_tag(line) for line in _read_lines(args.input))
     config = AugmentConfig(**overrides, word_pool=word_pool, seed=args.seed)
     report = AugmentReport()
-    with open(args.output, "w", encoding="utf-8") as out:
+    report_path = args.report or args.output + ".report.json"
+    with _write_on_success(args.output, report_path) as (out, report_out):
         for pair, counts in stream_augment_lines(
             _read_lines(args.input), config, args.workers
         ):
             out.write(pair_to_json(pair) + "\n")
             report.add(counts)
-    report_path = args.report or args.output + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+        report_out.write(report.to_json())
     return EXIT_OK
 
 
@@ -192,8 +210,8 @@ def _cmd_stats(args) -> int:
         doc = {"corpus": doc, "per_type": report.per_type}
     text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with _write_on_success(args.output) as (out,):
+            out.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -211,8 +229,8 @@ def _cmd_score(args) -> int:
     report = score_corpus(sources, hypotheses, gold, params)
     sys.stdout.write(format_score(report))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        with _write_on_success(args.report) as (out,):
+            out.write(report.to_json())
     return EXIT_OK
 
 
@@ -247,7 +265,7 @@ def _cmd_sample(args) -> int:
             if slot < args.size:
                 reservoir[slot] = (index, line)
     reservoir.sort()
-    with open(args.output, "w", encoding="utf-8") as out:
+    with _write_on_success(args.output) as (out,):
         for _, line in reservoir:
             out.write(line + "\n")
     return EXIT_OK

@@ -172,6 +172,28 @@ class TaggedSentence:
         return [t.surface for t in self.tokens]
 
 
+def _token(surface: str, tag: POSTag, char_start: int, char_end: int) -> Token:
+    """A Token built without its checks, for a caller whose spans are right
+    by construction (the lexicon tagger). It equals the checked Token."""
+    token = object.__new__(Token)
+    fields = token.__dict__
+    fields["surface"] = surface
+    fields["tag"] = tag
+    fields["char_start"] = char_start
+    fields["char_end"] = char_end
+    return token
+
+
+def _tagged(text: str, tokens: tuple[Token, ...]) -> TaggedSentence:
+    """A TaggedSentence built without the tiling check, for tokens that tile
+    text by construction. It equals the checked TaggedSentence."""
+    sentence = object.__new__(TaggedSentence)
+    fields = sentence.__dict__
+    fields["text"] = text
+    fields["tokens"] = tokens
+    return sentence
+
+
 @dataclass(frozen=True, order=True)
 class EditSpan:
     """Replace incorrect[start:end] with `replacement` (empty = deletion)."""
@@ -358,10 +380,19 @@ def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
     "match", "replace", "insert", "delete"; i indexes a, j indexes b at the
     point the step applies. Backtrace ties resolve match > replace > insert
     > delete so the script is canonical.
+
+    The common suffix is matched without a table: while the last items are
+    equal, D(i, j) = D(i - 1, j - 1) and the backtrace takes the match
+    first. A common prefix cannot be cut the same way, since the backtrace
+    there may prefer a later position ("aab" -> "ab" deletes index 0).
     """
-    dp = _edit_table(a, b)
-    ops: list[tuple[str, int, int]] = []
-    i, j = len(a), len(b)
+    n, m = len(a), len(b)
+    tail = 0
+    while tail < n and tail < m and a[n - 1 - tail] == b[m - 1 - tail]:
+        tail += 1
+    i, j = n - tail, m - tail
+    ops: list[tuple[str, int, int]] = [("match", i + k, j + k) for k in range(tail - 1, -1, -1)]
+    dp = _edit_table(a[:i], b[:j])
     while i > 0 or j > 0:
         if i > 0 and j > 0 and a[i - 1] == b[j - 1] and dp[i][j] == dp[i - 1][j - 1]:
             ops.append(("match", i - 1, j - 1))
@@ -475,16 +506,6 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
     if apply_edits(pair.incorrect, pair.edits) != pair.correct:
         raise ParseError(f"pair record{where}: edits do not reproduce the correct text")
     return pair
-
-
-def write_pairs(pairs: Iterable[CorpusPair], path: str) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(pair_to_json(pair))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 @contextlib.contextmanager

@@ -134,11 +134,12 @@ def generate_pair(
 
     Up to combine_max distinct rules are drawn by weight without
     replacement (at most five draws total); each fired rule rewrites the
-    current text, which is re-segmented with the builtin tagger so the next
-    rule sees valid offsets. A rule whose output is the original or an
-    earlier intermediate text undid earlier rules and counts as not fired.
-    Gold edits are the canonical character diff of the final text against
-    the original, so they always restore it exactly.
+    current text, which is re-segmented with the builtin tagger before the
+    next rule is applied, so that rule sees valid offsets. A text no further
+    rule is applied to is never re-tagged. A rule whose output is the
+    original or an earlier intermediate text undid earlier rules and counts
+    as not fired. Gold edits are the canonical character diff of the final
+    text against the original, so they always restore it exactly.
     """
     if not sentence.tokens:
         return None
@@ -147,21 +148,23 @@ def generate_pair(
     rules, weights = map(list, config._rule_pool)
     fired: list[str] = []
     current, current_roles = sentence, roles
-    seen = {sentence.text}
+    incorrect = sentence.text
+    seen = {incorrect}
     draws = 0
     while rules and len(fired) < config.combine_max and draws < _MAX_DRAWS:
         rule = _weighted_pop(rng, rules, weights)
         draws += 1
+        if current.text != incorrect:
+            current = segment_and_tag(incorrect)
+            current_roles = identify_roles(current)
         outcome = apply_fine_rule(current, current_roles, resources, rng, rule)
         if outcome is None or outcome.incorrect in seen:
             continue
-        seen.add(outcome.incorrect)
+        incorrect = outcome.incorrect
+        seen.add(incorrect)
         fired.append(rule)
-        current = segment_and_tag(outcome.incorrect)
-        current_roles = identify_roles(current)
     if not fired:
         return None
-    incorrect = current.text
     edits = diff_edits(incorrect, sentence.text)
     assert apply_edits(incorrect, edits) == sentence.text
     return CorpusPair(

@@ -173,6 +173,16 @@ class RuleResources:
     def _hostguest_set(self) -> frozenset[str]:
         return frozenset(self.hostguest_markers)
 
+    @cached_property
+    def _word_sets(self) -> dict[str, frozenset[str]]:
+        """Function-word category -> its words, for membership tests."""
+        return {category: frozenset(words) for category, words in self.function_words.items()}
+
+    @cached_property
+    def _word_tuples(self) -> dict[str, tuple[str, ...]]:
+        """Function-word category -> its words in table order, for draws."""
+        return {category: tuple(words) for category, words in self.function_words.items()}
+
 
 def default_resources_dir() -> str:
     return str(importlib_resources.files("cgeckit").joinpath("data", "resources"))

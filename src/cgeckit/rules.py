@@ -148,13 +148,15 @@ def _cand_mixed_subjects(sentence, roles, resources):
     subject = roles.first(Role.SUBJECT)
     if subject is None or roles.predicate_index() is None:
         return []
-    subject_text = sentence.text[slice(*_span(sentence, *subject))]
-    words = [w for w in resources.function_words.get("subject", []) if w != subject_text]
+    start, pos = _span(sentence, *subject)
+    subject_text = sentence.text[start:pos]
+    words = resources._word_tuples.get("subject", ())
+    if subject_text in resources._word_sets.get("subject", ()):
+        words = tuple(w for w in words if w != subject_text)
     if not words:
         return []
-    pos = _span(sentence, *subject)[1]
 
-    def build(rng, pos=pos, words=tuple(words)):
+    def build(rng, pos=pos, words=words):
         return _insert(sentence.text, pos, _choice(rng, words))
 
     return [_Candidate(subject, build)]
@@ -165,9 +167,10 @@ def _cand_mixed_subjects(sentence, roles, resources):
 
 def _cand_measure_word(sentence, roles, resources):
     tokens = sentence.tokens
-    exact = set(resources.function_words.get("exact_marker", []))
-    approx_pre = resources.function_words.get("approx_pre", [])
-    approx_post = resources.function_words.get("approx_post", [])
+    exact = resources._word_sets.get("exact_marker", ())
+    approx_pre = resources._word_tuples.get("approx_pre", ())
+    approx_pre_set = resources._word_sets.get("approx_pre", ())
+    approx_post = resources._word_tuples.get("approx_post", ())
     out = []
     for k, tok in enumerate(tokens):
         if tok.tag is not POSTag.NUM:
@@ -175,18 +178,18 @@ def _cand_measure_word(sentence, roles, resources):
         window = tokens[max(0, k - 2) : k]
         if approx_pre and any(t.surface in exact for t in window):
             # exact marker + numeral: wedge in an approximate quantifier
-            def build(rng, pos=tok.char_start, words=tuple(approx_pre)):
+            def build(rng, pos=tok.char_start, words=approx_pre):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
             out.append(_Candidate((k, k + 1), build))
-        if approx_post and any(t.surface in approx_pre for t in window):
+        if approx_post and any(t.surface in approx_pre_set for t in window):
             # approximate quantifier + numeral: add a trailing 左右/上下 too
             j = k + 1
             while j < len(tokens) and tokens[j].tag is POSTag.NOUN:
                 j += 1
             pos = tokens[j - 1].char_end
 
-            def build(rng, pos=pos, words=tuple(approx_post)):
+            def build(rng, pos=pos, words=approx_post):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
             out.append(_Candidate((k, k + 1), build))
@@ -207,10 +210,10 @@ def _cand_unreasonable(sentence, roles, resources):
 
 def _cand_improper_negation(sentence, roles, resources):
     tokens = sentence.tokens
-    negators = set(resources.function_words.get("negator", []))
-    implicit = set(resources.function_words.get("implicit_negative", []))
-    inserts = resources.function_words.get("negation_insert", [])
-    doubles = resources.function_words.get("double_negator", [])
+    negators = resources._word_sets.get("negator", ())
+    implicit = resources._word_sets.get("implicit_negative", ())
+    inserts = resources._word_tuples.get("negation_insert", ())
+    doubles = resources._word_tuples.get("double_negator", ())
     out = []
     if inserts:
         for k, tok in enumerate(tokens):
@@ -223,7 +226,7 @@ def _cand_improper_negation(sentence, roles, resources):
                     break
                 if tokens[m].tag is POSTag.VERB:
                     # 防止…发生 → 防止…不发生: the hidden negation doubles up
-                    def build(rng, pos=tokens[m].char_start, words=tuple(inserts)):
+                    def build(rng, pos=tokens[m].char_start, words=inserts):
                         return _insert(sentence.text, pos, _choice(rng, words))
 
                     out.append(_Candidate((m, m + 1), build))
@@ -232,7 +235,7 @@ def _cand_improper_negation(sentence, roles, resources):
     if doubles and p is not None and p > 0 and tokens[p - 1].surface in negators:
         if p < 2 or tokens[p - 2].surface not in negators:
 
-            def build(rng, pos=tokens[p - 1].char_start, words=tuple(doubles)):
+            def build(rng, pos=tokens[p - 1].char_start, words=doubles):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
             out.append(_Candidate((p - 1, p), build))
@@ -312,7 +315,7 @@ def _cand_lack_object(sentence, roles, resources):
 
 
 def _cand_lack_modifier(sentence, roles, resources):
-    essential = set(resources.function_words.get("essential_modifier", []))
+    essential = resources._word_sets.get("essential_modifier", ())
     out = []
     if len(sentence.tokens) < 2:
         return out

@@ -21,6 +21,8 @@ from cgeckit.core import (
     SyntacticRole,
     TaggedSentence,
     Token,
+    _tagged,
+    _token,
     open_input,
 )
 
@@ -99,11 +101,23 @@ def _is_digit(ch: str) -> bool:
 
 
 class Tagger:
-    """Greedy longest-match segmenter over a loaded lexicon."""
+    """Greedy longest-match segmenter over a loaded lexicon.
+
+    The lexicon is compiled once: for each first character, the lengths of
+    the entries that start with it, longest first. A position then tries
+    only lengths that some entry has, instead of every length up to the
+    longest entry. Empty entries can never match and are left out.
+    """
 
     def __init__(self, lexicon: Mapping[str, POSTag]):
         self.lexicon = dict(lexicon)
-        self.max_len = max((len(s) for s in self.lexicon), default=1)
+        lengths: dict[str, set[int]] = {}
+        for surface in self.lexicon:
+            if surface:
+                lengths.setdefault(surface[0], set()).add(len(surface))
+        self._lengths = {
+            first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()
+        }
 
     @classmethod
     def from_config(cls, config: TaggerConfig | None = None) -> "Tagger":
@@ -112,29 +126,32 @@ class Tagger:
         return cls(load_lexicon(config.lexicon_path, mapping))
 
     def __call__(self, raw: str) -> TaggedSentence:
+        lexicon, lengths = self.lexicon, self._lengths
         tokens: list[Token] = []
         pos = 0
         n = len(raw)
         while pos < n:
-            matched = None
-            for length in range(min(self.max_len, n - pos), 0, -1):
-                candidate = raw[pos : pos + length]
-                tag = self.lexicon.get(candidate)
-                if tag is not None:
-                    matched = (candidate, tag)
-                    break
-            if matched is None and _is_digit(raw[pos]):
-                # Numerals are unbounded; group a digit run into one NUM token.
+            for length in lengths.get(raw[pos], ()):
+                end = pos + length
+                if end <= n:
+                    surface = raw[pos:end]
+                    tag = lexicon.get(surface)
+                    if tag is not None:
+                        break
+            else:
                 end = pos + 1
-                while end < n and _is_digit(raw[end]):
-                    end += 1
-                matched = (raw[pos:end], POSTag.NUM)
-            if matched is None:
-                matched = (raw[pos], POSTag.OTHER)
-            surface, tag = matched
-            tokens.append(Token(surface, tag, pos, pos + len(surface)))
-            pos += len(surface)
-        return TaggedSentence(raw, tuple(tokens))
+                if _is_digit(raw[pos]):
+                    # Numerals are unbounded; group a digit run into one NUM token.
+                    while end < n and _is_digit(raw[end]):
+                        end += 1
+                    tag = POSTag.NUM
+                else:
+                    tag = POSTag.OTHER
+                surface = raw[pos:end]
+            # The tokens tile raw by construction, so they skip the checks.
+            tokens.append(_token(surface, tag, pos, end))
+            pos = end
+        return _tagged(raw, tuple(tokens))
 
 
 _TAGGER_CACHE: dict[tuple[str | None, str | None], Tagger] = {}

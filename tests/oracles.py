@@ -7,6 +7,7 @@ library code so that agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import unicodedata
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,8 +16,10 @@ from cgeckit.core import SyntacticRole as Role
 from cgeckit.rules import (
     _PHRASE_TAGS,
     _Candidate,
+    _choice,
     _clause_of,
     _core_end,
+    _delete_candidate,
     _find_after,
     _insert,
     _replace_word_candidate,
@@ -405,6 +408,106 @@ def _scan_connectives(sentence, roles, resources):
     return out
 
 
+# The function-word rules read their categories as plain lists on every
+# call; the library compiles each category once into a set and a tuple.
+
+
+def _scan_mixed_subjects(sentence, roles, resources):
+    subject = roles.first(Role.SUBJECT)
+    if subject is None or roles.predicate_index() is None:
+        return []
+    subject_text = sentence.text[slice(*_span(sentence, *subject))]
+    words = [w for w in resources.function_words.get("subject", []) if w != subject_text]
+    if not words:
+        return []
+    pos = _span(sentence, *subject)[1]
+
+    def build(rng, pos=pos, words=tuple(words)):
+        return _insert(sentence.text, pos, _choice(rng, words))
+
+    return [_Candidate(subject, build)]
+
+
+def _scan_measure_word(sentence, roles, resources):
+    tokens = sentence.tokens
+    exact = resources.function_words.get("exact_marker", [])
+    approx_pre = resources.function_words.get("approx_pre", [])
+    approx_post = resources.function_words.get("approx_post", [])
+    out = []
+    for k, tok in enumerate(tokens):
+        if tok.tag is not POSTag.NUM:
+            continue
+        window = tokens[max(0, k - 2) : k]
+        if approx_pre and any(t.surface in exact for t in window):
+
+            def build(rng, pos=tok.char_start, words=tuple(approx_pre)):
+                return _insert(sentence.text, pos, _choice(rng, words))
+
+            out.append(_Candidate((k, k + 1), build))
+        if approx_post and any(t.surface in approx_pre for t in window):
+            j = k + 1
+            while j < len(tokens) and tokens[j].tag is POSTag.NOUN:
+                j += 1
+
+            def build(rng, pos=tokens[j - 1].char_end, words=tuple(approx_post)):
+                return _insert(sentence.text, pos, _choice(rng, words))
+
+            out.append(_Candidate((k, k + 1), build))
+    return out
+
+
+def _scan_improper_negation(sentence, roles, resources):
+    tokens = sentence.tokens
+    negators = resources.function_words.get("negator", [])
+    implicit = resources.function_words.get("implicit_negative", [])
+    inserts = resources.function_words.get("negation_insert", [])
+    doubles = resources.function_words.get("double_negator", [])
+    out = []
+    if inserts:
+        for k, tok in enumerate(tokens):
+            if tok.surface not in implicit:
+                continue
+            for m in range(k + 1, len(tokens)):
+                if tokens[m].tag is POSTag.PUNCT or tokens[m].surface in negators:
+                    break
+                if tokens[m].tag is POSTag.VERB:
+
+                    def build(rng, pos=tokens[m].char_start, words=tuple(inserts)):
+                        return _insert(sentence.text, pos, _choice(rng, words))
+
+                    out.append(_Candidate((m, m + 1), build))
+                    break
+    p = roles.predicate_index()
+    if doubles and p is not None and p > 0 and tokens[p - 1].surface in negators:
+        if p < 2 or tokens[p - 2].surface not in negators:
+
+            def build(rng, pos=tokens[p - 1].char_start, words=tuple(doubles)):
+                return _insert(sentence.text, pos, _choice(rng, words))
+
+            out.append(_Candidate((p - 1, p), build))
+    return out
+
+
+def _scan_lack_modifier(sentence, roles, resources):
+    essential = resources.function_words.get("essential_modifier", [])
+    out = []
+    if len(sentence.tokens) < 2:
+        return out
+    for k, tok in enumerate(sentence.tokens):
+        if tok.surface in essential:
+            out.extend(_delete_candidate(sentence, (k, k + 1)))
+    return out
+
+
+# Rule id -> scan candidate function (sentence, roles, resources), for the
+# rules that read function-word categories.
+SCAN_FUNCTION_WORD_FNS = {
+    "MixedSubjects": _scan_mixed_subjects,
+    "MeasureWord": _scan_measure_word,
+    "ImproperNegation": _scan_improper_negation,
+    "LackModifier": _scan_lack_modifier,
+}
+
 # Rule id -> whole-table scan candidate function (sentence, roles, resources).
 SCAN_CANDIDATE_FNS = {
     "MixedPatterns": lambda sentence, roles, res: _scan_mixed(sentence, res, "pattern"),
@@ -432,3 +535,35 @@ def weighted_pop_reference(rng, pool: list[tuple[str, float]]) -> str:
             del pool[index]
             return rule
     raise AssertionError("unreachable")
+
+
+def longest_match_tag(lexicon, raw: str) -> list[tuple[str, POSTag, int, int]]:
+    """Greedy longest-match segmentation by trying every length: at each
+    position, every length from the longest lexicon entry down to 1; else a
+    run of decimal digits as one NUM token; else the character as OTHER.
+    Tokens are (surface, tag, start, end)."""
+    max_len = max((len(s) for s in lexicon), default=1)
+
+    def is_digit(ch):
+        return ch.isdigit() or unicodedata.category(ch) == "Nd"
+
+    tokens = []
+    pos = 0
+    while pos < len(raw):
+        matched = None
+        for length in range(min(max_len, len(raw) - pos), 0, -1):
+            tag = lexicon.get(raw[pos : pos + length])
+            if tag is not None:
+                matched = (raw[pos : pos + length], tag)
+                break
+        if matched is None and is_digit(raw[pos]):
+            end = pos + 1
+            while end < len(raw) and is_digit(raw[end]):
+                end += 1
+            matched = (raw[pos:end], POSTag.NUM)
+        if matched is None:
+            matched = (raw[pos], POSTag.OTHER)
+        surface, tag = matched
+        tokens.append((surface, tag, pos, pos + len(surface)))
+        pos += len(surface)
+    return tokens

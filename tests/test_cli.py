@@ -4,16 +4,18 @@ import json
 import math
 import os
 import random
+import shutil
 
 import pytest
 
-from cgeckit import metrics
+from cgeckit import generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
 from cgeckit.core import apply_edits, read_pairs
 from cgeckit.generator import GenConfig, generate_corpus
 from cgeckit.metrics import levenshtein, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
-from cgeckit.tagging import _shipped
+from cgeckit.tagging import _shipped, segment_and_tag
+from oracles import SCAN_FUNCTION_WORD_FNS
 
 RES_DIR = str(default_resources_dir())
 
@@ -109,13 +111,19 @@ def _fixture_text():
         return fh.read()
 
 
-def _padded_tables(directory, scale=20):
-    """The shipped tables plus (scale - 1) rows per row whose keys are
-    made of characters no fixture sentence contains."""
+def _foreign_words(count):
+    """Distinct two-character words made of characters no fixture sentence
+    contains."""
     used = set(_fixture_text())
     chars = [chr(c) for c in range(0x4E00, 0x9FA0) if chr(c) not in used][:400]
     rng = random.Random(5)
-    w = iter(rng.sample([a + b for a in chars[:40] for b in chars[40:]], 8000)).__next__
+    return rng.sample([a + b for a in chars[:40] for b in chars[40:]], count)
+
+
+def _padded_tables(directory, scale=20):
+    """The shipped tables plus (scale - 1) rows per row whose keys are
+    made of characters no fixture sentence contains."""
+    w = iter(_foreign_words(8000)).__next__
     pad = {
         "mixed_patterns.tsv": lambda cols: f"{cols[0]}\t{w()}\t{w()}",
         "logic_patterns.tsv": lambda cols: "\t".join([cols[0], w(), w()][: len(cols)]),
@@ -149,6 +157,60 @@ def test_generate_bytes_do_not_change_with_non_matching_table_rows(tmp_path):
         outputs.append((out.read_bytes(), (tmp_path / (name + ".report.json")).read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count(b"\n") > 100
+
+
+def test_generate_tags_each_sentence_once_when_rules_do_not_stack(tmp_path, monkeypatch):
+    # A rule's output is re-tagged only when another rule is about to be
+    # applied to it, so with one rule per pair nothing is re-tagged.
+    src = tmp_path / "corpus.txt"
+    src.write_text(_fixture_text(), encoding="utf-8")
+    lines = [line for line in _fixture_text().splitlines() if line.strip()]
+    calls = []
+
+    def counted(raw, config=None):
+        calls.append(raw)
+        return segment_and_tag(raw, config)
+
+    monkeypatch.setattr(generator, "segment_and_tag", counted)
+    out = tmp_path / "pairs.jsonl"
+    argv = ["generate", "--input", str(src), "--output", str(out), "--resources", RES_DIR]
+    assert run(argv + ["--seed", "1", "--per-sentence", "3", "--combine-max", "1"]) == 0
+    assert len(list(read_pairs(str(out)))) > len(lines)
+    assert calls == lines
+
+
+# The function-word categories the rules read: the first four only in
+# membership tests, the last two also as pools the rules draw words from.
+_MEMBERSHIP_CATEGORIES = ["negator", "implicit_negative", "essential_modifier", "exact_marker"]
+_DRAW_CATEGORIES = ["subject", "approx_pre"]
+
+
+@pytest.mark.parametrize("category", _MEMBERSHIP_CATEGORIES + _DRAW_CATEGORIES)
+def test_generate_bytes_with_padded_function_word_categories(tmp_path, monkeypatch, category):
+    """3,000 words that match nothing in one category. A membership
+    category then gives the same bytes as the shipped tables. A draw
+    category gives bytes of its own (the pool the words are drawn from is
+    longer), which must equal those of the rules' plain list scans."""
+    src = tmp_path / "corpus.txt"
+    src.write_text(_fixture_text(), encoding="utf-8")
+    padded = tmp_path / "padded"
+    shutil.copytree(RES_DIR, padded)
+    with open(padded / "function_words.tsv", "a", encoding="utf-8") as fh:
+        fh.writelines(f"{category}\t{word}\n" for word in _foreign_words(3000))
+
+    def generate(name, tables):
+        out = tmp_path / name
+        argv = ["generate", "--input", str(src), "--output", str(out), "--resources", str(tables)]
+        assert run(argv + ["--seed", "7", "--per-sentence", "3", "--combine-max", "2"]) == 0
+        return out.read_bytes(), (tmp_path / (name + ".report.json")).read_bytes()
+
+    got = generate("padded.jsonl", padded)
+    if category in _MEMBERSHIP_CATEGORIES:
+        assert got == generate("shipped.jsonl", RES_DIR)
+    for rule, scan in SCAN_FUNCTION_WORD_FNS.items():
+        monkeypatch.setitem(rules._CANDIDATE_FNS, rule, scan)
+    assert got == generate("scanned.jsonl", padded)
+    assert got[0].count(b"\n") > 100
 
 
 @pytest.mark.parametrize("command", ["generate", "augment"])
@@ -575,3 +637,47 @@ def test_sample_larger_than_input_returns_everything(tmp_path):
     out = tmp_path / "out.txt"
     assert run(["sample", "--input", str(src), "--output", str(out), "--size", "10"]) == 0
     assert out.read_text(encoding="utf-8") == "a\nb\nc\n"
+
+
+# --- file outputs -----------------------------------------------------------------
+
+
+def _output_argv(command, tmp_path, corpus_file, target):
+    """argv of a run of `command` whose last file output goes to target."""
+    if command == "stats":
+        return ["stats", "--input", str(make_pairs_file(tmp_path, corpus_file)),
+                "--output", target]
+    if command == "score":
+        pairs, gold = score_fixture(tmp_path)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join(p.correct + "\n" for p in pairs), encoding="utf-8")
+        return ["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize",
+                "--report", target]
+    argv = [command, "--input", str(corpus_file)]
+    if command in ("generate", "augment"):
+        # the output opens, then the report fails
+        argv += ["--output", str(tmp_path / "out.jsonl"), "--report", target]
+        return argv + (["--resources", RES_DIR] if command == "generate" else [])
+    argv += ["--output", target]
+    return argv + (["--keep", "50"] if command == "filter" else ["--size", "3"])
+
+
+@pytest.mark.parametrize("command", ["filter", "generate", "augment", "stats", "score", "sample"])
+@pytest.mark.parametrize("target", ["nodir/out", "taken"])
+def test_failed_write_leaves_no_output_and_names_the_path(
+    tmp_path, corpus_file, capsys, command, target
+):
+    # "nodir/out" is in a missing directory; "taken" is an existing
+    # directory, which no output may replace.
+    (tmp_path / "taken").mkdir()
+    target = str(tmp_path / target)
+    argv = _output_argv(command, tmp_path, corpus_file, target)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: io error:") and err.count("\n") == 1
+    assert repr(target) in err and ".tmp" not in err
+    # no output, no report and no temporary file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not any((tmp_path / "taken").iterdir())

@@ -283,3 +283,23 @@ def test_pair_from_json_reports_line_number():
     with pytest.raises(ParseError) as exc:
         pair_from_json("{not json", lineno=31)
     assert "line 31" in str(exc.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.text(alphabet="ab他喜欢", max_size=40),
+    st.text(alphabet="ab他喜欢", max_size=40),
+    st.text(alphabet="ab他喜欢苹果", max_size=150),
+)
+def test_edit_ops_with_a_shared_suffix_match_full_table_reference(a, b, tail):
+    # _edit_ops matches the common suffix without a table
+    assert _edit_ops(a + tail, b + tail) == edit_ops_reference(a + tail, b + tail)
+
+
+def test_edit_ops_do_not_trim_the_common_prefix():
+    # The canonical script deletes the first "a"; a prefix-trimmed table
+    # would delete the second.
+    assert _edit_ops("aab", "ab") == edit_ops_reference("aab", "ab") == [
+        ("delete", 0, 0), ("match", 1, 0), ("match", 2, 1)
+    ]
+    assert diff_edits("aab", "ab") == (EditSpan(0, 1, ""),)

@@ -17,7 +17,7 @@ from cgeckit.resources import (
 )
 from cgeckit.rules import _CANDIDATE_FNS, RULE_REGISTRY, _core_end, apply_fine_rule
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
-from tests.oracles import SCAN_CANDIDATE_FNS
+from tests.oracles import SCAN_CANDIDATE_FNS, SCAN_FUNCTION_WORD_FNS
 
 RES = load_resources()
 
@@ -341,6 +341,13 @@ SURFACES = sorted({t.surface for s, _ in TAGGED for t in s.tokens})
 HEADS = [s.text[: _core_end(s)] for s, _ in TAGGED]
 MATCHES = sorted({h[-n:] for h in HEADS for n in range(1, 6)} | set(HEADS) | {"甲乙", "丙丁戊"})
 _word = st.sampled_from(SURFACES + ["甲乙"])
+_function_words = st.dictionaries(
+    st.sampled_from(
+        ["subject", "negator", "implicit_negative", "negation_insert", "double_negator",
+         "essential_modifier", "exact_marker", "approx_pre", "approx_post"]
+    ),
+    st.lists(_word, max_size=6),
+)
 _wrong = st.lists(_word, min_size=1, max_size=3).map(tuple)
 _tables = st.fixed_dictionaries(
     {
@@ -370,12 +377,12 @@ def _listed(candidates, seed):
     return [(c.site, c.build(random.Random(seed))) for c in candidates]
 
 
-def _assert_same_candidates(resources, seed=0):
+def _assert_same_candidates(resources, seed=0, scans=SCAN_CANDIDATE_FNS):
     """Each keyed rule emits the oracle scan's candidates, in its order;
     returns how many candidates were compared."""
     compared = 0
     for sentence, roles in TAGGED:
-        for rule, scan in SCAN_CANDIDATE_FNS.items():
+        for rule, scan in scans.items():
             got = _listed(_CANDIDATE_FNS[rule](sentence, roles, resources), seed)
             assert got == _listed(scan(sentence, roles, resources), seed), (rule, sentence.text)
             compared += len(got)
@@ -404,3 +411,16 @@ def test_keyed_candidates_match_scan_on_random_tables(tables, seed):
     # Random rows over the fixtures' own words: duplicate keys, repeated
     # rows, matches of several lengths and keys shared across kinds.
     _assert_same_candidates(RuleResources(**tables), seed)
+
+
+def test_function_word_candidates_match_scan_on_shipped_tables():
+    assert _assert_same_candidates(RES, scans=SCAN_FUNCTION_WORD_FNS) >= 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(function_words=_function_words, seed=st.integers(0, 2**32 - 1))
+def test_function_word_candidates_match_scan_on_random_categories(function_words, seed):
+    # Categories over the fixtures' own words, repeats included, so that a
+    # subject's own text is in the `subject` category now and then.
+    resources = RuleResources(function_words=function_words)
+    _assert_same_candidates(resources, seed, scans=SCAN_FUNCTION_WORD_FNS)

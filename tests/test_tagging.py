@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cgeckit.core import ConfigError, POSTag, ParseError, SyntacticRole
+from cgeckit.core import ConfigError, POSTag, ParseError, SyntacticRole, TaggedSentence, Token
 from cgeckit.tagging import (
     RoleSpans,
+    Tagger,
     identify_roles,
     load_tag_mapping,
     map_tag,
@@ -16,6 +17,7 @@ from cgeckit.tagging import (
     serialize_pretagged,
     _shipped,
 )
+from oracles import longest_match_tag
 
 
 def test_empty_input_yields_empty_sentence():
@@ -200,3 +202,57 @@ def test_role_spans_helpers():
     assert spans.predicate_index() == 3
     assert spans.ranges(SyntacticRole.OBJECT) == ()
     assert spans.first(SyntacticRole.OBJECT) is None
+
+
+# --- the compiled lexicon against the try-every-length loop ------------------
+
+_FIRSTS = "他喜欢学生五"
+_CHARS = _FIRSTS + "十名苹果ab"
+# ASCII and full-width digits, and characters no lexicon below contains
+_TEXT = _CHARS + "0123４５６Q，。"
+_entries = st.text(alphabet=_CHARS, min_size=1, max_size=6).map(
+    lambda s: s if s[0] in _FIRSTS else _FIRSTS[len(s) % len(_FIRSTS)] + s[1:]
+)
+_lexicons = st.dictionaries(_entries, st.sampled_from(list(POSTag)), max_size=30)
+
+
+def _as_tuples(sentence):
+    return [(t.surface, t.tag, t.char_start, t.char_end) for t in sentence.tokens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lexicon=_lexicons, raw=st.text(alphabet=_TEXT, max_size=40))
+def test_compiled_tagger_matches_longest_match_oracle(lexicon, raw):
+    # entries of 1-6 characters, many sharing a first character
+    assert _as_tuples(Tagger(lexicon)(raw)) == longest_match_tag(lexicon, raw)
+
+
+def test_compiled_tagger_ignores_an_empty_entry():
+    lexicon = {"": POSTag.NOUN, "学": POSTag.VERB, "学生": POSTag.NOUN, "五十名": POSTag.NUM}
+    for raw in ["", "学生学", "五十名学生", "五十", "Q学", "１２学生"]:
+        assert _as_tuples(Tagger(lexicon)(raw)) == longest_match_tag(lexicon, raw)
+    assert _as_tuples(Tagger({"": POSTag.NOUN})("ab")) == [
+        ("a", POSTag.OTHER, 0, 1), ("b", POSTag.OTHER, 1, 2)
+    ]
+
+
+@given(st.text(alphabet="他喜欢苹果学生五十名12５Qab的了，", max_size=40))
+def test_tagger_output_equals_its_checked_rebuild(raw):
+    # The tagger skips the Token and TaggedSentence checks; its output must
+    # be what the checked constructors build from the same fields.
+    sentence = segment_and_tag(raw)
+    rebuilt = TaggedSentence(
+        sentence.text,
+        tuple(Token(t.surface, t.tag, t.char_start, t.char_end) for t in sentence.tokens),
+    )
+    assert rebuilt == sentence
+    assert hash(rebuilt) == hash(sentence)
+    assert _as_tuples(rebuilt) == _as_tuples(sentence)
+
+
+def test_compiled_shipped_lexicon_matches_longest_match_oracle():
+    tagger = Tagger.from_config()
+    with open(_shipped("fixtures/correct_sentences.txt"), encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    for raw in lines + ["学校共有50名学生", "１２３个Q"]:
+        assert _as_tuples(tagger(raw)) == longest_match_tag(tagger.lexicon, raw)
