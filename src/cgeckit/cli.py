@@ -105,6 +105,17 @@ def _errors_name(path: str) -> Iterator[None]:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
+def _report_path(args) -> str:
+    """The report path of generate/augment: --report, or OUTPUT.report.json.
+    Both files are renamed into place at the end, so a report on the
+    output's path would silently replace the output; that is refused
+    before any input is read."""
+    report = args.report or args.output + ".report.json"
+    if os.path.realpath(report) == os.path.realpath(args.output):
+        raise ConfigError(f"--report {report} is the same file as --output {args.output}")
+    return report
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -148,6 +159,7 @@ _GEN_CONFIG_KEYS = {"enabled_rules", "per_sentence", "combine_max", "rule_weight
 
 
 def _cmd_generate(args) -> int:
+    report_path = _report_path(args)
     resources_dir = args.resources or os.environ.get(RESOURCES_ENV)
     if not resources_dir:
         raise ConfigError(f"generate needs --resources or ${RESOURCES_ENV}")
@@ -168,7 +180,6 @@ def _cmd_generate(args) -> int:
     config = GenConfig(**kwargs)
     pretagged = args.pretagged or bool(overrides.get("pretagged", False))
     report = GenerationReport()
-    report_path = args.report or args.output + ".report.json"
     with _write_on_success(args.output, report_path) as (out, report_out):
         stream = stream_generate(
             _read_lines(args.input), config, resources, args.workers, pretagged
@@ -185,6 +196,7 @@ _AUG_CONFIG_KEYS = {"p_keep", "p_insert", "p_replace", "p_delete"}
 
 
 def _cmd_augment(args) -> int:
+    report_path = _report_path(args)
     overrides = _load_config(args.config)
     unknown = set(overrides) - _AUG_CONFIG_KEYS
     if unknown:
@@ -192,7 +204,6 @@ def _cmd_augment(args) -> int:
     word_pool = build_word_pool(segment_and_tag(line) for line in _read_lines(args.input))
     config = AugmentConfig(**overrides, word_pool=word_pool, seed=args.seed)
     report = AugmentReport()
-    report_path = args.report or args.output + ".report.json"
     with _write_on_success(args.output, report_path) as (out, report_out):
         for pair, counts in stream_augment_lines(
             _read_lines(args.input), config, args.workers

@@ -199,19 +199,83 @@ def _as_triple(edit) -> tuple[int, int, str]:
     return (int(start), int(end), correction)
 
 
-def _alignment_tables(src: Sequence[str], hyp: Sequence[str]) -> tuple[list, list]:
-    """(dstart, dend) of a source/hypothesis pair: dstart[i][j] is the
-    distance from src[:i] to hyp[:j], dend[i][j] from src[i:] to hyp[j:].
-    Both are filled only as far as the distance needs (core._edit_table):
-    a cell may exceed its true value, but never on a minimal path, so
-    dstart[i][j] + dend[i][j] == distance holds exactly on minimal paths."""
+# The `used` set of a state that holds no credited insertion.
+_EMPTY: frozenset[str] = frozenset()
+
+
+def _alignment_tables(src: Sequence[str], hyp: Sequence[str]) -> list[dict]:
+    """The minimal-path lattice of a source/hypothesis pair, built once per
+    sentence and shared by all of its annotators.
+
+    lattice[i] maps each j whose cell (i, j) lies on a minimal alignment
+    path to (match, arcs, jump):
+    - match: the match arc to (i + 1, j + 1) lies on a minimal path;
+    - arcs: the head cells of the changed arcs on a minimal path, in the
+      order replace, insert, delete;
+    - jump: for a cell whose only arc is the match, the state
+      (k, l, None, frozenset()) of the first cell down its diagonal that
+      has any other arc or none; else None, and the walk steps the match.
+
+    Only the forward table is filled, as far as the distance needs
+    (core._edit_table). A cell may exceed its true value there, but never
+    on a minimal path, so walking back from (n, m) through the
+    predecessors with dstart[prev] + cost == dstart[cell] marks exactly
+    the cells on minimal paths, and finds exactly the arcs between them
+    that the two-table test dstart + cost + dend == distance accepts. A
+    cell's arcs are all known once the row below it and the cell to its
+    right are done, so this walk finishes each cell as it reaches it.
+    """
+    n, m = len(src), len(hyp)
     dstart = _edit_table(src, hyp)
-    # dend is the table of the reversed sequences, read from the far corner.
-    dend = _edit_table(src[::-1], hyp[::-1], dstart[-1][-1])
-    dend.reverse()
-    for row in dend:
-        row.reverse()
-    return dstart, dend
+    rows: list[dict] = []
+    below: dict = {}
+    # Arc bits of the marked cells of row i: 1 match, 2 replace, 4 insert,
+    # 8 delete. Finishing row i marks cells of row i - 1 in `above`.
+    marked = {m: 0}
+    for i in range(n, -1, -1):
+        row = dstart[i]
+        row_up = dstart[i - 1] if i else None
+        x = src[i - 1] if i else None
+        above: dict = {}
+        cells: dict = {}
+        # Right to left, as a cell marks its insertion predecessor, the
+        # next cell left. Left of the cells the row below marked, a cell
+        # can only be marked by its right neighbour, so the first gap there
+        # ends the row.
+        lowest = min(marked)
+        for j in range(max(marked), -1, -1):
+            bits = marked.get(j)
+            if bits is None:
+                if j < lowest:
+                    break
+                continue
+            if bits == 1:
+                cells[j] = (True, (), below[j + 1][2] or (i + 1, j + 1, None, _EMPTY))
+            else:
+                arcs = []
+                if bits & 2:
+                    arcs.append((i + 1, j + 1))
+                if bits & 4:
+                    arcs.append((i, j + 1))
+                if bits & 8:
+                    arcs.append((i + 1, j))
+                cells[j] = (bool(bits & 1), tuple(arcs), None)
+            value = row[j]
+            if j:
+                if row[j - 1] + 1 == value:
+                    marked[j - 1] = marked.get(j - 1, 0) | 4
+                if i:
+                    if x == hyp[j - 1]:
+                        if row_up[j - 1] == value:
+                            above[j - 1] = above.get(j - 1, 0) | 1
+                    elif row_up[j - 1] + 1 == value:
+                        above[j - 1] = above.get(j - 1, 0) | 2
+            if i and row_up[j] + 1 == value:
+                above[j] = above.get(j, 0) | 8
+        rows.append(cells)
+        below, marked = cells, above
+    rows.reverse()
+    return rows
 
 
 def extract_system_edits(
@@ -220,7 +284,7 @@ def extract_system_edits(
     gold: Iterable,
     params: ScoreParams = ScoreParams(),
     *,
-    tables: tuple[list, list] | None = None,
+    tables: list[dict] | None = None,
 ) -> tuple[tuple[int, int, str], ...]:
     """System edits between source and hypothesis that best match gold.
 
@@ -230,16 +294,14 @@ def extract_system_edits(
     edit sets the result maximizes exact overlap with gold, then has the
     fewest edits, then the lexicographically smallest spans. Corrections
     are hypothesis tokens joined by single spaces. `tables` takes the
-    pair's (dstart, dend) from `_alignment_tables`, so that several gold
-    sets can share them; by default they are built here.
+    pair's minimal-path lattice from `_alignment_tables`, so that several
+    gold sets can share it; by default it is built here.
     """
-    src = list(source_tokens)
     hyp = list(hypothesis_tokens)
     gold_set = frozenset(_as_triple(g) for g in gold)
-    n, m = len(src), len(hyp)
+    n, m = len(source_tokens), len(hyp)
     max_unchanged = params.max_unchanged
-    dstart, dend = _alignment_tables(src, hyp) if tables is None else tables
-    total = dstart[n][m]
+    lattice = _alignment_tables(list(source_tokens), hyp) if tables is None else tables
 
     # A state is (i, j, seg, used). seg is None between edits, else
     # (start_i, start_j, trailing matches). Gold matching counts DISTINCT
@@ -247,35 +309,33 @@ def extract_system_edits(
     # index) can repeat a span; `used` carries the corrections already
     # credited at the current source index and resets whenever the walk
     # consumes a source token.
-    empty: frozenset[str] = frozenset()
 
     def moves(i: int, j: int, seg, used: frozenset[str]) -> list:
         """(next state, edit closed on the way or None, its gold credit)."""
-        out = []
-        if seg is not None and seg[2] == 0:
-            edit = (seg[0], i, " ".join(hyp[seg[1] : j]))
-            if seg[0] == i:  # pure insertion; may duplicate an earlier one
-                tp = 1 if edit in gold_set and edit[2] not in used else 0
-                next_used = used | {edit[2]} if edit in gold_set else used
-            else:
-                tp = 1 if edit in gold_set else 0
-                next_used = used
-            out.append(((i, j, None, next_used), edit, tp))
-        if i < n and j < m and src[i] == hyp[j] and dstart[i][j] + dend[i + 1][j + 1] == total:
-            if seg is None:
-                out.append(((i + 1, j + 1, None, empty), None, 0))
-            elif seg[2] < max_unchanged:
-                out.append(((i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), empty), None, 0))
-        changed_arcs = []
-        if i < n and j < m and src[i] != hyp[j] and dstart[i][j] + 1 + dend[i + 1][j + 1] == total:
-            changed_arcs.append((i + 1, j + 1))
-        if j < m and dstart[i][j] + 1 + dend[i][j + 1] == total:
-            changed_arcs.append((i, j + 1))
-        if i < n and dstart[i][j] + 1 + dend[i + 1][j] == total:
-            changed_arcs.append((i + 1, j))
-        for ni, nj in changed_arcs:
-            nseg = (i, j, 0) if seg is None else (seg[0], seg[1], 0)
-            out.append(((ni, nj, nseg, used if ni == i else empty), None, 0))
+        match, arcs, jump = lattice[i][j]
+        if seg is None:
+            # Between edits a cell whose only arc is the match leads, with
+            # nothing closed, to the end of its run of matches.
+            if jump is not None:
+                return [(jump, None, 0)]
+            out = [((i + 1, j + 1, None, _EMPTY), None, 0)] if match else []
+            nseg = (i, j, 0)
+        else:
+            out = []
+            if seg[2] == 0:
+                edit = (seg[0], i, " ".join(hyp[seg[1] : j]))
+                if seg[0] == i:  # pure insertion; may duplicate an earlier one
+                    tp = 1 if edit in gold_set and edit[2] not in used else 0
+                    next_used = used | {edit[2]} if edit in gold_set else used
+                else:
+                    tp = 1 if edit in gold_set else 0
+                    next_used = used
+                out.append(((i, j, None, next_used), edit, tp))
+            if match and seg[2] < max_unchanged:
+                out.append(((i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), _EMPTY), None, 0))
+            nseg = (seg[0], seg[1], 0)
+        for ni, nj in arcs:
+            out.append(((ni, nj, nseg, used if ni == i else _EMPTY), None, 0))
         return out
 
     # memo holds each state's value: the best (-(gold matches), edit count,
@@ -283,7 +343,7 @@ def extract_system_edits(
     # The states form a DAG, walked depth-first with an explicit stack, so
     # the input length is not bounded by the interpreter's recursion limit:
     # a state is expanded once, and valued once all its successors are.
-    start = (0, 0, None, empty)
+    start = (0, 0, None, _EMPTY)
     memo: dict = {}
     stack: list = [(start, None)]
     while stack:
@@ -357,13 +417,17 @@ class ScoreReport:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
 
 
-def _f_beta_exact(tp: int, fp: int, fn: int, beta: Fraction) -> Fraction:
-    p = Fraction(1) if tp + fp == 0 else Fraction(tp, tp + fp)
-    r = Fraction(1) if tp + fn == 0 else Fraction(tp, tp + fn)
-    if p * r == 0:
-        return Fraction(0)
-    b2 = beta * beta
-    return (1 + b2) * p * r / (b2 * p + r)
+def _f_beta_ratio(tp: int, fp: int, fn: int, p2: int, q2: int) -> tuple[int, int]:
+    """F_beta of the counts as integers (numerator, denominator > 0), for
+    beta = p / q given as p², q². With P = tp / (tp + fp) and
+    R = tp / (tp + fn), (1 + b²)PR / (b²P + R) reduces to
+    (p² + q²)tp / ((p² + q²)tp + p²fn + q²fp). An empty set has precision
+    or recall 1, so all-zero counts score 1 and any other tp = 0 scores 0.
+    """
+    if tp == 0:
+        return (1, 1) if fp == fn == 0 else (0, 1)
+    weighted = (p2 + q2) * tp
+    return weighted, weighted + p2 * fn + q2 * fp
 
 
 def _tokenize(text: str, params: ScoreParams) -> list[str]:
@@ -392,6 +456,7 @@ def score_corpus(
             f"{len(gold)} gold sentences"
         )
     beta = Fraction(str(params.beta))
+    p2, q2 = beta.numerator**2, beta.denominator**2
     tp_total = fp_total = fn_total = 0
     chosen: list[int] = []
     for index, (source, hypothesis, entry) in enumerate(zip(sources, hypotheses, gold)):
@@ -404,14 +469,15 @@ def score_corpus(
         hyp_tokens = _tokenize(hypothesis, params)
         tables = _alignment_tables(src_tokens, hyp_tokens)
         best_id = None
-        best_f = None
+        best_f = (0, 1)
         best_counts = (0, 0, 0)
         for annotator in sorted(entry.by_annotator):
             gold_set = entry.by_annotator[annotator]
             system = extract_system_edits(src_tokens, hyp_tokens, gold_set, params, tables=tables)
             tp, fp, fn = edit_counts(system, gold_set)
-            f = _f_beta_exact(tp_total + tp, fp_total + fp, fn_total + fn, beta)
-            if best_f is None or f > best_f:
+            f = _f_beta_ratio(tp_total + tp, fp_total + fp, fn_total + fn, p2, q2)
+            # Exact comparison of the two ratios, by cross-multiplying.
+            if best_id is None or f[0] * best_f[1] > best_f[0] * f[1]:
                 best_id, best_f, best_counts = annotator, f, (tp, fp, fn)
         tp_total += best_counts[0]
         fp_total += best_counts[1]
@@ -419,7 +485,9 @@ def score_corpus(
         chosen.append(best_id if best_id is not None else 0)
     precision = 1.0 if tp_total + fp_total == 0 else tp_total / (tp_total + fp_total)
     recall = 1.0 if tp_total + fn_total == 0 else tp_total / (tp_total + fn_total)
-    f_final = float(_f_beta_exact(tp_total, fp_total, fn_total, beta))
+    # int / int is correctly rounded, as float() of the reduced fraction is.
+    f_num, f_den = _f_beta_ratio(tp_total, fp_total, fn_total, p2, q2)
+    f_final = f_num / f_den
     return ScoreReport(
         tp=tp_total,
         fp=fp_total,

@@ -62,6 +62,43 @@ def full_distance_table(a, b) -> list[list[int]]:
     return dist
 
 
+def minimal_path_lattice(src, hyp) -> list[dict]:
+    """MaxMatch's minimal-path lattice from two whole tables: dstart over
+    the sequences and dend over their reversals, read from the far corner.
+
+    Row i maps each j with dstart + dend == distance to (match, arcs, None):
+    whether the match arc lies on a minimal path, and the heads of the
+    changed arcs (replace, insert, delete) with
+    dstart[tail] + 1 + dend[head] == distance. No cell gets a jump, so a
+    walk over this lattice steps through every match.
+    """
+    n, m = len(src), len(hyp)
+    dstart = full_distance_table(src, hyp)
+    reverse = full_distance_table(src[::-1], hyp[::-1])
+    total = dstart[n][m]
+
+    def through(i, j, cost, ni, nj):
+        return ni <= n and nj <= m and dstart[i][j] + cost + reverse[n - ni][m - nj] == total
+
+    lattice = []
+    for i in range(n + 1):
+        cells = {}
+        for j in range(m + 1):
+            if not through(i, j, 0, i, j):
+                continue
+            same = i < n and j < m and src[i] == hyp[j]
+            arcs = []
+            if i < n and j < m and not same and through(i, j, 1, i + 1, j + 1):
+                arcs.append((i + 1, j + 1))
+            if through(i, j, 1, i, j + 1):
+                arcs.append((i, j + 1))
+            if through(i, j, 1, i + 1, j):
+                arcs.append((i + 1, j))
+            cells[j] = (same and through(i, j, 0, i + 1, j + 1), tuple(arcs), None)
+        lattice.append(cells)
+    return lattice
+
+
 def edit_ops_reference(a, b) -> list[tuple[str, int, int]]:
     """The canonical minimal edit script, backtraced over the whole table.
 
@@ -228,8 +265,9 @@ def f_beta(tp: int, fp: int, fn: int, beta: Fraction = Fraction(1, 2)) -> Fracti
 
 def score_oracle(
     sentences: list[list[tuple[int, int, int]]],
+    beta: Fraction = Fraction(1, 2),
 ) -> tuple[int, int, int, list[int]]:
-    """Running-F0.5 annotator selection over (tp, fp, fn) triples per annotator.
+    """Running-F_beta annotator selection over (tp, fp, fn) triples per annotator.
 
     sentences[s][a] is the (tp, fp, fn) a system earned against annotator a's
     gold on sentence s. Returns accumulated totals and chosen annotator ids.
@@ -241,7 +279,7 @@ def score_oracle(
         best_f = None
         best_triple = None
         for a, (tp, fp, fn) in enumerate(per_annotator):
-            f = f_beta(TP + tp, FP + fp, FN + fn)
+            f = f_beta(TP + tp, FP + fp, FN + fn, beta)
             if best_f is None or f > best_f:
                 best_a, best_f, best_triple = a, f, (tp, fp, fn)
         assert best_triple is not None

@@ -1,18 +1,20 @@
 """End-to-end CLI tests: exit codes, determinism, file formats."""
 
+import io
 import json
 import math
 import os
 import random
 import shutil
+import tracemalloc
 
 import pytest
 
 from cgeckit import generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
-from cgeckit.core import apply_edits, read_pairs
+from cgeckit.core import _edit_table, apply_edits, read_pairs
 from cgeckit.generator import GenConfig, generate_corpus
-from cgeckit.metrics import levenshtein, write_m2
+from cgeckit.metrics import ScoreParams, levenshtein, score_corpus, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
 from cgeckit.tagging import _shipped, segment_and_tag
 from oracles import SCAN_FUNCTION_WORD_FNS
@@ -553,23 +555,52 @@ def test_score_do_nothing_system(tmp_path, capsys):
     assert report["recall"] == 0.0
 
 
+def _long_sentence_score_input():
+    """A 1,503-token sentence, a hypothesis with a replacement and a
+    deletion, and the M2 gold that annotates both."""
+    source = "他喜欢苹果最后一天" * 167
+    hypothesis = source[:100] + "好" + source[101:700] + source[702:]
+    gold = (
+        "S " + " ".join(source) + "\n"
+        "A 100 101|||X|||好|||REQUIRED|||-NONE-|||0\n"
+        "A 700 702|||X||||||REQUIRED|||-NONE-|||0\n\n"
+    )
+    return source, hypothesis, gold
+
+
 def test_score_long_char_tokenized_sentence(tmp_path, capsys):
     # 1,500 tokens: deeper than the interpreter's recursion limit, so the
     # MaxMatch walk must not recurse per token.
-    source = "他喜欢苹果最后一天" * 167
+    source, hypothesis, gold_text = _long_sentence_score_input()
     assert len(source) >= 1500
-    hypothesis = source[:100] + "好" + source[101:700] + source[702:]
     gold = tmp_path / "gold.m2"
-    gold.write_text(
-        "S " + " ".join(source) + "\n"
-        "A 100 101|||X|||好|||REQUIRED|||-NONE-|||0\n"
-        "A 700 702|||X||||||REQUIRED|||-NONE-|||0\n\n",
-        encoding="utf-8",
-    )
+    gold.write_text(gold_text, encoding="utf-8")
     hyp = tmp_path / "hyp.txt"
     hyp.write_text(hypothesis + "\n", encoding="utf-8")
     assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]) == 0
     assert "F_0.5 : 1.0000" in capsys.readouterr().out
+
+
+def _heap_peak(fn, *args):
+    """Bytes the traced heap grows by at its peak while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_long_sentence_keeps_one_distance_table():
+    # A sentence is aligned from its forward table alone: scoring it peaks
+    # within 1.3x of that one table, where a second (reversed) table would
+    # double the peak.
+    source, hypothesis, gold = _long_sentence_score_input()
+    table = _heap_peak(_edit_table, list(source), list(hypothesis))
+    params = ScoreParams(char_tokenize=True)
+    score = _heap_peak(score_corpus, [source], [hypothesis], io.StringIO(gold), params)
+    assert score < 1.3 * table, (score, table)
 
 
 def test_score_count_mismatch_is_data_error(tmp_path, capsys):
@@ -681,3 +712,33 @@ def test_failed_write_leaves_no_output_and_names_the_path(
     # no output, no report and no temporary file is left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert not any((tmp_path / "taken").iterdir())
+
+
+@pytest.mark.parametrize("command", ["generate", "augment"])
+@pytest.mark.parametrize("report", ["s.json", "./s.json"])
+def test_report_on_the_output_path_is_usage_error(
+    tmp_path, corpus_file, monkeypatch, capsys, command, report
+):
+    # Both files are renamed into place at the end, so the report would
+    # replace the output. Refused before the input is read: a missing input
+    # gives the same usage error.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text("kept\n", encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for source in (str(corpus_file), "missing.txt"):
+        argv = [command, "--input", source, "--output", "s.json", "--report", report]
+        if command == "generate":
+            argv += ["--resources", RES_DIR]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cgeckit: usage error:") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert (tmp_path / "s.json").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_filter_may_write_over_its_input(tmp_path, corpus_file):
+    path = tmp_path / "corpus.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert run(["filter", "--input", str(path), "--output", str(path), "--keep", "50"]) == 0
+    kept = path.read_text(encoding="utf-8").splitlines()
+    assert 0 < len(kept) < len(lines) and set(kept) <= set(lines)

@@ -2,9 +2,10 @@
 
 import io
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgeckit.core import (
@@ -32,10 +33,11 @@ from cgeckit.metrics import (
 from tests.oracles import (
     all_alignment_op_counts,
     best_edit_set,
+    counts_for,
     enumerate_edit_sets,
     f_beta,
-    full_distance_table,
     levenshtein_recursive,
+    minimal_path_lattice,
     score_oracle,
 )
 
@@ -234,12 +236,9 @@ def test_extract_matches_enumeration_oracle_on_random_cases():
         )
 
 
-def _whole_tables(src, hyp):
-    dend = full_distance_table(src[::-1], hyp[::-1])
-    return full_distance_table(src, hyp), [row[::-1] for row in dend[::-1]]
-
-
 def test_extract_with_banded_tables_matches_whole_tables():
+    # The lattice built from the banded forward table walks to the same
+    # edits as one built from whole forward and reversed tables.
     rng = random.Random(41)
     for case in range(40):
         alphabet = "abxy" if case % 2 else "他喜欢苹果最后一天"
@@ -253,10 +252,56 @@ def test_extract_with_banded_tables_matches_whole_tables():
             for _ in range(rng.randint(0, 3))
         }
         params = ScoreParams(max_unchanged=rng.randint(0, 2))
-        whole = _whole_tables(src, hyp)
+        whole = minimal_path_lattice(src, hyp)
         assert extract_system_edits(src, hyp, gold, params) == extract_system_edits(
             src, hyp, gold, params, tables=whole
         ), (case, src, hyp, sorted(gold))
+
+
+@st.composite
+def _alignment_pairs(draw):
+    """A source of up to 120 characters or tokens and a hypothesis of the
+    same kind: an edited copy, the source itself, empty, from a disjoint
+    alphabet, or unrelated."""
+    if draw(st.booleans()):
+        same, other = st.sampled_from("abc"), st.sampled_from("xyz")
+        join = "".join
+    else:
+        same, other = st.sampled_from(["他", "喜欢", "苹果", "a"]), st.sampled_from(["好", "b"])
+        join = list
+    src = draw(st.lists(same, max_size=120))
+    kind = draw(st.sampled_from(["edited", "identical", "empty", "disjoint", "unrelated"]))
+    if kind == "edited":
+        hyp = list(src)
+        for _ in range(draw(st.integers(0, 8))):
+            at = draw(st.integers(0, len(hyp)))
+            hyp[at : at + draw(st.integers(0, 3))] = draw(st.lists(same, max_size=3))
+    elif kind == "identical":
+        hyp = list(src)
+    elif kind == "empty":
+        hyp = []
+    else:
+        hyp = draw(st.lists(other if kind == "disjoint" else same, max_size=120))
+    return join(src), join(hyp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_alignment_pairs())
+def test_lattice_marks_the_cells_and_arcs_of_whole_tables(pair):
+    src, hyp = pair
+    got = metrics._alignment_tables(src, hyp)
+    expected = minimal_path_lattice(src, hyp)
+    assert [{j: cell[:2] for j, cell in row.items()} for row in got] == [
+        {j: cell[:2] for j, cell in row.items()} for row in expected
+    ]
+    # A jump leads from a cell whose only arc is the match to the first
+    # cell down its diagonal with any other arc or none.
+    for i, row in enumerate(got):
+        for j, (match, arcs, jump) in row.items():
+            k, l = i + 1, j + 1
+            while match and not arcs and got[k][l][:2] == (True, ()):
+                k, l = k + 1, l + 1
+            assert jump == ((k, l, None, frozenset()) if match and not arcs else None)
 
 
 def test_score_builds_tables_once_per_sentence(monkeypatch):
@@ -393,6 +438,79 @@ def test_score_running_selection_matches_oracle_on_random_counts():
         assert (report.tp, report.fp, report.fn) == (tp, fp, fn)
         assert list(report.chosen_annotators) == chosen
         assert abs(report.f_beta - float(f_beta(tp, fp, fn))) < 1e-12
+
+
+_COUNTS = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]), _COUNTS, _COUNTS)
+@example(0.5, (0, 0, 0), (0, 0, 0))  # both empty: F = 1
+@example(0.5, (0, 0, 0), (3, 0, 0))  # empty vs perfect: a tie at 1
+@example(1.0, (0, 4, 0), (0, 0, 4))  # P = 0 vs R = 0: a tie at 0
+@example(0.5, (0, 4, 0), (1, 8, 8))  # P = 0 vs a small positive F
+@example(1.0, (1, 1, 0), (1, 0, 1))  # F1 weighs fp and fn alike
+@example(2.0, (2, 1, 1), (4, 2, 2))  # the same ratios at twice the counts
+def test_integer_f_orders_counts_as_the_exact_oracle(beta, a, b):
+    exact = Fraction(str(beta))
+    p2, q2 = exact.numerator**2, exact.denominator**2
+    fa, fb = metrics._f_beta_ratio(*a, p2, q2), metrics._f_beta_ratio(*b, p2, q2)
+    assert fa[1] > 0 and fb[1] > 0
+    assert Fraction(*fa) == f_beta(*a, exact)
+    oracle_order = _sign(f_beta(*a, exact) - f_beta(*b, exact))
+    assert _sign(fa[0] * fb[1] - fb[0] * fa[1]) == oracle_order
+
+
+def _m2_block(src, by_annotator):
+    lines = ["S " + " ".join(src)]
+    for annotator, gold in enumerate(by_annotator):
+        if not gold:
+            lines.append(f"A 0 0|||X|||-NONE-|||REQUIRED|||-NONE-|||{annotator}")
+        for start, end, correction in sorted(gold):
+            lines.append(f"A {start} {end}|||X|||{correction}|||REQUIRED|||-NONE-|||{annotator}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_score_matches_oracle_exactly_on_random_corpora(beta):
+    # Per-annotator counts come from the enumeration oracle's edit sets;
+    # the report's f_beta equals the oracle's exact F rounded once.
+    exact = Fraction(str(beta))
+    rng = random.Random(int(beta * 10))
+    alphabet = "abxy"
+    for _ in range(25):
+        sources, hyps, blocks, sentences = [], [], [], []
+        for _ in range(rng.randint(1, 6)):
+            src = [rng.choice(alphabet) for _ in range(rng.randint(1, 5))]
+            hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, 5))]
+            reachable = enumerate_edit_sets(src, hyp, 2)
+            by_annotator = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    gold = set(rng.choice(reachable))
+                else:
+                    gold = {
+                        (lo := rng.randint(0, len(src)), rng.randint(lo, len(src)), rng.choice(alphabet))
+                        for _ in range(rng.randint(0, 2))
+                    }
+                by_annotator.append(gold)
+            sources.append(" ".join(src))
+            hyps.append(" ".join(hyp))
+            blocks.append(_m2_block(src, by_annotator))
+            sentences.append(
+                [counts_for(best_edit_set(src, hyp, gold, 2), gold) for gold in by_annotator]
+            )
+        report = score_corpus(
+            sources, hyps, gold_file("\n\n".join(blocks) + "\n"), ScoreParams(beta=beta)
+        )
+        tp, fp, fn, chosen = score_oracle(sentences, exact)
+        assert (report.tp, report.fp, report.fn) == (tp, fp, fn)
+        assert list(report.chosen_annotators) == chosen
+        assert report.f_beta == float(f_beta(tp, fp, fn, exact))
 
 
 def test_score_char_tokenize_mode():

@@ -1,6 +1,7 @@
 """Segmentation, pre-tagged parsing, and role-identification tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,7 +191,7 @@ def test_role_spans_never_overlap_across_roles():
 
 
 def test_fixture_files_align():
-    sents = open(_shipped("fixtures/correct_sentences.txt"), encoding="utf-8").read().splitlines()
+    sents = Path(_shipped("fixtures/correct_sentences.txt")).read_text(encoding="utf-8").splitlines()
     labels = [c["text"] for c in _load_role_fixtures()]
     assert sents == labels
     assert len(sents) == 50
