@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +25,15 @@ class CgecError(Exception):
 
 class ConfigError(CgecError):
     """Bad or missing configuration (maps to exit code 2 in the CLI)."""
+
+
+def finite_number(name: str, value) -> float:
+    """value, if it is a finite int or float and not a bool; else a
+    ConfigError naming it. Config files may hold NaN, Infinity, strings
+    and booleans where a number belongs."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 class ValidationError(CgecError):
@@ -263,114 +273,42 @@ def apply_edits(incorrect: str, edits: Sequence[EditSpan]) -> str:
     return result
 
 
-def _distance_table(a: Sequence, b: Sequence, limit: int | None = None) -> list[list[int]]:
-    """Unit-cost edit distance table over two strings or token lists:
-    len(a) + 1 rows, where [i][j] is the distance from a[:i] to b[:j].
+def _delta_columns(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
+    """The unit-cost edit distance table D of a (rows) and b (columns), kept
+    as the deltas between its cells rather than the cells.
 
-    With a limit (at least the distance), only Ukkonen's band is filled:
-    the diagonals k = j - i with |k| + |k - (len(b) - len(a))| <= limit,
-    the only ones a path of cost <= limit can touch. Cells outside hold
-    len(a) + len(b) + 1. Every cell is then >= its true value and exact on
-    every minimal path of cost <= limit, so a backtrace or a walk that only
-    follows cells summing to the distance reads the same as on the whole
-    table.
+    One pass of Myers' bit-vector algorithm in Hyyrö's edit-distance form
+    computes each column of D from the one before with a few len(a)-bit
+    operations. Entry j - 1 is (diagonal, insert, delete) of column j, for
+    j = 1..len(b); bit i - 1 of each tells of row i = 1..len(a):
+    - diagonal: D[i][j] == D[i-1][j-1] (0 means D[i-1][j-1] + 1);
+    - insert: D[i][j] == D[i][j-1] + 1;
+    - delete: D[i][j] == D[i-1][j] + 1.
+    Row 0 and column 0 need no bits: D[0][j] = j and D[i][0] = i. Any cell
+    follows from the diagonal bits (D[i][j] = D[i-1][j-1] + 0 or 1), and a
+    walk along minimal paths needs no more than these three tests.
+    Memory is 3 x len(a) x len(b) bits.
     """
-    n, m = len(a), len(b)
-    out = n + m + 1
-    if limit is None:
-        row = list(range(m + 1))
-    else:
-        delta = m - n
-        spare = (limit - abs(delta)) // 2
-        low, high = min(0, delta) - spare, max(0, delta) + spare
-        row = list(range(min(m, high) + 1))
-        row += [out] * (m + 1 - len(row))
-    rows = [row]
-    for i, x in enumerate(a, 1):
-        prev = row
-        # Whole rows skip the band's bookkeeping, which made the fill of
-        # ~11-char tables about 10% slower.
-        if limit is None:
-            row = [i]
-            left = i
-            cells = zip(b, prev, prev[1:])
-        else:
-            first, last = i + low, i + high  # the band's columns in this row
-            if first > 0:
-                row = [out] * first
-                left = out
-                cells = zip(b[first - 1 : last], prev[first - 1 : last], prev[first : last + 1])
-            else:
-                row = [i]
-                left = i
-                cells = zip(b[:last], prev, prev[1 : last + 1])
-        # cell = min(diag + (x != y), left + 1, up + 1); a match takes diag, as
-        # neighbouring cells differ by at most one. Written out, since a min()
-        # call per cell makes the fill about five times slower.
-        for y, diag, up in cells:
-            if x != y:
-                if left < diag:
-                    diag = left
-                if up < diag:
-                    diag = up
-                diag += 1
-            left = diag
-            row.append(left)
-        if limit is not None and last < m:
-            row += [out] * (m - last)
-        rows.append(row)
-    return rows
-
-
-def _distance(a: Sequence, b: Sequence) -> int:
-    """Unit-cost edit distance of two strings or token lists, by Myers'
-    bit-vector algorithm in Hyyrö's edit-distance form: one int holds the
-    vertical deltas of a whole column of the table over a, so the cost is
-    len(b) steps of a few len(a)-bit operations."""
-    if not a:
-        return len(b)
     match: dict = {}
     bit = 1
     for x in a:
         match[x] = match.get(x, 0) | bit
         bit <<= 1
     mask = bit - 1
-    top = bit >> 1  # the last row, whose deltas add up to the distance
-    plus, minus, score = mask, 0, len(a)
+    plus, minus = mask, 0  # the vertical +1 / -1 deltas of the column
+    columns = []
     for y in b:
         eq = match.get(y, 0)
         xv = eq | minus
         xh = (((eq & plus) + plus) ^ plus) | eq
-        hplus = minus | ~(xh | plus)
+        hplus = (minus | ~(xh | plus)) & mask
         hminus = plus & xh
-        if hplus & top:
-            score += 1
-        elif hminus & top:
-            score -= 1
         # Row 0 of the table grows by one per column, hence the carried-in 1.
-        hplus = (hplus << 1) | 1
-        plus = ((hminus << 1) | ~(xv | hplus)) & mask
-        minus = hplus & xv
-    return score
-
-
-# Tables with fewer cells than this are filled whole: below it the
-# bit-vector distance plus the band cost more than they save. Measured on
-# generated and augmented pairs of the fixture sentences (mean distance 6),
-# band / whole fill time by table size: 1.13 at 256-400 cells, 0.96 at
-# 400-576, 0.88 at 576-784. Above the cut-off the band also wins when it
-# spans three quarters of a row (0.6-0.9 at distance 0.5-0.76 x length), as
-# it fills a subset of the same cells with the same loop.
-_WHOLE_BELOW = 24 * 24
-
-
-def _edit_table(a: Sequence, b: Sequence, distance: int | None = None) -> list[list[int]]:
-    """The distance table of a and b as far as a backtrace needs it: whole
-    for small tables, else Ukkonen's band at the distance (computed first
-    unless given). The corner [len(a)][len(b)] is exact either way."""
-    if (len(a) + 1) * (len(b) + 1) < _WHOLE_BELOW:
-        return _distance_table(a, b)
-    return _distance_table(a, b, _distance(a, b) if distance is None else distance)
+        hshift = (hplus << 1) | 1
+        plus = ((hminus << 1) | ~(xv | hshift)) & mask
+        minus = hshift & xv
+        columns.append((xh | xv, hplus, plus))
+    return columns
 
 
 def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
@@ -381,10 +319,17 @@ def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
     point the step applies. Backtrace ties resolve match > replace > insert
     > delete so the script is canonical.
 
-    The common suffix is matched without a table: while the last items are
-    equal, D(i, j) = D(i - 1, j - 1) and the backtrace takes the match
-    first. A common prefix cannot be cut the same way, since the backtrace
-    there may prefer a later position ("aab" -> "ab" deletes index 0).
+    The backtrace reads the delta columns of `_delta_columns`, not a table:
+    equal items always match, since with unit costs the diagonal is then
+    minimal; a replace needs D[i][j] == D[i-1][j-1] + 1, an insert
+    D[i][j] == D[i][j-1] + 1, and what is left is a delete. Time is
+    len(a) x len(b) / word size plus the script's length, and memory
+    3 x len(a) x len(b) bits.
+
+    The common suffix is matched before the pass: while the last items are
+    equal the backtrace takes the match first. A common prefix cannot be
+    cut the same way, since the backtrace there may prefer a later position
+    ("aab" -> "ab" deletes index 0).
     """
     n, m = len(a), len(b)
     tail = 0
@@ -392,20 +337,24 @@ def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
         tail += 1
     i, j = n - tail, m - tail
     ops: list[tuple[str, int, int]] = [("match", i + k, j + k) for k in range(tail - 1, -1, -1)]
-    dp = _edit_table(a[:i], b[:j])
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and dp[i][j] == dp[i - 1][j - 1]:
+    columns = _delta_columns(a[:i], b[:j])
+    while i and j:
+        bit = 1 << (i - 1)
+        diagonal, insert, _ = columns[j - 1]
+        if a[i - 1] == b[j - 1]:
             ops.append(("match", i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1:
+        elif not diagonal & bit:
             ops.append(("replace", i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif j > 0 and dp[i][j] == dp[i][j - 1] + 1:
+        elif insert & bit:
             ops.append(("insert", i, j - 1))
             j -= 1
         else:
             ops.append(("delete", i - 1, j))
             i -= 1
+    ops.extend(("delete", k, 0) for k in range(i - 1, -1, -1))
+    ops.extend(("insert", 0, k) for k in range(j - 1, -1, -1))
     ops.reverse()
     return ops
 

@@ -23,6 +23,7 @@ from cgeckit.core import (
     TaggedSentence,
     apply_edits,
     diff_edits,
+    finite_number,
     ordered_map,
 )
 from cgeckit.resources import RuleResources
@@ -50,15 +51,18 @@ class GenConfig:
             raise ConfigError(f"unknown rule ids: {sorted(unknown)}")
         if not self.enabled_rules:
             raise ConfigError("enabled_rules must not be empty")
-        if self.per_sentence < 1:
-            raise ConfigError(f"per_sentence must be >= 1, got {self.per_sentence}")
-        if self.combine_max < 1:
-            raise ConfigError(f"combine_max must be >= 1, got {self.combine_max}")
+        for name in ("per_sentence", "combine_max"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.rule_weights, dict):
+            raise ConfigError(f"rule_weights must be an object, got {self.rule_weights!r}")
         unknown = set(self.rule_weights) - set(RULE_REGISTRY)
         if unknown:
             raise ConfigError(f"rule_weights for unknown rule ids: {sorted(unknown)}")
-        if any(w < 0 for w in self.rule_weights.values()):
-            raise ConfigError("rule weights must be >= 0")
+        for rule, weight in self.rule_weights.items():
+            if finite_number(f"rule weight of {rule}", weight) < 0:
+                raise ConfigError("rule weights must be >= 0")
         object.__setattr__(self, "enabled_rules", frozenset(self.enabled_rules))
 
     @cached_property
@@ -87,7 +91,8 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        probs = (self.p_keep, self.p_insert, self.p_replace, self.p_delete)
+        names = ("p_keep", "p_insert", "p_replace", "p_delete")
+        probs = tuple(finite_number(name, getattr(self, name)) for name in names)
         if any(p < 0 for p in probs):
             raise ConfigError("augment probabilities must be >= 0")
         if abs(sum(probs) - 1.0) > 1e-9:

@@ -24,8 +24,9 @@ from cgeckit.core import (
     CorpusPair,
     ParseError,
     ValidationError,
+    _delta_columns,
     _edit_ops,
-    _edit_table,
+    finite_number,
     open_input,
 )
 
@@ -89,7 +90,7 @@ class ScoreParams:
     char_tokenize: bool = False
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
+        if finite_number("beta", self.beta) <= 0:
             raise ConfigError(f"beta must be > 0, got {self.beta!r}")
         if self.max_unchanged < 0:
             raise ConfigError(f"max_unchanged must be >= 0, got {self.max_unchanged!r}")
@@ -216,25 +217,23 @@ def _alignment_tables(src: Sequence[str], hyp: Sequence[str]) -> list[dict]:
       (k, l, None, frozenset()) of the first cell down its diagonal that
       has any other arc or none; else None, and the walk steps the match.
 
-    Only the forward table is filled, as far as the distance needs
-    (core._edit_table). A cell may exceed its true value there, but never
-    on a minimal path, so walking back from (n, m) through the
-    predecessors with dstart[prev] + cost == dstart[cell] marks exactly
-    the cells on minimal paths, and finds exactly the arcs between them
-    that the two-table test dstart + cost + dend == distance accepts. A
-    cell's arcs are all known once the row below it and the cell to its
-    right are done, so this walk finishes each cell as it reaches it.
+    No distance table is kept: the delta columns of core._delta_columns
+    say which predecessors of a cell hold its value less the arc's cost.
+    Walking back from (n, m) through exactly those predecessors marks the
+    cells on minimal paths and the arcs between them. A cell's arcs are
+    all known once the row below it and the cell to its right are done,
+    so this walk finishes each cell as it reaches it. Memory is the
+    columns' 3 x n x m bits plus the lattice.
     """
-    n, m = len(src), len(hyp)
-    dstart = _edit_table(src, hyp)
+    m = len(hyp)
+    columns = _delta_columns(src, hyp)
     rows: list[dict] = []
     below: dict = {}
     # Arc bits of the marked cells of row i: 1 match, 2 replace, 4 insert,
     # 8 delete. Finishing row i marks cells of row i - 1 in `above`.
     marked = {m: 0}
-    for i in range(n, -1, -1):
-        row = dstart[i]
-        row_up = dstart[i - 1] if i else None
+    for i in range(len(src), -1, -1):
+        bit = 1 << (i - 1) if i else 0
         x = src[i - 1] if i else None
         above: dict = {}
         cells: dict = {}
@@ -260,18 +259,21 @@ def _alignment_tables(src: Sequence[str], hyp: Sequence[str]) -> list[dict]:
                 if bits & 8:
                     arcs.append((i + 1, j))
                 cells[j] = (bool(bits & 1), tuple(arcs), None)
-            value = row[j]
-            if j:
-                if row[j - 1] + 1 == value:
+            if not i:  # row 0 is all insertions
+                if j:
                     marked[j - 1] = marked.get(j - 1, 0) | 4
-                if i:
-                    if x == hyp[j - 1]:
-                        if row_up[j - 1] == value:
-                            above[j - 1] = above.get(j - 1, 0) | 1
-                    elif row_up[j - 1] + 1 == value:
-                        above[j - 1] = above.get(j - 1, 0) | 2
-            if i and row_up[j] + 1 == value:
-                above[j] = above.get(j, 0) | 8
+            elif not j:  # column 0 is all deletions
+                above[0] = above.get(0, 0) | 8
+            else:
+                diagonal, insert, delete = columns[j - 1]
+                if insert & bit:
+                    marked[j - 1] = marked.get(j - 1, 0) | 4
+                if x == hyp[j - 1]:
+                    above[j - 1] = above.get(j - 1, 0) | 1
+                elif not diagonal & bit:
+                    above[j - 1] = above.get(j - 1, 0) | 2
+                if delete & bit:
+                    above[j] = above.get(j, 0) | 8
         rows.append(cells)
         below, marked = cells, above
     rows.reverse()
@@ -296,6 +298,11 @@ def extract_system_edits(
     are hypothesis tokens joined by single spaces. `tables` takes the
     pair's minimal-path lattice from `_alignment_tables`, so that several
     gold sets can share it; by default it is built here.
+
+    No distance table is built: the lattice comes from 3 bits per source x
+    hypothesis token pair (core._delta_columns), and it holds, like the
+    walk's states, only the cells on minimal paths. Scoring a 3,000-token
+    sentence grows the heap by a few MiB.
     """
     hyp = list(hypothesis_tokens)
     gold_set = frozenset(_as_triple(g) for g in gold)

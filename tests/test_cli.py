@@ -6,18 +6,20 @@ import math
 import os
 import random
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from cgeckit import generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
-from cgeckit.core import _edit_table, apply_edits, read_pairs
+from cgeckit.core import apply_edits, read_pairs
 from cgeckit.generator import GenConfig, generate_corpus
 from cgeckit.metrics import ScoreParams, levenshtein, score_corpus, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
 from cgeckit.tagging import _shipped, segment_and_tag
-from oracles import SCAN_FUNCTION_WORD_FNS
+from oracles import SCAN_FUNCTION_WORD_FNS, full_distance_table
 
 RES_DIR = str(default_resources_dir())
 
@@ -592,15 +594,22 @@ def _heap_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _table_bytes(table):
+    """Heap bytes of a table of int cells: its lists, and the ints outside
+    the interpreter's cache of small ones. Measured from the finished
+    table, since tracing the allocation of millions of cells takes long."""
+    cells = sum(sys.getsizeof(cell) for row in table for cell in row if not -5 <= cell <= 256)
+    return sys.getsizeof(table) + sum(map(sys.getsizeof, table)) + cells
+
+
 def test_score_long_sentence_keeps_one_distance_table():
-    # A sentence is aligned from its forward table alone: scoring it peaks
-    # within 1.3x of that one table, where a second (reversed) table would
-    # double the peak.
+    # A sentence is aligned from bit-vector delta columns, not a table of
+    # cells: scoring it peaks well under one whole distance table.
     source, hypothesis, gold = _long_sentence_score_input()
-    table = _heap_peak(_edit_table, list(source), list(hypothesis))
+    table = _table_bytes(full_distance_table(source, hypothesis))
     params = ScoreParams(char_tokenize=True)
     score = _heap_peak(score_corpus, [source], [hypothesis], io.StringIO(gold), params)
-    assert score < 1.3 * table, (score, table)
+    assert score < 0.25 * table, (score, table)
 
 
 def test_score_count_mismatch_is_data_error(tmp_path, capsys):
@@ -742,3 +751,61 @@ def test_filter_may_write_over_its_input(tmp_path, corpus_file):
     assert run(["filter", "--input", str(path), "--output", str(path), "--keep", "50"]) == 0
     kept = path.read_text(encoding="utf-8").splitlines()
     assert 0 < len(kept) < len(lines) and set(kept) <= set(lines)
+
+
+# --- numbers in flags and config files --------------------------------------------
+
+
+def _assert_one_usage_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: usage error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_score_beta_must_be_finite(tmp_path, capsys, beta):
+    pairs, gold = score_fixture(tmp_path)
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("".join(p.correct + "\n" for p in pairs), encoding="utf-8")
+    argv = ["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize", "--beta", beta]
+    _assert_one_usage_error(capsys, argv)
+
+
+# Numbers in a config must be finite and not booleans, and counts must be
+# integers. The boolean cases would pass the range checks alone: they sum
+# to 1 or are >= 0.
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("augment", '{"p_insert": NaN}'),
+        ("augment", '{"p_replace": "0.1"}'),
+        ("augment", '{"p_keep": true, "p_insert": 0, "p_replace": 0, "p_delete": 0}'),
+        ("generate", '{"rule_weights": {"LackSubject": NaN}}'),
+        ("generate", '{"rule_weights": {"LackSubject": Infinity}}'),
+        ("generate", '{"rule_weights": {"LackSubject": "2"}}'),
+        ("generate", '{"rule_weights": {"LackSubject": true}}'),
+        ("generate", '{"rule_weights": ["LackSubject"]}'),
+        ("generate", '{"per_sentence": "2"}'),
+        ("generate", '{"combine_max": 1.5}'),
+    ],
+)
+def test_bad_config_numbers_are_usage_errors(tmp_path, corpus_file, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(config, encoding="utf-8")
+    output = tmp_path / "pairs.jsonl"
+    argv = [command, "--input", str(corpus_file), "--output", str(output), "--config", str(path)]
+    if command == "generate":
+        argv += ["--resources", RES_DIR]
+    _assert_one_usage_error(capsys, argv)
+    assert not output.exists()
+
+
+def test_python_m_cgeckit_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "cgeckit", "--help"],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: cgeckit")

@@ -13,8 +13,7 @@ from cgeckit.core import (
     FINE_TO_COARSE,
     ParseError,
     ValidationError,
-    _distance,
-    _distance_table,
+    _delta_columns,
     _edit_ops,
     apply_edits,
     diff_edits,
@@ -131,6 +130,25 @@ def test_diff_edits_total_char_cost_is_levenshtein(a, b):
 WORDS = st.sampled_from(["我", "喜欢", "苹果", "a", "ab", ""])
 
 
+def _cells_from_columns(a, b):
+    """Every cell of the distance table of a and b, rebuilt from the
+    diagonal bits of the delta columns (D[i][j] = D[i-1][j-1] + 0 or 1),
+    after checking each insert and delete bit against the rebuilt cells."""
+    columns = _delta_columns(a, b)
+    assert len(columns) == len(b)
+    table = [list(range(len(b) + 1))]
+    for i in range(1, len(a) + 1):
+        row = [i]
+        for j, (diagonal, _, _) in enumerate(columns, 1):
+            row.append(table[i - 1][j - 1] + (not diagonal >> (i - 1) & 1))
+        table.append(row)
+    for i in range(1, len(a) + 1):
+        for j, (_, insert, delete) in enumerate(columns, 1):
+            assert bool(insert >> (i - 1) & 1) == (table[i][j] == table[i][j - 1] + 1)
+            assert bool(delete >> (i - 1) & 1) == (table[i][j] == table[i - 1][j] + 1)
+    return table
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
@@ -140,10 +158,9 @@ WORDS = st.sampled_from(["我", "喜欢", "苹果", "a", "ab", ""])
 )
 def test_distance_table_cells_match_recursive_oracle(pair):
     a, b = pair
-    table = _distance_table(a, b)
-    assert len(table) == len(a) + 1
+    table = _cells_from_columns(a, b)
+    assert table == full_distance_table(a, b)
     for i, row in enumerate(table):
-        assert len(row) == len(b) + 1
         for j, cell in enumerate(row):
             assert cell == levenshtein_recursive(a[:i], b[:j])
 
@@ -151,7 +168,7 @@ def test_distance_table_cells_match_recursive_oracle(pair):
 @st.composite
 def _long_pairs(draw):
     """A 40-150 item string or token list and a copy with a few random
-    edits (sometimes many), so that the band is narrower than the table."""
+    edits (sometimes many)."""
     items = st.sampled_from("ab他喜欢苹果") if draw(st.booleans()) else WORDS
     a = draw(st.lists(items, min_size=40, max_size=150))
     b = list(a)
@@ -170,14 +187,6 @@ def _long_pairs(draw):
     return a, b
 
 
-def _path_cells(ops):
-    """The table cells a script passes through, from (0, 0) to the corner."""
-    cells = [(0, 0)]
-    for op, i, j in ops:
-        cells.append((i + (op != "insert"), j + (op != "delete")))
-    return cells
-
-
 @settings(max_examples=60, deadline=None)
 @given(_long_pairs())
 def test_edit_ops_on_long_inputs_match_full_table_reference(pair):
@@ -185,26 +194,31 @@ def test_edit_ops_on_long_inputs_match_full_table_reference(pair):
     assert _edit_ops(a, b) == edit_ops_reference(a, b)
 
 
+def _distance_from_columns(a, b):
+    """D[len(a)][len(b)] read down its diagonal from the delta columns: one
+    more than the cell before it wherever the diagonal bit is 0, until the
+    walk reaches row or column 0, where D[i][0] = i and D[0][j] = j."""
+    columns = _delta_columns(a, b)
+    i, j, steps = len(a), len(b), 0
+    while i and j:
+        steps += not columns[j - 1][0] >> (i - 1) & 1
+        i, j = i - 1, j - 1
+    return i + j + steps
+
+
 @settings(max_examples=60, deadline=None)
 @given(_long_pairs())
 def test_bit_vector_distance_is_the_table_corner(pair):
     a, b = pair
-    assert _distance(a, b) == _distance(b, a) == full_distance_table(a, b)[-1][-1]
+    distance = full_distance_table(a, b)[-1][-1]
+    assert _distance_from_columns(a, b) == _distance_from_columns(b, a) == distance
 
 
 @settings(max_examples=60, deadline=None)
 @given(_long_pairs())
-def test_banded_cells_bound_the_table_and_are_exact_on_the_path(pair):
+def test_delta_columns_rebuild_the_whole_table_on_long_inputs(pair):
     a, b = pair
-    full = full_distance_table(a, b)
-    distance = full[-1][-1]
-    for limit in (distance, distance + 1):
-        band = _distance_table(a, b, limit)
-        assert [len(row) for row in band] == [len(b) + 1] * (len(a) + 1)
-        for row, true_row in zip(band, full):
-            assert all(cell >= true for cell, true in zip(row, true_row))
-        for i, j in _path_cells(edit_ops_reference(a, b)):
-            assert band[i][j] == full[i][j]
+    assert _cells_from_columns(a, b) == full_distance_table(a, b)
 
 
 def _pid(state, item):

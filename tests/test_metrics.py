@@ -14,6 +14,7 @@ from cgeckit.core import (
     ErrorType,
     ParseError,
     ValidationError,
+    _edit_ops,
     diff_edits,
 )
 from cgeckit import metrics
@@ -32,6 +33,7 @@ from cgeckit.metrics import (
 )
 from tests.oracles import (
     all_alignment_op_counts,
+    edit_ops_reference,
     best_edit_set,
     counts_for,
     enumerate_edit_sets,
@@ -236,9 +238,9 @@ def test_extract_matches_enumeration_oracle_on_random_cases():
         )
 
 
-def test_extract_with_banded_tables_matches_whole_tables():
-    # The lattice built from the banded forward table walks to the same
-    # edits as one built from whole forward and reversed tables.
+def test_extract_with_delta_column_lattice_matches_whole_tables():
+    # The lattice built from the delta columns walks to the same edits as
+    # one built from whole forward and reversed tables.
     rng = random.Random(41)
     for case in range(40):
         alphabet = "abxy" if case % 2 else "他喜欢苹果最后一天"
@@ -302,6 +304,38 @@ def test_lattice_marks_the_cells_and_arcs_of_whole_tables(pair):
             while match and not arcs and got[k][l][:2] == (True, ()):
                 k, l = k + 1, l + 1
             assert jump == ((k, l, None, frozenset()) if match and not arcs else None)
+
+
+MULTI_CHAR_WORDS = st.sampled_from(["喜欢", "苹果", "他们", "ab", "abc", "最后一天"])
+# Lengths on both sides of 64 and 128 items, so that the delta-column ints
+# cross machine-word sizes.
+TOKEN_COUNTS = st.sampled_from([0, 1, 5, 63, 64, 65, 127, 128, 129, 190])
+
+
+@st.composite
+def _token_list_pairs(draw):
+    """A list of multi-character words, possibly empty, and an edited copy
+    of it or another list."""
+    src = draw(st.lists(MULTI_CHAR_WORDS, min_size=(n := draw(TOKEN_COUNTS)), max_size=n))
+    if draw(st.booleans()):
+        hyp = list(src)
+        for _ in range(draw(st.integers(0, 12))):
+            at = draw(st.integers(0, len(hyp)))
+            hyp[at : at + draw(st.integers(0, 3))] = draw(st.lists(MULTI_CHAR_WORDS, max_size=3))
+    else:
+        hyp = draw(st.lists(MULTI_CHAR_WORDS, min_size=(m := draw(TOKEN_COUNTS)), max_size=m))
+    return src, hyp
+
+
+@settings(max_examples=60, deadline=None)
+@given(_token_list_pairs())
+def test_token_list_alignments_match_whole_table_oracles(pair):
+    src, hyp = pair
+    assert _edit_ops(src, hyp) == edit_ops_reference(src, hyp)
+    got = metrics._alignment_tables(src, hyp)
+    assert [{j: cell[:2] for j, cell in row.items()} for row in got] == [
+        {j: cell[:2] for j, cell in row.items()} for row in minimal_path_lattice(src, hyp)
+    ]
 
 
 def test_score_builds_tables_once_per_sentence(monkeypatch):
