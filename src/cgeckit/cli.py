@@ -141,14 +141,14 @@ def _pick(flag_value, config: dict, key: str, default):
 def _cmd_filter(args) -> int:
     if args.model:
         model = lm_mod.load_lm(args.model)
+        sentences = list(_read_lines(args.input))
     else:
-        train_path = args.train or args.input
-        model = lm_mod.train_lm(
-            _read_lines(train_path), lm_mod.LMConfig(n=args.n, alpha=args.alpha)
-        )
+        config = lm_mod.LMConfig(n=args.n, alpha=args.alpha)
+        sentences = list(_read_lines(args.input))
+        model = lm_mod.train_lm(_read_lines(args.train) if args.train else sentences, config)
         if args.save_model:
             lm_mod.save_lm(model, args.save_model)
-    kept = lm_mod.filter_percentile(_read_lines(args.input), model, args.keep, args.workers)
+    kept = lm_mod.filter_percentile(sentences, model, args.keep, args.workers)
     with _write_on_success(args.output) as (out,):
         for sentence in kept:
             out.write(sentence + "\n")
@@ -168,7 +168,16 @@ def _cmd_generate(args) -> int:
     unknown = set(overrides) - _GEN_CONFIG_KEYS
     if unknown:
         raise ConfigError(f"config {args.config}: unknown keys {sorted(unknown)}")
-    enabled = args.rules.split(",") if args.rules else overrides.get("enabled_rules")
+    enabled = overrides.get("enabled_rules")
+    if enabled is not None and (
+        type(enabled) is not list or not all(type(rule) is str for rule in enabled)
+    ):
+        raise ConfigError(
+            f"config {args.config}: 'enabled_rules' must be a list of rule id strings, "
+            f"got {json.dumps(enabled, ensure_ascii=False)}"
+        )
+    if args.rules:
+        enabled = args.rules.split(",")
     kwargs = {
         "seed": args.seed,
         "per_sentence": _pick(args.per_sentence, overrides, "per_sentence", 1),
@@ -178,7 +187,13 @@ def _cmd_generate(args) -> int:
     if enabled is not None:
         kwargs["enabled_rules"] = frozenset(enabled)
     config = GenConfig(**kwargs)
-    pretagged = args.pretagged or bool(overrides.get("pretagged", False))
+    pretagged = overrides.get("pretagged", False)
+    if type(pretagged) is not bool:
+        raise ConfigError(
+            f"config {args.config}: 'pretagged' must be true or false, "
+            f"got {json.dumps(pretagged, ensure_ascii=False)}"
+        )
+    pretagged = args.pretagged or pretagged
     report = GenerationReport()
     with _write_on_success(args.output, report_path) as (out, report_out):
         stream = stream_generate(

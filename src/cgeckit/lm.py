@@ -22,18 +22,21 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import chain, repeat
+from operator import add, itemgetter, truediv
+from typing import Iterable, Iterator, Sequence
 
-from cgeckit.core import ConfigError, ParseError, open_input, ordered_map
+from cgeckit.core import ConfigError, ParseError, finite_number, open_input, ordered_map
 
 BOUNDARY = "<b>"
 UNK = "<unk>"
 
 _FORMAT = "cgeckit-ngram"
 _VERSION = 1
-
 
 @dataclass(frozen=True)
 class LMConfig:
@@ -43,10 +46,27 @@ class LMConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ConfigError(f"n-gram order must be an integer >= 1, got {self.n!r}")
-        if not self.alpha > 0:
+        if not finite_number("smoothing alpha", self.alpha) > 0:
             raise ConfigError(f"smoothing alpha must be > 0, got {self.alpha!r}")
+
+
+def _grams(n: int, symbols: Iterable[str]) -> Iterator[tuple[str, ...]]:
+    """The padded n-grams of a symbol sequence, in event order: one per
+    symbol plus one final boundary event."""
+    padded = (BOUNDARY,) * (n - 1) + tuple(symbols) + (BOUNDARY,)
+    return zip(*(padded[k:] for k in range(n)))
+
+
+def _contexts(ngrams: dict[tuple[str, ...], int]) -> dict[tuple[str, ...], int]:
+    """The (n-1)-length prefixes of the n-grams, each with the sum of its
+    continuations' counts."""
+    contexts: dict[tuple[str, ...], int] = {}
+    for gram, count in ngrams.items():
+        context = gram[:-1]
+        contexts[context] = contexts.get(context, 0) + count
+    return contexts
 
 
 @dataclass
@@ -55,7 +75,9 @@ class NGramModel:
 
     `ngrams` maps n-length symbol tuples to counts; `contexts` maps the
     (n-1)-length prefixes to the sum of their continuations, so smoothed
-    probabilities normalize exactly.
+    probabilities normalize exactly. Both are read, not copied, when the
+    log-probability table is built on first use, so they must not change
+    after a perplexity has been computed.
     """
 
     n: int
@@ -75,43 +97,82 @@ class NGramModel:
     def events(self, sentence: str) -> list[tuple[str, ...]]:
         """The padded n-grams scored for `sentence`: one per character
         plus one final boundary event."""
-        padded = [BOUNDARY] * (self.n - 1)
-        padded.extend(self.symbol(ch) for ch in sentence)
-        padded.append(BOUNDARY)
-        return [
-            tuple(padded[i - self.n + 1 : i + 1]) for i in range(self.n - 1, len(padded))
-        ]
+        return list(_grams(self.n, map(self.symbol, sentence)))
 
     def probability(self, gram: tuple[str, ...]) -> float:
         count = self.ngrams.get(gram, 0)
         total = self.contexts.get(gram[:-1], 0)
         return (count + self.alpha) / (total + self.alpha * self.vocab_size)
 
+    @cached_property
+    def log_probabilities(self) -> _LogProbabilities:
+        """math.log(self.probability(gram)) for every n-gram, bit for bit.
+
+        Raises:
+            ConfigError: if alpha makes a probability or a perplexity
+                overflow or underflow for this model's counts.
+        """
+        return _LogProbabilities(self)
+
+
+class _LogProbabilities(dict):
+    """log P(gram) of one model: stored for each seen n-gram, computed on
+    lookup (and not stored) for an unseen one.
+
+    Every value is the same float expression as `NGramModel.probability`,
+    (count + alpha) / (context total + alpha * V), so perplexities read
+    from the table equal those from `probability` exactly.
+    """
+
+    def __init__(self, model: NGramModel) -> None:
+        self.alpha = model.alpha
+        self.alpha_v = model.alpha * model.vocab_size
+        self.contexts = model.contexts
+        largest = max(self.contexts.values(), default=0)
+        # The smallest probability is an unseen gram's in the largest
+        # context, alpha / (largest + alpha * V). Its reciprocal bounds
+        # every perplexity, so both must be finite and nonzero.
+        if not (
+            math.isfinite(self.alpha_v) and math.isfinite((largest + self.alpha_v) / self.alpha)
+        ):
+            raise ConfigError(
+                f"smoothing alpha {self.alpha!r} is out of range for a model with "
+                f"{model.vocab_size} symbols and a context seen {largest} times: "
+                "a probability or a perplexity would not be a finite nonzero float"
+            )
+        grams = model.ngrams
+        numerators = map(add, grams.values(), repeat(self.alpha))
+        totals = map(self.contexts.get, map(itemgetter(slice(None, -1)), grams), repeat(0))
+        denominators = map(add, totals, repeat(self.alpha_v))
+        super().__init__(zip(grams, map(math.log, map(truediv, numerators, denominators))))
+
+    def __missing__(self, gram: tuple[str, ...]) -> float:
+        return math.log(self.alpha / (self.contexts.get(gram[:-1], 0) + self.alpha_v))
+
 
 def train_lm(corpus: Iterable[str], config: LMConfig | None = None) -> NGramModel:
-    """Accumulate smoothed-count tables over a sentence stream.
+    """Count the padded n-grams of a sentence stream in one pass.
 
     Raises:
         ConfigError: if the corpus contains no sentences.
     """
     config = config or LMConfig()
-    sentences = list(corpus)
-    if not sentences:
+    counts = Counter(chain.from_iterable(_grams(config.n, sentence) for sentence in corpus))
+    if not counts:
         raise ConfigError("cannot train a language model on an empty corpus")
-    chars = frozenset(ch for s in sentences for ch in s)
-    model = NGramModel(n=config.n, alpha=config.alpha, chars=chars)
-    for sentence in sentences:
-        for gram in model.events(sentence):
-            model.ngrams[gram] = model.ngrams.get(gram, 0) + 1
-            model.contexts[gram[:-1]] = model.contexts.get(gram[:-1], 0) + 1
-    return model
+    # each character is the last symbol of the event it closes
+    chars = frozenset(map(itemgetter(-1), counts)).difference((BOUNDARY,))
+    ngrams = dict(counts)
+    return NGramModel(
+        n=config.n, alpha=config.alpha, chars=chars, ngrams=ngrams, contexts=_contexts(ngrams)
+    )
 
 
 def perplexity(model: NGramModel, sentence: str) -> float:
     """exp of the mean negative log-probability over the padded events."""
-    events = model.events(sentence)
-    log_sum = sum(math.log(model.probability(gram)) for gram in events)
-    return math.exp(-log_sum / len(events))
+    symbols = sentence if model.chars.issuperset(sentence) else map(model.symbol, sentence)
+    log_sum = sum(map(model.log_probabilities.__getitem__, _grams(model.n, symbols)))
+    return math.exp(-log_sum / (len(sentence) + 1))
 
 
 def keep_indices(perplexities: Sequence[float], keep_percent: float) -> list[int]:
@@ -140,6 +201,7 @@ def filter_percentile(
     processes without changing the result.
     """
     sentences = list(corpus)
+    model.log_probabilities  # built and checked once here, then shipped to the workers
     ppls = list(ordered_map(perplexity, model, sentences, workers))
     return [sentences[i] for i in keep_indices(ppls, keep_percent)]
 
@@ -179,18 +241,41 @@ def load_lm(path: str) -> NGramModel:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ParseError(f"{path}: not a {_FORMAT} document")
-    if doc.get("version") != _VERSION:
-        raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != _VERSION:
+        raise ParseError(f"{path}: unsupported version {version!r}")
     try:
         config = LMConfig(n=doc["n"], alpha=doc["alpha"])
-        model = NGramModel(n=config.n, alpha=config.alpha, chars=frozenset(doc["chars"]))
-        for entry in doc["ngrams"]:
-            *gram, count = entry
-            if len(gram) != model.n or not isinstance(count, int) or count < 1:
-                raise ParseError(f"{path}: malformed n-gram entry {entry!r}")
-            gram = tuple(gram)
-            model.ngrams[gram] = count
-            model.contexts[gram[:-1]] = model.contexts.get(gram[:-1], 0) + count
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed model document: {exc}") from exc
-    return model
+        chars, entries = doc["chars"], doc["ngrams"]
+    except KeyError as exc:
+        raise ParseError(f"{path}: malformed model document: missing {exc}") from None
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if type(chars) is not list or not all(type(ch) is str and len(ch) == 1 for ch in chars):
+        raise ParseError(f"{path}: 'chars' must be a list of single characters")
+    if type(entries) is not list:
+        raise ParseError(f"{path}: 'ngrams' must be a list")
+    chars = frozenset(chars)
+    symbols = chars.union((BOUNDARY,))
+    ngrams: dict[tuple[str, ...], int] = {}
+    for entry in entries:
+        # symbols outside `chars` (a non-string among them) could never be
+        # scored, but their counts would still skew the context totals
+        try:
+            ok = (
+                type(entry) is list
+                and len(entry) == config.n + 1
+                and type(entry[-1]) is int
+                and entry[-1] >= 1
+                and symbols.issuperset(entry[:-1])
+            )
+        except TypeError:  # an unhashable symbol
+            ok = False
+        if not ok:
+            raise ParseError(f"{path}: malformed n-gram entry {entry!r}")
+        ngrams[tuple(entry[:-1])] = entry[-1]
+    if len(ngrams) != len(entries):
+        raise ParseError(f"{path}: an n-gram is listed more than once")
+    return NGramModel(
+        n=config.n, alpha=config.alpha, chars=chars, ngrams=ngrams, contexts=_contexts(ngrams)
+    )

@@ -7,11 +7,13 @@ library code so that agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
 import unicodedata
 from fractions import Fraction
 from functools import lru_cache
 
 from cgeckit.core import POSTag
+from cgeckit.lm import BOUNDARY, UNK
 from cgeckit.core import SyntacticRole as Role
 from cgeckit.rules import (
     _PHRASE_TAGS,
@@ -605,3 +607,39 @@ def longest_match_tag(lexicon, raw: str) -> list[tuple[str, POSTag, int, int]]:
         tokens.append((surface, tag, pos, pos + len(surface)))
         pos += len(surface)
     return tokens
+
+
+# --- character n-gram LM, one event at a time ------------------------------
+
+
+def lm_events(n: int, chars, sentence: str) -> list[tuple[str, ...]]:
+    """The padded n-grams of a sentence, characters outside chars as UNK."""
+    padded = [BOUNDARY] * (n - 1) + [ch if ch in chars else UNK for ch in sentence]
+    padded.append(BOUNDARY)
+    return [tuple(padded[i - n + 1 : i + 1]) for i in range(n - 1, len(padded))]
+
+
+def train_lm_events(sentences: list[str], n: int):
+    """(chars, ngrams, contexts), each count incremented one event at a time."""
+    chars = frozenset(ch for s in sentences for ch in s)
+    ngrams: dict = {}
+    contexts: dict = {}
+    for sentence in sentences:
+        for gram in lm_events(n, chars, sentence):
+            ngrams[gram] = ngrams.get(gram, 0) + 1
+            contexts[gram[:-1]] = contexts.get(gram[:-1], 0) + 1
+    return chars, ngrams, contexts
+
+
+def perplexity_events(n: int, alpha, chars, ngrams, contexts, sentence: str) -> float:
+    """exp of the mean negative log of each event's smoothed probability."""
+    vocab_size = len(chars) + 2
+
+    def probability(gram):
+        count = ngrams.get(gram, 0)
+        total = contexts.get(gram[:-1], 0)
+        return (count + alpha) / (total + alpha * vocab_size)
+
+    events = lm_events(n, chars, sentence)
+    log_sum = sum(math.log(probability(gram)) for gram in events)
+    return math.exp(-log_sum / len(events))

@@ -16,10 +16,16 @@ from cgeckit import generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
 from cgeckit.core import apply_edits, read_pairs
 from cgeckit.generator import GenConfig, generate_corpus
+from cgeckit.lm import keep_indices
 from cgeckit.metrics import ScoreParams, levenshtein, score_corpus, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
 from cgeckit.tagging import _shipped, segment_and_tag
-from oracles import SCAN_FUNCTION_WORD_FNS, full_distance_table
+from oracles import (
+    SCAN_FUNCTION_WORD_FNS,
+    full_distance_table,
+    perplexity_events,
+    train_lm_events,
+)
 
 RES_DIR = str(default_resources_dir())
 
@@ -798,6 +804,110 @@ def test_bad_config_numbers_are_usage_errors(tmp_path, corpus_file, capsys, comm
         argv += ["--resources", RES_DIR]
     _assert_one_usage_error(capsys, argv)
     assert not output.exists()
+
+
+# A config value of the wrong JSON type is a usage error that names its key:
+# "no" is not false, and a string is not a list of rule ids.
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ('{"pretagged": "no"}', "pretagged"),
+        ('{"pretagged": 1}', "pretagged"),
+        ('{"enabled_rules": "LackSubject"}', "enabled_rules"),
+        ('{"enabled_rules": ["LackSubject", 1]}', "enabled_rules"),
+    ],
+)
+def test_generate_config_values_of_the_wrong_type(tmp_path, corpus_file, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(config, encoding="utf-8")
+    output = tmp_path / "pairs.jsonl"
+    argv = [
+        "generate", "--input", str(corpus_file), "--output", str(output),
+        "--resources", RES_DIR, "--config", str(path),
+    ]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: usage error:") and err.count("\n") == 1, err
+    assert f"'{key}' must be" in err
+    assert not output.exists()
+
+
+def _filter_argv(tmp_path, lines, *flags):
+    src = tmp_path / "in.txt"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return ["filter", "--input", str(src), "--output", str(tmp_path / "out.txt"), *flags]
+
+
+# Smoothing constants whose arithmetic breaks: alpha * V overflows; the
+# smallest probability underflows to 0 (a log domain error); or a sentence
+# of unseen characters would have a perplexity above the largest float.
+@pytest.mark.parametrize(
+    "alpha, training, query",
+    [
+        ("inf", "ab", "ab"),
+        ("1e308", "ab", "ab"),
+        ("1e-320", "a" * 5000, "ab"),
+        ("1e-320", "ab", "c" * 30),
+    ],
+    ids=["inf", "alpha-v-overflows", "probability-underflows", "perplexity-overflows"],
+)
+def test_filter_alpha_out_of_range_is_usage_error(tmp_path, capsys, alpha, training, query):
+    train = tmp_path / "train.txt"
+    train.write_text(training + "\n", encoding="utf-8")
+    argv = _filter_argv(
+        tmp_path, [query], "--keep", "50", "--n", "1", "--alpha", alpha, "--train", str(train)
+    )
+    _assert_one_usage_error(capsys, argv)
+    assert not (tmp_path / "out.txt").exists()
+
+
+# Each document loaded and filtered with exit 0 (NaN: a usage error) before
+# its fields were type-checked; a bool is not an integer.
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc["ngrams"][0].__setitem__(-1, True),
+        lambda doc: doc.__setitem__("n", True),
+        lambda doc: doc.__setitem__("chars", "".join(doc["chars"])),
+        lambda doc: doc["ngrams"][0].__setitem__(0, 5),
+        lambda doc: doc.__setitem__("alpha", math.inf),
+        lambda doc: doc.__setitem__("alpha", math.nan),
+    ],
+    ids=["bool-count", "bool-n", "chars-string", "int-symbol", "alpha-inf", "alpha-nan"],
+)
+def test_filter_mistyped_model_is_data_error(tmp_path, capsys, change):
+    model = tmp_path / "lm.json"
+    argv = _filter_argv(tmp_path, ["他喜欢苹果", "我们不赞成"], "--keep", "50")
+    assert run([*argv, "--n", "1", "--save-model", str(model)]) == 0
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    change(doc)
+    model.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    os.remove(tmp_path / "out.txt")
+    assert run([*argv, "--model", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: data error:") and err.count("\n") == 1, err
+    assert str(model) in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_filter_trained_on_other_text_in_two_workers(tmp_path):
+    """Characters and n-grams the training text lacks are scored in pool
+    workers through the table's fallback, with the oracle's perplexities."""
+    rng = random.Random(9)
+    lines = ["".join(rng.choice("他她喜欢苹果香蕉我们不好") for _ in range(rng.randint(1, 12)))
+             for _ in range(150)]  # three 64-line chunks: two workers start
+    training = ["他喜欢苹果", "我们喜欢香蕉"]
+    train = tmp_path / "train.txt"
+    train.write_text("".join(line + "\n" for line in training), encoding="utf-8")
+    argv = _filter_argv(tmp_path, lines, "--keep", "30", "--train", str(train))
+    assert run([*argv, "--workers", "2"]) == 0
+    two = (tmp_path / "out.txt").read_bytes()
+    assert run([*argv, "--workers", "1"]) == 0
+    assert (tmp_path / "out.txt").read_bytes() == two
+    chars, ngrams, contexts = train_lm_events(training, 3)
+    ppls = [perplexity_events(3, 1.0, chars, ngrams, contexts, line) for line in lines]
+    want = "".join(lines[i] + "\n" for i in keep_indices(ppls, 30))
+    assert two.decode("utf-8") == want
 
 
 def test_python_m_cgeckit_runs_the_cli():

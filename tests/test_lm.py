@@ -1,10 +1,13 @@
 """Character n-gram model and perplexity-filter tests."""
 
+import json
 import math
+import re
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cgeckit.core import ConfigError, ParseError
 from cgeckit.lm import (
@@ -17,6 +20,7 @@ from cgeckit.lm import (
     save_lm,
     train_lm,
 )
+from oracles import perplexity_events, train_lm_events
 
 B = BOUNDARY
 
@@ -30,6 +34,11 @@ def test_config_validation():
         LMConfig(alpha=0.0)
     with pytest.raises(ConfigError):
         LMConfig(alpha=-1.0)
+    for alpha in (math.inf, math.nan, True, "1"):
+        with pytest.raises(ConfigError):
+            LMConfig(alpha=alpha)
+    with pytest.raises(ConfigError):
+        LMConfig(n=True)
 
 
 def test_train_bigram_hand_counts():
@@ -163,3 +172,54 @@ def test_unigram_model_works():
     model = train_lm(["ab"], LMConfig(n=1))
     assert model.contexts == {(): 3}
     assert perplexity(model, "ab") > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=st.lists(st.text(alphabet="ab他果", max_size=8), min_size=1, max_size=8),
+    # z and 新 never occur in training: UNK events and unseen n-grams
+    queries=st.lists(st.text(alphabet="ab他果z新", max_size=12), min_size=1, max_size=6),
+    n=st.integers(min_value=1, max_value=4),
+    alpha=st.sampled_from([0.1, 0.5, 1, 2.5]),
+)
+def test_counts_and_perplexities_equal_the_event_oracle(corpus, queries, n, alpha):
+    chars, ngrams, contexts = train_lm_events(corpus, n)
+    model = train_lm(corpus, LMConfig(n=n, alpha=alpha))
+    assert (model.chars, model.ngrams, model.contexts) == (chars, ngrams, contexts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/model.json"
+        save_lm(model, path)
+        loaded = load_lm(path)
+    assert (loaded.chars, loaded.ngrams, loaded.contexts) == (chars, ngrams, contexts)
+    for query in queries + corpus:
+        want = perplexity_events(n, alpha, chars, ngrams, contexts, query)
+        assert perplexity(model, query) == want  # to the bit, not approximately
+        assert perplexity(loaded, query) == want
+
+
+# More cases, each rejected at the CLI, are in test_cli.py.
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.__setitem__("chars", doc["chars"] + ["ab"]),
+        lambda doc: doc["ngrams"][0].__setitem__(0, ["a"]),
+        lambda doc: doc["ngrams"][0].__setitem__(0, "z"),
+        lambda doc: doc["ngrams"].append(list(doc["ngrams"][0])),
+        lambda doc: doc.__setitem__("ngrams", {"a": 1}),
+        lambda doc: doc.__setitem__("alpha", "1"),
+        lambda doc: doc.__setitem__("version", True),
+        lambda doc: doc.pop("chars"),
+    ],
+    ids=[
+        "chars-multichar", "list-symbol", "symbol-not-in-chars", "duplicate-gram",
+        "ngrams-object", "alpha-string", "bool-version", "no-chars",
+    ],
+)
+def test_load_rejects_malformed_fields(tmp_path, change):
+    path = tmp_path / "model.json"
+    save_lm(train_lm(["他喜欢苹果", "ab"], LMConfig(n=2)), str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    change(doc)
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        load_lm(str(path))
