@@ -26,16 +26,17 @@ print(f"disagreeing raters: {fleiss_kappa(split):.4f}")
 # Step 2: random augmentation. Each word is kept, duplicated-by-insert,
 # replaced, or deleted; replacement words come from a pool built from
 # the corpus itself.
-sentences = [segment_and_tag(s) for s in [
+lines = [
     "食用水果前应该洗净削皮",
     "学校采取措施防止事故发生",
     "学生对这个问题很感兴趣",
-]]
-config = AugmentConfig(word_pool=build_word_pool(sentences), seed=9)
-pairs, report = augment_corpus(sentences, config)
+]
+pool = build_word_pool(segment_and_tag(line) for line in lines)
+config = AugmentConfig(word_pool=pool, seed=9)
+pairs, report = augment_corpus(lines, config)
 print("\naugmented pairs:")
-for sent, pair in zip(sentences, pairs):
-    print(f"  {sent.text}  ->  {pair.incorrect}")
+for pair in pairs:
+    print(f"  {pair.correct}  ->  {pair.incorrect}")
 print("operation counts:", report.op_counts)
 
 # Step 3: the CLI versions. Every library operation above is a

@@ -30,7 +30,6 @@ from cgeckit.generator import (
     derive_seed,
     generate_corpus,
     generate_pair,
-    random_augment,
     stream_generate,
 )
 from cgeckit.lm import (
@@ -60,7 +59,7 @@ from cgeckit.metrics import (
     write_m2,
 )
 from cgeckit.resources import RuleResources, default_resources_dir, load_resources
-from cgeckit.rules import RULE_REGISTRY, RuleDescriptor, RuleOutcome, apply_fine_rule
+from cgeckit.rules import RULE_REGISTRY, RuleOutcome, apply_fine_rule
 from cgeckit.tagging import identify_roles, parse_pretagged, segment_and_tag
 
 __version__ = "0.1.0"

@@ -140,10 +140,18 @@ def _pick(flag_value, config: dict, key: str, default):
 
 def _cmd_filter(args) -> int:
     if args.model:
+        flags = {"--n": args.n, "--alpha": args.alpha, "--save-model": args.save_model}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ConfigError(
+                f"--model excludes {', '.join(given)}: a loaded model keeps its own "
+                "n and alpha and is not saved again"
+            )
         model = lm_mod.load_lm(args.model)
         sentences = list(_read_lines(args.input))
     else:
-        config = lm_mod.LMConfig(n=args.n, alpha=args.alpha)
+        settings = {"n": args.n, "alpha": args.alpha}
+        config = lm_mod.LMConfig(**{k: v for k, v in settings.items() if v is not None})
         sentences = list(_read_lines(args.input))
         model = lm_mod.train_lm(_read_lines(args.train) if args.train else sentences, config)
         if args.save_model:
@@ -212,6 +220,12 @@ _AUG_CONFIG_KEYS = {"p_keep", "p_insert", "p_replace", "p_delete"}
 
 def _cmd_augment(args) -> int:
     report_path = _report_path(args)
+    if os.path.exists(args.input) and not os.path.isfile(args.input):
+        # a pipe or device would be used up by the word-pool pass
+        raise ConfigError(
+            f"augment reads its input twice (word pool, then pairs), so --input "
+            f"must be a regular file: {args.input}"
+        )
     overrides = _load_config(args.config)
     unknown = set(overrides) - _AUG_CONFIG_KEYS
     if unknown:
@@ -312,8 +326,8 @@ def _build_parser() -> _Parser:
     source.add_argument("--train", help="training corpus (default: the input itself)")
     source.add_argument("--model", help="load a saved model instead of training")
     p.add_argument("--save-model", help="save the trained model as JSON")
-    p.add_argument("--n", type=int, default=3, help="n-gram order (default 3)")
-    p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing (default 1.0)")
+    p.add_argument("--n", type=int, help="n-gram order when training (default 3)")
+    p.add_argument("--alpha", type=float, help="additive smoothing when training (default 1.0)")
     p.add_argument("--workers", type=int, default=1, help="parallel perplexity workers")
     p.set_defaults(func=_cmd_filter)
 

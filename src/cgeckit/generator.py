@@ -67,10 +67,10 @@ class GenConfig:
 
     @cached_property
     def _rule_pool(self) -> tuple[tuple[str, ...], tuple[float, ...]]:
-        """The drawable rules in sorted order and their weights; rules
-        weighted 0 are left out."""
+        """The drawable rules in sorted order and their weights (1.0 unless
+        rule_weights says otherwise); rules weighted 0 are left out."""
         weighted = [
-            (rule, self.rule_weights.get(rule, RULE_REGISTRY[rule].weight))
+            (rule, self.rule_weights.get(rule, 1.0))
             for rule in sorted(self.enabled_rules)
         ]
         return (
@@ -312,35 +312,6 @@ def _augment_ops(
     return "".join(pieces), counts
 
 
-def _augment_one(
-    sentence: TaggedSentence, config: AugmentConfig, index: int
-) -> tuple[CorpusPair, dict[str, int]]:
-    pair_seed = derive_seed(config.seed, index)
-    incorrect, counts = _augment_ops(sentence, config, random.Random(pair_seed))
-    pair = CorpusPair(
-        id=f"aug-{index:06d}",
-        incorrect=incorrect,
-        correct=sentence.text,
-        edits=diff_edits(incorrect, sentence.text),
-        error_types=(),
-        rule_id="random-augment",
-        seed=pair_seed,
-    )
-    return pair, counts
-
-
-def random_augment(
-    sentence: TaggedSentence, config: AugmentConfig, sentence_index: int
-) -> CorpusPair:
-    """Per-word keep/insert/replace/delete corruption (naive baseline).
-
-    Unlike the rules, this may return an identity pair (all words kept) and
-    may produce an empty incorrect text (everything deleted); error_types
-    is empty and rule_id is "random-augment".
-    """
-    return _augment_one(sentence, config, sentence_index)[0]
-
-
 @dataclass
 class AugmentReport:
     sentences_read: int = 0
@@ -373,8 +344,27 @@ def build_word_pool(sentences: Iterable[TaggedSentence]) -> tuple[str, ...]:
 def _augment_job(
     config: AugmentConfig, item: tuple[int, str]
 ) -> tuple[CorpusPair, dict[str, int]]:
+    """Per-word keep/insert/replace/delete corruption of one raw line (the
+    naive baseline), with its per-op draw counts.
+
+    Unlike the rules, this may return an identity pair (all words kept) and
+    may produce an empty incorrect text (everything deleted); error_types
+    is empty and rule_id is "random-augment".
+    """
     index, line = item
-    return _augment_one(segment_and_tag(line), config, index)
+    sentence = segment_and_tag(line)
+    pair_seed = derive_seed(config.seed, index)
+    incorrect, counts = _augment_ops(sentence, config, random.Random(pair_seed))
+    pair = CorpusPair(
+        id=f"aug-{index:06d}",
+        incorrect=incorrect,
+        correct=sentence.text,
+        edits=diff_edits(incorrect, sentence.text),
+        error_types=(),
+        rule_id="random-augment",
+        seed=pair_seed,
+    )
+    return pair, counts
 
 
 def stream_augment_lines(
@@ -386,12 +376,13 @@ def stream_augment_lines(
 
 
 def augment_corpus(
-    corpus: Iterable[TaggedSentence], config: AugmentConfig
+    lines: Iterable[str], config: AugmentConfig
 ) -> tuple[list[CorpusPair], AugmentReport]:
+    """Augment raw text lines in order, in this process; the pairs and
+    report are those `stream_augment_lines` gives for any worker count."""
     report = AugmentReport()
     pairs = []
-    for index, sentence in enumerate(corpus):
-        pair, counts = _augment_one(sentence, config, index)
+    for pair, counts in stream_augment_lines(lines, config):
         pairs.append(pair)
         report.add(counts)
     return pairs, report

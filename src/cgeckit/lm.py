@@ -94,11 +94,6 @@ class NGramModel:
     def symbol(self, ch: str) -> str:
         return ch if ch in self.chars else UNK
 
-    def events(self, sentence: str) -> list[tuple[str, ...]]:
-        """The padded n-grams scored for `sentence`: one per character
-        plus one final boundary event."""
-        return list(_grams(self.n, map(self.symbol, sentence)))
-
     def probability(self, gram: tuple[str, ...]) -> float:
         count = self.ngrams.get(gram, 0)
         total = self.contexts.get(gram[:-1], 0)

@@ -17,8 +17,6 @@ from functools import cached_property
 from typing import Callable
 
 from cgeckit.core import (
-    FINE_TO_COARSE,
-    CoarseType,
     EditSpan,
     ErrorType,
     POSTag,
@@ -31,16 +29,9 @@ from cgeckit.tagging import NOMINAL_TAGS, RoleSpans, _clauses, _is_de
 from cgeckit.core import SyntacticRole as Role
 
 
-@dataclass(frozen=True)
-class RuleDescriptor:
-    rule_id: str
-    coarse: CoarseType
-    weight: float = 1.0
-
-
-RULE_REGISTRY: dict[str, RuleDescriptor] = {
-    fine: RuleDescriptor(fine, coarse) for fine, coarse in FINE_TO_COARSE.items()
-}
+# A candidate builds one corrupted text; the rng is read only by candidates
+# that draw a word.
+Candidate = Callable[[random.Random], str]
 
 
 @dataclass(frozen=True)
@@ -54,19 +45,12 @@ class RuleOutcome:
     incorrect: str
     correct: str
     fine_type: ErrorType
-    match_site: tuple[int, int]
 
     @cached_property
     def edits(self) -> tuple[EditSpan, ...]:
         edits = diff_edits(self.incorrect, self.correct)
         assert apply_edits(self.incorrect, edits) == self.correct
         return edits
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    site: tuple[int, int]
-    build: Callable[[random.Random], str]
 
 
 def _choice(rng: random.Random, seq):
@@ -118,8 +102,8 @@ def _core_end(sentence: TaggedSentence) -> int | None:
 
 def _mixed_candidates(
     sentence: TaggedSentence, resources: RuleResources, kind: str
-) -> list[_Candidate]:
-    out: list[_Candidate] = []
+) -> list[Candidate]:
+    out: list[Candidate] = []
     end = _core_end(sentence)
     if end is None:
         return out
@@ -127,12 +111,8 @@ def _mixed_candidates(
     lengths, index = resources._mixed_index.get(kind, ((), {}))
     suffixes = {head[len(head) - n :] for n in lengths if n <= len(head)}
     for entry in _matching_rows(resources.mixed_patterns, index, suffixes):
-        start = end - len(entry.match)
-        site = tuple(
-            (i for i, t in enumerate(sentence.tokens) if t.char_end > start and t.char_start < end)
-        )
         new_text = _insert(sentence.text, end, entry.splice)
-        out.append(_Candidate((site[0], site[-1] + 1), lambda rng, t=new_text: t))
+        out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -159,7 +139,7 @@ def _cand_mixed_subjects(sentence, roles, resources):
     def build(rng, pos=pos, words=words):
         return _insert(sentence.text, pos, _choice(rng, words))
 
-    return [_Candidate(subject, build)]
+    return [build]
 
 
 # --- ImproperLogicality --------------------------------------------------
@@ -181,7 +161,7 @@ def _cand_measure_word(sentence, roles, resources):
             def build(rng, pos=tok.char_start, words=approx_pre):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate((k, k + 1), build))
+            out.append(build)
         if approx_post and any(t.surface in approx_pre_set for t in window):
             # approximate quantifier + numeral: add a trailing 左右/上下 too
             j = k + 1
@@ -192,19 +172,19 @@ def _cand_measure_word(sentence, roles, resources):
             def build(rng, pos=pos, words=approx_post):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate((k, k + 1), build))
+            out.append(build)
     return out
 
 
 def _cand_unreasonable(sentence, roles, resources):
     index = resources._subsume_index
     out = []
-    for k, tok in enumerate(sentence.tokens):
+    for tok in sentence.tokens:
         for _, subsumed in _matching_rows(resources.subsume_pairs, index, (tok.surface,)):
             if subsumed not in sentence.text:
                 piece = "、" + subsumed
                 new_text = _insert(sentence.text, tok.char_end, piece)
-                out.append(_Candidate((k, k + 1), lambda rng, t=new_text: t))
+                out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -229,7 +209,7 @@ def _cand_improper_negation(sentence, roles, resources):
                     def build(rng, pos=tokens[m].char_start, words=inserts):
                         return _insert(sentence.text, pos, _choice(rng, words))
 
-                    out.append(_Candidate((m, m + 1), build))
+                    out.append(build)
                     break
     p = roles.predicate_index()
     if doubles and p is not None and p > 0 and tokens[p - 1].surface in negators:
@@ -238,7 +218,7 @@ def _cand_improper_negation(sentence, roles, resources):
             def build(rng, pos=tokens[p - 1].char_start, words=doubles):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate((p - 1, p), build))
+            out.append(build)
     return out
 
 
@@ -262,7 +242,7 @@ def _cand_reverse_host_guest(sentence, roles, resources):
         left = _span(sentence, a, k)
         right = _span(sentence, k + 1, b)
         new_text = _swap(sentence.text, left, right)
-        out.append(_Candidate((a, b), lambda rng, t=new_text: t))
+        out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -274,7 +254,7 @@ def _cand_imposing_cause_effect(sentence, roles, resources):
         return []
     comma = text.index("，")
     new_text = "因为" + text[: comma + 1] + "所以" + text[comma + 1 :]
-    return [_Candidate((0, len(sentence.tokens)), lambda rng, t=new_text: t)]
+    return [lambda rng, t=new_text: t]
 
 
 # --- MissingComponent ----------------------------------------------------
@@ -285,7 +265,7 @@ def _delete_candidate(sentence, token_range, char_range=None):
     new_text = _replace(sentence.text, a, b, "")
     if not new_text:
         return []
-    return [_Candidate(token_range, lambda rng, t=new_text: t)]
+    return [lambda rng, t=new_text: t]
 
 
 def _cand_lack_subject(sentence, roles, resources):
@@ -330,7 +310,7 @@ def _cand_lack_modifier(sentence, roles, resources):
 
 def _insertion_candidates(sentence, table):
     out = []
-    for k, tok in enumerate(sentence.tokens):
+    for tok in sentence.tokens:
         words = [w for w in table.get(tok.surface, []) if w != tok.surface]
         if not words:
             continue
@@ -338,7 +318,7 @@ def _insertion_candidates(sentence, table):
         def build(rng, pos=tok.char_end, words=tuple(words)):
             return _insert(sentence.text, pos, _choice(rng, words))
 
-        out.append(_Candidate((k, k + 1), build))
+        out.append(build)
     return out
 
 
@@ -359,7 +339,7 @@ def _replace_word_candidate(sentence, index, wrong):
     def build(rng, a=tok.char_start, b=tok.char_end, words=tuple(wrong)):
         return _replace(sentence.text, a, b, _choice(rng, words))
 
-    return _Candidate((index, index + 1), build)
+    return build
 
 
 def _find_after(sentence, start, end, surface):
@@ -484,7 +464,7 @@ def _cand_multi_attributives(sentence, roles, resources):
                 (w1.char_start, w1.char_end),
                 (w2.char_start, w2.char_end),
             )
-            out.append(_Candidate((k, k + 5), lambda rng, t=new_text: t))
+            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -500,7 +480,7 @@ def _cand_multi_adverbials(sentence, roles, resources):
             new_text = _swap(
                 sentence.text, (a.char_start, a.char_end), (b.char_start, b.char_end)
             )
-            out.append(_Candidate((k, k + 2), lambda rng, t=new_text: t))
+            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -517,7 +497,7 @@ def _cand_attributive_head(sentence, roles, resources):
         if e == h:  # no nominal head follows the attribute
             continue
         new_text = _swap(sentence.text, _span(sentence, a, b), _span(sentence, b, e))
-        out.append(_Candidate((a, e), lambda rng, t=new_text: t))
+        out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -550,7 +530,7 @@ def _cand_prepositions(sentence, roles, resources):
                 + sentence.text[pred_start : phrase[0]]
                 + sentence.text[phrase[1] :]
             )
-            out.append(_Candidate((k, j), lambda rng, t=new_text: t))
+            out.append(lambda rng, t=new_text: t)
         # swap the phrase with the adverb/auxiliary run just before it
         r = k
         while (
@@ -566,7 +546,7 @@ def _cand_prepositions(sentence, roles, resources):
             r -= 1
         if r < k:
             new_text = _swap(sentence.text, _span(sentence, r, k), phrase)
-            out.append(_Candidate((r, j), lambda rng, t=new_text: t))
+            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -581,7 +561,7 @@ def _cand_connectives_subject(sentence, roles, resources):
             j += 1
         if j < ce and tokens[j].tag is POSTag.CCONJ:
             new_text = _swap(sentence.text, _span(sentence, cs, j), _span(sentence, j, j + 1))
-            out.append(_Candidate((cs, j + 1), lambda rng, t=new_text: t))
+            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -595,7 +575,7 @@ def _cand_associated_words(sentence, roles, resources):
                 (tokens[k].char_start, tokens[k].char_end),
                 (tokens[k + 1].char_start, tokens[k + 1].char_end),
             )
-            out.append(_Candidate((k, k + 2), lambda rng, t=new_text: t))
+            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -607,11 +587,13 @@ def _cand_adverbial_attributives(sentence, roles, resources):
             if lo[1] > hi[0]:
                 continue
             new_text = _swap(sentence.text, _span(sentence, *adv), _span(sentence, *attr))
-            out.append(_Candidate((lo[0], hi[1]), lambda rng, t=new_text: t))
+            out.append(lambda rng, t=new_text: t)
     return out
 
 
-_CANDIDATE_FNS: dict[str, Callable] = {
+# Fine rule id -> candidate function (sentence, roles, resources) -> the
+# rule's candidates, in site order. FINE_TO_COARSE gives each id's category.
+RULE_REGISTRY: dict[str, Callable[..., list[Candidate]]] = {
     "MixedPatterns": _cand_mixed_patterns,
     "MixedSubjects": _cand_mixed_subjects,
     "MixedSentences": _cand_mixed_sentences,
@@ -653,14 +635,12 @@ def apply_fine_rule(
         raise KeyError(f"unknown rule id: {fine_id}")
     if not sentence.tokens:
         return None
-    candidates = _CANDIDATE_FNS[fine_id](sentence, roles, resources)
+    candidates = RULE_REGISTRY[fine_id](sentence, roles, resources)
     while candidates:
         picked = _choice(rng, candidates)
-        new_text = picked.build(rng)
+        new_text = picked(rng)
         if new_text != sentence.text:
-            return RuleOutcome(
-                new_text, sentence.text, ErrorType.from_fine(fine_id), picked.site
-            )
+            return RuleOutcome(new_text, sentence.text, ErrorType.from_fine(fine_id))
         # identical output counts as a non-match; try the remaining sites
         candidates = [c for c in candidates if c is not picked]
     return None

@@ -17,7 +17,6 @@ from cgeckit.lm import BOUNDARY, UNK
 from cgeckit.core import SyntacticRole as Role
 from cgeckit.rules import (
     _PHRASE_TAGS,
-    _Candidate,
     _choice,
     _clause_of,
     _core_end,
@@ -318,23 +317,19 @@ def _scan_mixed(sentence, resources, kind):
     for entry in resources.mixed_patterns:
         if entry.kind != kind or not head.endswith(entry.match):
             continue
-        start = end - len(entry.match)
-        site = tuple(
-            (i for i, t in enumerate(sentence.tokens) if t.char_end > start and t.char_start < end)
-        )
         new_text = _insert(sentence.text, end, entry.splice)
-        out.append(_Candidate((site[0], site[-1] + 1), lambda rng, t=new_text: t))
+        out.append(lambda rng, t=new_text: t)
     return out
 
 
 def _scan_unreasonable(sentence, roles, resources):
     out = []
-    for k, tok in enumerate(sentence.tokens):
+    for tok in sentence.tokens:
         for superset, subsumed in resources.subsume_pairs:
             if tok.surface == superset and subsumed not in sentence.text:
                 piece = "、" + subsumed
                 new_text = _insert(sentence.text, tok.char_end, piece)
-                out.append(_Candidate((k, k + 1), lambda rng, t=new_text: t))
+                out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -355,7 +350,7 @@ def _scan_reverse_host_guest(sentence, roles, resources):
         left = _span(sentence, a, k)
         right = _span(sentence, k + 1, b)
         new_text = _swap(sentence.text, left, right)
-        out.append(_Candidate((a, b), lambda rng, t=new_text: t))
+        out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -465,7 +460,7 @@ def _scan_mixed_subjects(sentence, roles, resources):
     def build(rng, pos=pos, words=tuple(words)):
         return _insert(sentence.text, pos, _choice(rng, words))
 
-    return [_Candidate(subject, build)]
+    return [build]
 
 
 def _scan_measure_word(sentence, roles, resources):
@@ -483,7 +478,7 @@ def _scan_measure_word(sentence, roles, resources):
             def build(rng, pos=tok.char_start, words=tuple(approx_pre)):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate((k, k + 1), build))
+            out.append(build)
         if approx_post and any(t.surface in approx_pre for t in window):
             j = k + 1
             while j < len(tokens) and tokens[j].tag is POSTag.NOUN:
@@ -492,7 +487,7 @@ def _scan_measure_word(sentence, roles, resources):
             def build(rng, pos=tokens[j - 1].char_end, words=tuple(approx_post)):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate((k, k + 1), build))
+            out.append(build)
     return out
 
 
@@ -515,7 +510,7 @@ def _scan_improper_negation(sentence, roles, resources):
                     def build(rng, pos=tokens[m].char_start, words=tuple(inserts)):
                         return _insert(sentence.text, pos, _choice(rng, words))
 
-                    out.append(_Candidate((m, m + 1), build))
+                    out.append(build)
                     break
     p = roles.predicate_index()
     if doubles and p is not None and p > 0 and tokens[p - 1].surface in negators:
@@ -524,7 +519,7 @@ def _scan_improper_negation(sentence, roles, resources):
             def build(rng, pos=tokens[p - 1].char_start, words=tuple(doubles)):
                 return _insert(sentence.text, pos, _choice(rng, words))
 
-            out.append(_Candidate((p - 1, p), build))
+            out.append(build)
     return out
 
 

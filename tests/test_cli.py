@@ -14,8 +14,14 @@ import pytest
 
 from cgeckit import generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
-from cgeckit.core import apply_edits, read_pairs
-from cgeckit.generator import GenConfig, generate_corpus
+from cgeckit.core import apply_edits, pair_to_json, read_pairs
+from cgeckit.generator import (
+    AugmentConfig,
+    GenConfig,
+    augment_corpus,
+    build_word_pool,
+    generate_corpus,
+)
 from cgeckit.lm import keep_indices
 from cgeckit.metrics import ScoreParams, levenshtein, score_corpus, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
@@ -218,7 +224,7 @@ def test_generate_bytes_with_padded_function_word_categories(tmp_path, monkeypat
     if category in _MEMBERSHIP_CATEGORIES:
         assert got == generate("shipped.jsonl", RES_DIR)
     for rule, scan in SCAN_FUNCTION_WORD_FNS.items():
-        monkeypatch.setitem(rules._CANDIDATE_FNS, rule, scan)
+        monkeypatch.setitem(rules.RULE_REGISTRY, rule, scan)
     assert got == generate("scanned.jsonl", padded)
     assert got[0].count(b"\n") > 100
 
@@ -411,6 +417,26 @@ def test_filter_train_and_model_are_exclusive(tmp_path, corpus_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "5"], ["--alpha", "0"], ["--save-model", "m2.json"], ["--n", "2", "--alpha", "0.5"]],
+    ids=["n", "alpha", "save-model", "n-and-alpha"],
+)
+def test_filter_model_excludes_training_flags(tmp_path, monkeypatch, capsys, flags):
+    # A loaded model keeps its own n and alpha and is not saved again, so
+    # these flags would be ignored without a word.
+    monkeypatch.chdir(tmp_path)
+    argv = _filter_argv(tmp_path, ["他喜欢苹果", "我们不赞成"], "--keep", "50")
+    assert run([*argv, "--save-model", "m.json"]) == 0
+    os.remove(tmp_path / "out.txt")
+    capsys.readouterr()
+    assert run([*argv, "--model", "m.json", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: usage error: --model excludes") and err.count("\n") == 1, err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not (tmp_path / "out.txt").exists() and not (tmp_path / "m2.json").exists()
+
+
 # --- augment ------------------------------------------------------------------
 
 
@@ -456,6 +482,35 @@ def test_augment_rejects_unknown_config_key(tmp_path, corpus_file):
         ]
     )
     assert code == 2
+
+
+def test_augment_corpus_equals_the_cli_in_two_workers(tmp_path):
+    # 150 lines: three 64-line chunks, so both pool workers run
+    lines = _fixture_text().splitlines() * 3
+    src, out = tmp_path / "in.txt", tmp_path / "out.jsonl"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["augment", "--input", str(src), "--output", str(out),
+                "--seed", "4", "--workers", "2"]) == 0
+    pool = build_word_pool(segment_and_tag(line) for line in lines)
+    pairs, report = augment_corpus(lines, AugmentConfig(word_pool=pool, seed=4))
+    assert "".join(pair_to_json(pair) + "\n" for pair in pairs) == out.read_text(encoding="utf-8")
+    assert report.to_json() == (tmp_path / "out.jsonl.report.json").read_text(encoding="utf-8")
+
+
+def test_augment_input_that_is_not_a_regular_file_is_usage_error(tmp_path, capsys):
+    # The word-pool pass would use up a pipe, leaving no line for the pairs.
+    out = tmp_path / "o.jsonl"
+    out.write_text("kept\n", encoding="utf-8")
+    read, write = os.pipe()
+    try:
+        os.write(write, "他喜欢苹果\n".encode())
+        os.close(write)
+        argv = ["augment", "--input", f"/dev/fd/{read}", "--output", str(out)]
+        _assert_one_usage_error(capsys, argv)
+    finally:
+        os.close(read)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.jsonl"]
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 # --- stats --------------------------------------------------------------------

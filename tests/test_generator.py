@@ -15,9 +15,8 @@ from cgeckit.generator import (
     derive_seed,
     generate_corpus,
     generate_pair,
-    random_augment,
 )
-from cgeckit.generator import _weighted_pop
+from cgeckit.generator import _augment_job, _weighted_pop
 from cgeckit.resources import load_resources
 from cgeckit.rules import RULE_REGISTRY
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
@@ -285,10 +284,14 @@ def test_uniform_selection_among_applicable_rules():
 # --- random augmentation -------------------------------------------------
 
 
+def augment_line(text, config, index):
+    """The pair of the augment job for line `index`."""
+    return _augment_job(config, (index, text))[0]
+
+
 def test_random_augment_all_keep_is_identity():
-    sent, _ = tagged("他喜欢苹果")
     config = AugmentConfig(p_keep=1.0, p_insert=0.0, p_replace=0.0, p_delete=0.0)
-    pair = random_augment(sent, config, 0)
+    pair = augment_line("他喜欢苹果", config, 0)
     assert pair.incorrect == pair.correct == "他喜欢苹果"
     assert pair.edits == ()
     assert pair.error_types == ()
@@ -296,9 +299,8 @@ def test_random_augment_all_keep_is_identity():
 
 
 def test_random_augment_delete_only_empties_single_word():
-    sent, _ = tagged("苹果")
     config = AugmentConfig(p_keep=0.0, p_insert=0.0, p_replace=0.0, p_delete=1.0)
-    pair = random_augment(sent, config, 5)
+    pair = augment_line("苹果", config, 5)
     assert pair.incorrect == ""
     assert pair.correct == "苹果"
     assert [(e.start, e.end, e.replacement) for e in pair.edits] == [(0, 0, "苹果")]
@@ -307,24 +309,22 @@ def test_random_augment_delete_only_empties_single_word():
 
 
 def test_random_augment_is_deterministic():
-    sent, _ = tagged("学校采取措施防止事故发生")
+    text = "学校采取措施防止事故发生"
     config = AugmentConfig(word_pool=("的", "了", "很"), seed=77)
-    assert random_augment(sent, config, 3) == random_augment(sent, config, 3)
+    assert augment_line(text, config, 3) == augment_line(text, config, 3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32), index=st.integers(min_value=0, max_value=999))
 def test_random_augment_edits_always_restore_correct(seed, index):
-    sent, _ = tagged("学生对这个问题很感兴趣")
     config = AugmentConfig(word_pool=("水果", "了"), seed=seed)
-    pair = random_augment(sent, config, index)
+    pair = augment_line("学生对这个问题很感兴趣", config, index)
     assert apply_edits(pair.incorrect, pair.edits) == pair.correct
 
 
 def test_augment_corpus_reports_op_frequencies_within_one_percent():
     # 500 copies of a 200-word sentence = 100,000 single-char words.
-    sent = segment_and_tag("字" * 200)
-    corpus = [sent] * 500
+    corpus = ["字" * 200] * 500
     config = AugmentConfig(word_pool=("的", "我", "很"), seed=12345)
     pairs, report = augment_corpus(corpus, config)
     assert report.sentences_read == 500

@@ -1,6 +1,7 @@
 """Corruption-rule tests: exact outputs, round-trips, and determinism."""
 
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -15,7 +16,7 @@ from cgeckit.resources import (
     RuleResources,
     load_resources,
 )
-from cgeckit.rules import _CANDIDATE_FNS, RULE_REGISTRY, _core_end, apply_fine_rule
+from cgeckit.rules import RULE_REGISTRY, _core_end, apply_fine_rule
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
 from tests.oracles import SCAN_CANDIDATE_FNS, SCAN_FUNCTION_WORD_FNS
 
@@ -44,10 +45,7 @@ def fixture_sentences():
 def test_registry_has_exactly_26_rules():
     assert len(RULE_REGISTRY) == 26
     assert set(RULE_REGISTRY) == set(FINE_TO_COARSE)
-    for fine, desc in RULE_REGISTRY.items():
-        assert desc.rule_id == fine
-        assert desc.coarse is FINE_TO_COARSE[fine]
-        assert desc.weight == 1.0
+    assert all(callable(candidates_of) for candidates_of in RULE_REGISTRY.values())
 
 
 def test_mixed_patterns_splices_competing_structure():
@@ -271,9 +269,11 @@ def test_unmatched_sentence_returns_none_not_error():
 
 
 def test_unknown_rule_id_rejected():
-    sent = segment_and_tag("他喜欢苹果")
-    with pytest.raises(KeyError):
-        apply_fine_rule(sent, identify_roles(sent), RES, random.Random(0), "NoSuchRule")
+    # also on an empty sentence, which no known rule fires on
+    for text in ("他喜欢苹果", ""):
+        sent = segment_and_tag(text)
+        with pytest.raises(KeyError):
+            apply_fine_rule(sent, identify_roles(sent), RES, random.Random(0), "NoSuchRule")
 
 
 def test_rules_deterministic_for_fixed_seed():
@@ -327,8 +327,9 @@ def test_exhaustive_round_trip_over_fixtures():
                     assert sum(e.end - e.start for e in outcome.edits) == len(
                         outcome.incorrect
                     ) - len(text)
-                site_lo, site_hi = outcome.match_site
-                assert 0 <= site_lo < site_hi <= len(sent.tokens)
+                elif coarse is CoarseType.IMPROPER_WORD_ORDER:
+                    # pieces only move: the characters are the same multiset
+                    assert Counter(outcome.incorrect) == Counter(text)
     assert fired > 200  # the corpus gives the rules plenty to do
 
 
@@ -374,7 +375,7 @@ _tables = st.fixed_dictionaries(
 
 
 def _listed(candidates, seed):
-    return [(c.site, c.build(random.Random(seed))) for c in candidates]
+    return [build(random.Random(seed)) for build in candidates]
 
 
 def _assert_same_candidates(resources, seed=0, scans=SCAN_CANDIDATE_FNS):
@@ -383,7 +384,7 @@ def _assert_same_candidates(resources, seed=0, scans=SCAN_CANDIDATE_FNS):
     compared = 0
     for sentence, roles in TAGGED:
         for rule, scan in scans.items():
-            got = _listed(_CANDIDATE_FNS[rule](sentence, roles, resources), seed)
+            got = _listed(RULE_REGISTRY[rule](sentence, roles, resources), seed)
             assert got == _listed(scan(sentence, roles, resources), seed), (rule, sentence.text)
             compared += len(got)
     return compared
