@@ -311,50 +311,77 @@ def _delta_columns(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
     return columns
 
 
-def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
-    """Minimal unit-cost edit script turning a into b.
+def _common_prefix_length(a: Sequence, b: Sequence) -> int:
+    """The length of the longest common prefix of a and b.
+
+    A binary search over slice comparisons, so the items are compared in C:
+    about log2(min(len(a), len(b))) comparisons of at most that many items.
+    """
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if a[:middle] == b[:middle]:
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def _edit_ops(a: Sequence, b: Sequence) -> list[tuple[str, int, int]]:
+    """The changed steps of the minimal unit-cost edit script turning a into b.
 
     Returns (op, i, j) steps in left-to-right order, where op is one of
-    "match", "replace", "insert", "delete"; i indexes a, j indexes b at the
-    point the step applies. Backtrace ties resolve match > replace > insert
-    > delete so the script is canonical.
+    "replace", "insert", "delete"; i indexes a, j indexes b at the point the
+    step applies. The items between steps match. Backtrace ties resolve
+    match > replace > insert > delete, so the script is canonical: it is the
+    non-match steps of a backtrace over the whole distance table D.
 
-    The backtrace reads the delta columns of `_delta_columns`, not a table:
-    equal items always match, since with unit costs the diagonal is then
-    minimal; a replace needs D[i][j] == D[i-1][j-1] + 1, an insert
-    D[i][j] == D[i][j-1] + 1, and what is left is a delete. Time is
-    len(a) x len(b) / word size plus the script's length, and memory
-    3 x len(a) x len(b) bits.
+    Only the changed core is aligned. While the last items are equal the
+    backtrace takes the match first, so the common suffix is cut. Where
+    a[:h] == b[:h], every cell with i <= h or j <= h has D[i][j] = |i - j|,
+    and for i, j >= h the table is the table of a[h:] and b[h:]. So the
+    backtrace reads the delta columns of `_delta_columns` for the core
+    only, and once i or j reaches h it finishes by a fixed rule: equal
+    items match; otherwise the longer side gives up one item (an insert if
+    j > i, a delete if i > j); and it stops when i == j. It must not simply
+    drop the prefix: "aab" -> "ab" deletes index 0, not index 1.
 
-    The common suffix is matched before the pass: while the last items are
-    equal the backtrace takes the match first. A common prefix cannot be
-    cut the same way, since the backtrace there may prefer a later position
-    ("aab" -> "ab" deletes index 0).
+    On the core, equal items always match, since with unit costs the
+    diagonal is then minimal; a replace needs D[i][j] == D[i-1][j-1] + 1,
+    an insert D[i][j] == D[i][j-1] + 1, and what is left is a delete. Time
+    is the core's rows x columns / word size plus the steps walked, and
+    memory 3 bits per cell of the core: cost follows the changed core, not
+    the length of a and b. A periodic prefix ("ab" * k + "abX" -> "ab" * k
+    + "Y") can still be walked item by item, which is linear in its length.
     """
-    n, m = len(a), len(b)
-    tail = 0
-    while tail < n and tail < m and a[n - 1 - tail] == b[m - 1 - tail]:
-        tail += 1
-    i, j = n - tail, m - tail
-    ops: list[tuple[str, int, int]] = [("match", i + k, j + k) for k in range(tail - 1, -1, -1)]
-    columns = _delta_columns(a[:i], b[:j])
-    while i and j:
-        bit = 1 << (i - 1)
-        diagonal, insert, _ = columns[j - 1]
+    tail = _common_prefix_length(a[::-1], b[::-1])
+    i, j = len(a) - tail, len(b) - tail
+    head = _common_prefix_length(a[:i], b[:j])
+    columns = _delta_columns(a[head:i], b[head:j])
+    ops: list[tuple[str, int, int]] = []
+    while i > head and j > head:
+        bit = 1 << (i - head - 1)
+        diagonal, insert, _ = columns[j - head - 1]
         if a[i - 1] == b[j - 1]:
-            ops.append(("match", i - 1, j - 1))
             i, j = i - 1, j - 1
         elif not diagonal & bit:
-            ops.append(("replace", i - 1, j - 1))
             i, j = i - 1, j - 1
+            ops.append(("replace", i, j))
         elif insert & bit:
-            ops.append(("insert", i, j - 1))
             j -= 1
+            ops.append(("insert", i, j))
         else:
-            ops.append(("delete", i - 1, j))
             i -= 1
-    ops.extend(("delete", k, 0) for k in range(i - 1, -1, -1))
-    ops.extend(("insert", 0, k) for k in range(j - 1, -1, -1))
+            ops.append(("delete", i, j))
+    while i != j:
+        if i and j and a[i - 1] == b[j - 1]:
+            i, j = i - 1, j - 1
+        elif j > i:
+            j -= 1
+            ops.append(("insert", i, j))
+        else:
+            i -= 1
+            ops.append(("delete", i, j))
     ops.reverse()
     return ops
 
@@ -362,29 +389,33 @@ def _edit_ops(a: str, b: str) -> list[tuple[str, int, int]]:
 def diff_edits(incorrect: str, correct: str) -> tuple[EditSpan, ...]:
     """Minimal character edit script grouped into maximal touching spans.
 
-    Adjacent atomic ops (no matched character between them) collapse into a
-    single span. Round trip: apply_edits(a, diff_edits(a, b)) == b.
+    The changed steps of `_edit_ops` with no matched character between them
+    collapse into a single span: a step touches the one before when it
+    starts where that one ended in `incorrect`, since a match moves both
+    texts on. Cost follows the changed core of the two texts, not their
+    length. Round trip: apply_edits(a, diff_edits(a, b)) == b.
     """
     spans: list[EditSpan] = []
     start = end = -1
     pieces: list[str] = []
     for op, i, j in _edit_ops(incorrect, correct):
-        if op == "match":
+        if i != end:
             if start >= 0:
                 spans.append(EditSpan(start, end, "".join(pieces)))
-                start = -1
-                pieces = []
-            continue
-        if start < 0:
-            start, end = i, i
+            start = end = i
             pieces = []
-        if op in ("replace", "delete"):
+        if op != "insert":
             end = i + 1
-        if op in ("replace", "insert"):
+        if op != "delete":
             pieces.append(correct[j])
     if start >= 0:
         spans.append(EditSpan(start, end, "".join(pieces)))
     return tuple(spans)
+
+
+# One compact encoder for every pair; json.dumps with these arguments would
+# build a new JSONEncoder per call.
+_PAIR_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def pair_to_json(pair: CorpusPair) -> str:
@@ -400,7 +431,7 @@ def pair_to_json(pair: CorpusPair) -> str:
         "rule_id": pair.rule_id,
         "seed": pair.seed,
     }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    return _PAIR_ENCODER.encode(obj)
 
 
 def _spec(**types: type) -> tuple:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
@@ -43,13 +42,13 @@ class EditOps(NamedTuple):
 def levenshtein(a: str, b: str) -> EditOps:
     """Unit-cost edit distance from a to b with canonical op counts.
 
-    Counts come from one backtrace with ties resolved match > replace >
-    insert > delete, so they are reproducible; distance == replace +
-    insert + delete always holds.
+    Counts are the changed steps of one backtrace with ties resolved match
+    > replace > insert > delete, so they are reproducible; distance ==
+    replace + insert + delete always holds. Cost follows the changed core
+    of a and b (see `_edit_ops`), not their length.
     """
-    counts = Counter(op for op, _, _ in _edit_ops(a, b))
-    replace, insert, delete = counts["replace"], counts["insert"], counts["delete"]
-    return EditOps(replace + insert + delete, replace, insert, delete)
+    ops = [op for op, _, _ in _edit_ops(a, b)]
+    return EditOps(len(ops), ops.count("replace"), ops.count("insert"), ops.count("delete"))
 
 
 # --- M2 gold files --------------------------------------------------------

@@ -128,6 +128,12 @@ def edit_ops_reference(a, b) -> list[tuple[str, int, int]]:
     return steps[::-1]
 
 
+def changed_steps_reference(a, b) -> list[tuple[str, int, int]]:
+    """The non-match steps of `edit_ops_reference`. The matches between them
+    follow from the steps, so this list pins the whole canonical script."""
+    return [step for step in edit_ops_reference(a, b) if step[0] != "match"]
+
+
 def enumerate_minimal_paths(src: list[str], hyp: list[str]) -> list[list[tuple[str, int, int]]]:
     """All minimal-cost alignment paths as lists of (op, i, j) steps.
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgeckit import core
 from cgeckit.core import (
     CoarseType,
     CorpusPair,
@@ -21,7 +22,12 @@ from cgeckit.core import (
     pair_from_json,
     pair_to_json,
 )
-from oracles import edit_ops_reference, full_distance_table, levenshtein_recursive
+from oracles import (
+    changed_steps_reference,
+    edit_ops_reference,
+    full_distance_table,
+    levenshtein_recursive,
+)
 
 TEXT_ALPHABET = "ab他喜欢苹果最后一天xy ，。"
 
@@ -191,7 +197,7 @@ def _long_pairs(draw):
 @given(_long_pairs())
 def test_edit_ops_on_long_inputs_match_full_table_reference(pair):
     a, b = pair
-    assert _edit_ops(a, b) == edit_ops_reference(a, b)
+    assert _edit_ops(a, b) == changed_steps_reference(a, b)
 
 
 def _distance_from_columns(a, b):
@@ -307,13 +313,76 @@ def test_pair_from_json_reports_line_number():
 )
 def test_edit_ops_with_a_shared_suffix_match_full_table_reference(a, b, tail):
     # _edit_ops matches the common suffix without a table
-    assert _edit_ops(a + tail, b + tail) == edit_ops_reference(a + tail, b + tail)
+    assert _edit_ops(a + tail, b + tail) == changed_steps_reference(a + tail, b + tail)
 
 
 def test_edit_ops_do_not_trim_the_common_prefix():
-    # The canonical script deletes the first "a"; a prefix-trimmed table
-    # would delete the second.
-    assert _edit_ops("aab", "ab") == edit_ops_reference("aab", "ab") == [
+    # The canonical script deletes the first "a"; a walk that dropped the
+    # common prefix "a" would delete the second.
+    assert edit_ops_reference("aab", "ab") == [
         ("delete", 0, 0), ("match", 1, 0), ("match", 2, 1)
     ]
+    assert _edit_ops("aab", "ab") == changed_steps_reference("aab", "ab") == [("delete", 0, 0)]
     assert diff_edits("aab", "ab") == (EditSpan(0, 1, ""),)
+
+
+PERIODIC_UNITS = st.sampled_from(["a", "ab", "的的"])
+
+
+@st.composite
+def _periodic_pairs(draw):
+    """A text whose prefix and suffix repeat a unit ("a", "ab" or "的的") up
+    to 30 times, and a copy with a few edits anywhere, the ends included,
+    that insert or replace an item with a copy of its neighbour or delete
+    one: the cases where a common-prefix cut could pick the wrong one of
+    several equal items."""
+    middle = draw(st.text("ab的", max_size=4))
+    text = draw(PERIODIC_UNITS) * draw(st.integers(0, 30)) + middle
+    text += draw(PERIODIC_UNITS) * draw(st.integers(0, 30))
+    edited = list(text)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.sampled_from([0, len(edited)]) | st.integers(0, len(edited)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        neighbours = edited[max(at - 1, 0) : at + 2] or ["a"]
+        if op == "insert":
+            edited.insert(at, draw(st.sampled_from(neighbours)))
+        elif at < len(edited):
+            if op == "replace":
+                edited[at] = draw(st.sampled_from(neighbours))
+            else:
+                del edited[at]
+    edited = "".join(edited)
+    return (text, edited) if draw(st.booleans()) else (edited, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_periodic_pairs())
+def test_edit_ops_over_periodic_prefixes_and_suffixes_match_full_table_reference(pair):
+    a, b = pair
+    steps = _edit_ops(a, b)
+    assert steps == changed_steps_reference(a, b)
+    if len(a) + len(b) <= 24:
+        assert len(steps) == levenshtein_recursive(a, b)
+
+
+@pytest.mark.parametrize(
+    "op, replacement, removed, cells",
+    [("delete", "", 1, 0), ("insert", "X", 0, 0), ("replace", "X", 1, 1)],
+)
+def test_edit_ops_align_only_the_changed_core(monkeypatch, op, replacement, removed, cells):
+    # One edit 50 characters from the end of a 6,000-character text: the
+    # bit-vector pass sees only the edit, not the 5,950 shared characters
+    # before it (a whole-table pass would take 36 million cells).
+    text = "".join(chr(0x4E00 + k % 97) for k in range(6000))
+    at = len(text) - 50
+    sizes = []
+    real = core._delta_columns
+
+    def recorded(a, b):
+        sizes.append(len(a) * len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(core, "_delta_columns", recorded)
+    edited = text[:at] + replacement + text[at + removed :]
+    assert _edit_ops(text, edited) == [(op, at, at)]
+    assert sizes == [cells]

@@ -33,7 +33,7 @@ from cgeckit.metrics import (
 )
 from tests.oracles import (
     all_alignment_op_counts,
-    edit_ops_reference,
+    changed_steps_reference,
     best_edit_set,
     counts_for,
     enumerate_edit_sets,
@@ -331,7 +331,7 @@ def _token_list_pairs(draw):
 @given(_token_list_pairs())
 def test_token_list_alignments_match_whole_table_oracles(pair):
     src, hyp = pair
-    assert _edit_ops(src, hyp) == edit_ops_reference(src, hyp)
+    assert _edit_ops(src, hyp) == changed_steps_reference(src, hyp)
     got = metrics._alignment_tables(src, hyp)
     assert [{j: cell[:2] for j, cell in row.items()} for row in got] == [
         {j: cell[:2] for j, cell in row.items()} for row in minimal_path_lattice(src, hyp)
