@@ -1,12 +1,16 @@
 """Resource-driven corruption rules: 6 coarse categories, 26 fine types.
 
-Every rule takes a correct TaggedSentence plus its RoleSpans and produces
-an ungrammatical variant together with character edits that restore the
-original. Rules never error on non-matching input; they return None.
+Every rule proposes edits of a correct TaggedSentence, one per site it
+matches, from the sentence and its RoleSpans. apply_fine_rule picks one
+edit and builds the ungrammatical variant; character edits that restore
+the original are diffed from the two texts. Rules never error on
+non-matching input; apply_fine_rule returns None.
 
-Randomness discipline: rules consume only rng.random() (via _choice), so
-an outcome is fully determined by (sentence, resources, seed) and never by
-interpreter details. When several sites match, one is chosen uniformly.
+Randomness discipline: only apply_fine_rule reads the rng, and only
+through rng.random() (via _choice): one draw picks the site uniformly, and
+one more draws the word when the picked edit carries a word pool. An
+outcome is therefore fully determined by (sentence, resources, seed) and
+never by interpreter details.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from cgeckit.tagging import NOMINAL_TAGS, RoleSpans, _clauses, _is_de
 from cgeckit.core import SyntacticRole as Role
 
 
-# A candidate builds one corrupted text; the rng is read only by candidates
-# that draw a word.
-Candidate = Callable[[random.Random], str]
+# A candidate is one edit of the sentence text, (start, end, piece): replace
+# text[start:end] with piece. A tuple piece is a word pool; the word is drawn
+# from it when the candidate is picked, so only such a candidate reads the rng.
+Candidate = tuple[int, int, str | tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -62,19 +67,13 @@ def _span(sentence: TaggedSentence, i: int, j: int) -> tuple[int, int]:
     return sentence.tokens[i].char_start, sentence.tokens[j - 1].char_end
 
 
-def _insert(text: str, pos: int, piece: str) -> str:
-    return text[:pos] + piece + text[pos:]
-
-
-def _replace(text: str, a: int, b: int, piece: str) -> str:
-    return text[:a] + piece + text[b:]
-
-
-def _swap(text: str, r1: tuple[int, int], r2: tuple[int, int]) -> str:
+def _swap(text: str, r1: tuple[int, int], r2: tuple[int, int]) -> Candidate:
+    """The one edit that swaps two character ranges; overlapping ranges give
+    a no-op, which stays a candidate so that the list's indices are kept."""
     (a1, b1), (a2, b2) = sorted([r1, r2])
     if b1 > a2:
-        return text
-    return text[:a1] + text[a2:b2] + text[b1:a2] + text[a1:b1] + text[b2:]
+        return (a1, a1, "")
+    return (a1, b2, text[a2:b2] + text[b1:a2] + text[a1:b1])
 
 
 def _surfaces_in(sentence: TaggedSentence, rng_range: tuple[int, int]) -> set[str]:
@@ -111,8 +110,7 @@ def _mixed_candidates(
     lengths, index = resources._mixed_index.get(kind, ((), {}))
     suffixes = {head[len(head) - n :] for n in lengths if n <= len(head)}
     for entry in _matching_rows(resources.mixed_patterns, index, suffixes):
-        new_text = _insert(sentence.text, end, entry.splice)
-        out.append(lambda rng, t=new_text: t)
+        out.append((end, end, entry.splice))
     return out
 
 
@@ -135,11 +133,7 @@ def _cand_mixed_subjects(sentence, roles, resources):
         words = tuple(w for w in words if w != subject_text)
     if not words:
         return []
-
-    def build(rng, pos=pos, words=words):
-        return _insert(sentence.text, pos, _choice(rng, words))
-
-    return [build]
+    return [(pos, pos, words)]
 
 
 # --- ImproperLogicality --------------------------------------------------
@@ -158,21 +152,14 @@ def _cand_measure_word(sentence, roles, resources):
         window = tokens[max(0, k - 2) : k]
         if approx_pre and any(t.surface in exact for t in window):
             # exact marker + numeral: wedge in an approximate quantifier
-            def build(rng, pos=tok.char_start, words=approx_pre):
-                return _insert(sentence.text, pos, _choice(rng, words))
-
-            out.append(build)
+            out.append((tok.char_start, tok.char_start, approx_pre))
         if approx_post and any(t.surface in approx_pre_set for t in window):
             # approximate quantifier + numeral: add a trailing 左右/上下 too
             j = k + 1
             while j < len(tokens) and tokens[j].tag is POSTag.NOUN:
                 j += 1
             pos = tokens[j - 1].char_end
-
-            def build(rng, pos=pos, words=approx_post):
-                return _insert(sentence.text, pos, _choice(rng, words))
-
-            out.append(build)
+            out.append((pos, pos, approx_post))
     return out
 
 
@@ -182,9 +169,7 @@ def _cand_unreasonable(sentence, roles, resources):
     for tok in sentence.tokens:
         for _, subsumed in _matching_rows(resources.subsume_pairs, index, (tok.surface,)):
             if subsumed not in sentence.text:
-                piece = "、" + subsumed
-                new_text = _insert(sentence.text, tok.char_end, piece)
-                out.append(lambda rng, t=new_text: t)
+                out.append((tok.char_end, tok.char_end, "、" + subsumed))
     return out
 
 
@@ -206,19 +191,14 @@ def _cand_improper_negation(sentence, roles, resources):
                     break
                 if tokens[m].tag is POSTag.VERB:
                     # 防止…发生 → 防止…不发生: the hidden negation doubles up
-                    def build(rng, pos=tokens[m].char_start, words=inserts):
-                        return _insert(sentence.text, pos, _choice(rng, words))
-
-                    out.append(build)
+                    pos = tokens[m].char_start
+                    out.append((pos, pos, inserts))
                     break
     p = roles.predicate_index()
     if doubles and p is not None and p > 0 and tokens[p - 1].surface in negators:
         if p < 2 or tokens[p - 2].surface not in negators:
-
-            def build(rng, pos=tokens[p - 1].char_start, words=doubles):
-                return _insert(sentence.text, pos, _choice(rng, words))
-
-            out.append(build)
+            pos = tokens[p - 1].char_start
+            out.append((pos, pos, doubles))
     return out
 
 
@@ -241,8 +221,7 @@ def _cand_reverse_host_guest(sentence, roles, resources):
             continue
         left = _span(sentence, a, k)
         right = _span(sentence, k + 1, b)
-        new_text = _swap(sentence.text, left, right)
-        out.append(lambda rng, t=new_text: t)
+        out.append(_swap(sentence.text, left, right))
     return out
 
 
@@ -253,8 +232,7 @@ def _cand_imposing_cause_effect(sentence, roles, resources):
     if not any(trigger in text for trigger in resources.causal_triggers):
         return []
     comma = text.index("，")
-    new_text = "因为" + text[: comma + 1] + "所以" + text[comma + 1 :]
-    return [lambda rng, t=new_text: t]
+    return [(0, comma + 1, "因为" + text[: comma + 1] + "所以")]
 
 
 # --- MissingComponent ----------------------------------------------------
@@ -262,10 +240,9 @@ def _cand_imposing_cause_effect(sentence, roles, resources):
 
 def _delete_candidate(sentence, token_range, char_range=None):
     a, b = char_range if char_range else _span(sentence, *token_range)
-    new_text = _replace(sentence.text, a, b, "")
-    if not new_text:
+    if (a, b) == (0, len(sentence.text)):  # the deletion would empty the text
         return []
-    return [lambda rng, t=new_text: t]
+    return [(a, b, "")]
 
 
 def _cand_lack_subject(sentence, roles, resources):
@@ -311,14 +288,9 @@ def _cand_lack_modifier(sentence, roles, resources):
 def _insertion_candidates(sentence, table):
     out = []
     for tok in sentence.tokens:
-        words = [w for w in table.get(tok.surface, []) if w != tok.surface]
-        if not words:
-            continue
-
-        def build(rng, pos=tok.char_end, words=tuple(words)):
-            return _insert(sentence.text, pos, _choice(rng, words))
-
-        out.append(build)
+        words = tuple(w for w in table.get(tok.surface, []) if w != tok.surface)
+        if words:
+            out.append((tok.char_end, tok.char_end, words))
     return out
 
 
@@ -335,11 +307,7 @@ def _cand_multi_meanings(sentence, roles, resources):
 
 def _replace_word_candidate(sentence, index, wrong):
     tok = sentence.tokens[index]
-
-    def build(rng, a=tok.char_start, b=tok.char_end, words=tuple(wrong)):
-        return _replace(sentence.text, a, b, _choice(rng, words))
-
-    return build
+    return (tok.char_start, tok.char_end, tuple(wrong))
 
 
 def _find_after(sentence, start, end, surface):
@@ -459,12 +427,9 @@ def _cand_multi_attributives(sentence, roles, resources):
             and head.tag in NOMINAL_TAGS
             and w1.surface != w2.surface
         ):
-            new_text = _swap(
-                sentence.text,
-                (w1.char_start, w1.char_end),
-                (w2.char_start, w2.char_end),
+            out.append(
+                _swap(sentence.text, (w1.char_start, w1.char_end), (w2.char_start, w2.char_end))
             )
-            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -477,10 +442,9 @@ def _cand_multi_adverbials(sentence, roles, resources):
     for k in range(p - 1):
         a, b = tokens[k], tokens[k + 1]
         if a.tag is POSTag.ADV and b.tag is POSTag.ADV and a.surface != b.surface:
-            new_text = _swap(
-                sentence.text, (a.char_start, a.char_end), (b.char_start, b.char_end)
+            out.append(
+                _swap(sentence.text, (a.char_start, a.char_end), (b.char_start, b.char_end))
             )
-            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -496,8 +460,7 @@ def _cand_attributive_head(sentence, roles, resources):
             e += 1
         if e == h:  # no nominal head follows the attribute
             continue
-        new_text = _swap(sentence.text, _span(sentence, a, b), _span(sentence, b, e))
-        out.append(lambda rng, t=new_text: t)
+        out.append(_swap(sentence.text, _span(sentence, a, b), _span(sentence, b, e)))
     return out
 
 
@@ -523,14 +486,7 @@ def _cand_prepositions(sentence, roles, resources):
         phrase = _span(sentence, k, j)
         if k > p:
             # move a post-predicate ADP phrase in front of the predicate
-            pred_start = tokens[p].char_start
-            new_text = (
-                sentence.text[:pred_start]
-                + sentence.text[phrase[0] : phrase[1]]
-                + sentence.text[pred_start : phrase[0]]
-                + sentence.text[phrase[1] :]
-            )
-            out.append(lambda rng, t=new_text: t)
+            out.append(_swap(sentence.text, (tokens[p].char_start, phrase[0]), phrase))
         # swap the phrase with the adverb/auxiliary run just before it
         r = k
         while (
@@ -545,8 +501,7 @@ def _cand_prepositions(sentence, roles, resources):
         ):
             r -= 1
         if r < k:
-            new_text = _swap(sentence.text, _span(sentence, r, k), phrase)
-            out.append(lambda rng, t=new_text: t)
+            out.append(_swap(sentence.text, _span(sentence, r, k), phrase))
     return out
 
 
@@ -560,8 +515,7 @@ def _cand_connectives_subject(sentence, roles, resources):
         while j < ce and tokens[j].tag in NOMINAL_TAGS:
             j += 1
         if j < ce and tokens[j].tag is POSTag.CCONJ:
-            new_text = _swap(sentence.text, _span(sentence, cs, j), _span(sentence, j, j + 1))
-            out.append(lambda rng, t=new_text: t)
+            out.append(_swap(sentence.text, _span(sentence, cs, j), _span(sentence, j, j + 1)))
     return out
 
 
@@ -570,12 +524,13 @@ def _cand_associated_words(sentence, roles, resources):
     out = []
     for k in range(len(tokens) - 1):
         if tokens[k].tag is POSTag.ADV and tokens[k + 1].tag is POSTag.VERB:
-            new_text = _swap(
-                sentence.text,
-                (tokens[k].char_start, tokens[k].char_end),
-                (tokens[k + 1].char_start, tokens[k + 1].char_end),
+            out.append(
+                _swap(
+                    sentence.text,
+                    (tokens[k].char_start, tokens[k].char_end),
+                    (tokens[k + 1].char_start, tokens[k + 1].char_end),
+                )
             )
-            out.append(lambda rng, t=new_text: t)
     return out
 
 
@@ -586,13 +541,13 @@ def _cand_adverbial_attributives(sentence, roles, resources):
             lo, hi = sorted([adv, attr])
             if lo[1] > hi[0]:
                 continue
-            new_text = _swap(sentence.text, _span(sentence, *adv), _span(sentence, *attr))
-            out.append(lambda rng, t=new_text: t)
+            out.append(_swap(sentence.text, _span(sentence, *adv), _span(sentence, *attr)))
     return out
 
 
 # Fine rule id -> candidate function (sentence, roles, resources) -> the
-# rule's candidates, in site order. FINE_TO_COARSE gives each id's category.
+# rule's candidate edits, a fresh list in site order. FINE_TO_COARSE gives
+# each id's category.
 RULE_REGISTRY: dict[str, Callable[..., list[Candidate]]] = {
     "MixedPatterns": _cand_mixed_patterns,
     "MixedSubjects": _cand_mixed_subjects,
@@ -630,17 +585,24 @@ def apply_fine_rule(
     rng: random.Random,
     fine_id: str,
 ) -> RuleOutcome | None:
-    """Apply one fine-grained rule; None when it does not match."""
+    """Apply one fine-grained rule; None when it does not match.
+
+    Picks one of the rule's candidate edits uniformly, draws its word when
+    it carries a word pool, and builds only that text. An edit that leaves
+    the text unchanged counts as a non-match, and the pick is made again
+    among the remaining candidates.
+    """
     if fine_id not in RULE_REGISTRY:
         raise KeyError(f"unknown rule id: {fine_id}")
     if not sentence.tokens:
         return None
+    text = sentence.text
     candidates = RULE_REGISTRY[fine_id](sentence, roles, resources)
     while candidates:
-        picked = _choice(rng, candidates)
-        new_text = picked(rng)
-        if new_text != sentence.text:
-            return RuleOutcome(new_text, sentence.text, ErrorType.from_fine(fine_id))
-        # identical output counts as a non-match; try the remaining sites
-        candidates = [c for c in candidates if c is not picked]
+        start, end, piece = candidates.pop(_choice(rng, range(len(candidates))))
+        if isinstance(piece, tuple):
+            piece = _choice(rng, piece)
+        if piece != text[start:end]:
+            incorrect = text[:start] + piece + text[end:]
+            return RuleOutcome(incorrect, text, ErrorType.from_fine(fine_id))
     return None

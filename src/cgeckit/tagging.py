@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources as importlib_resources
 from typing import Mapping
 
@@ -33,14 +34,6 @@ _ATTR_RUN_TAGS = frozenset({POSTag.ADJ, POSTag.NOUN, POSTag.PROPN, POSTag.NUM, P
 
 def _shipped(name: str) -> str:
     return str(importlib_resources.files("cgeckit").joinpath("data", name))
-
-
-@dataclass(frozen=True)
-class TaggerConfig:
-    """Lexicon and tag-mapping files for the builtin segmenter."""
-
-    lexicon_path: str | None = None
-    tag_mapping_path: str | None = None
 
 
 def load_tag_mapping(path: str | None = None) -> dict[str, str]:
@@ -119,12 +112,6 @@ class Tagger:
             first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()
         }
 
-    @classmethod
-    def from_config(cls, config: TaggerConfig | None = None) -> "Tagger":
-        config = config or TaggerConfig()
-        mapping = load_tag_mapping(config.tag_mapping_path)
-        return cls(load_lexicon(config.lexicon_path, mapping))
-
     def __call__(self, raw: str) -> TaggedSentence:
         lexicon, lengths = self.lexicon, self._lengths
         tokens: list[Token] = []
@@ -154,36 +141,38 @@ class Tagger:
         return _tagged(raw, tuple(tokens))
 
 
-_TAGGER_CACHE: dict[tuple[str | None, str | None], Tagger] = {}
+@cache
+def _shipped_tag_mapping() -> dict[str, str]:
+    return load_tag_mapping()
 
 
-def get_tagger(config: TaggerConfig | None = None) -> Tagger:
-    config = config or TaggerConfig()
-    key = (config.lexicon_path, config.tag_mapping_path)
-    tagger = _TAGGER_CACHE.get(key)
-    if tagger is None:
-        tagger = Tagger.from_config(config)
-        _TAGGER_CACHE[key] = tagger
-    return tagger
+@cache
+def get_tagger() -> Tagger:
+    """The tagger over the shipped lexicon and tag mapping, built once."""
+    return Tagger(load_lexicon(mapping=_shipped_tag_mapping()))
 
 
-def segment_and_tag(raw: str, config: TaggerConfig | None = None) -> TaggedSentence:
-    """Segment and tag raw text with the configured lexicon.
+def segment_and_tag(raw: str) -> TaggedSentence:
+    """Segment and tag raw text with the shipped lexicon.
 
     Greedy longest match against the lexicon; digit runs become single NUM
     tokens; any other unknown character becomes a single-character OTHER
     token, so the tokens always cover the whole input.
     """
-    return get_tagger(config)(raw)
+    return get_tagger()(raw)
 
 
-def parse_pretagged(line: str, mapping: Mapping[str, str] | None = None) -> TaggedSentence:
+def parse_pretagged(line: str) -> TaggedSentence:
     """Parse one `surface/TAG surface/TAG ...` line from an external tagger.
+
+    A tag is a canonical tag name or a tag that the shipped tag_mapping.tsv
+    maps (THULAC's `n`, `v`, ...); any other tag becomes OTHER.
 
     Raises:
         ParseError: for an item without `/` or with an empty surface,
             citing the 1-based item index.
     """
+    mapping = _shipped_tag_mapping()
     tokens: list[Token] = []
     pos = 0
     for index, item in enumerate(line.split(), start=1):

@@ -17,12 +17,10 @@ from cgeckit.lm import BOUNDARY, UNK
 from cgeckit.core import SyntacticRole as Role
 from cgeckit.rules import (
     _PHRASE_TAGS,
-    _choice,
     _clause_of,
     _core_end,
     _delete_candidate,
     _find_after,
-    _insert,
     _replace_word_candidate,
     _span,
     _surfaces_in,
@@ -311,8 +309,8 @@ def all_alignment_op_counts(a: str, b: str) -> set[tuple[int, int, int]]:
 # --- whole-table candidate scans --------------------------------------------
 # The table-driven rules' candidate functions written as plain scans: every
 # row of the table is tested against the sentence. The library finds its
-# rows through lookup maps and must emit the same candidates in the same
-# order, because `_choice` indexes into the candidate list.
+# rows through lookup maps and must emit the same candidate edits in the
+# same order, because `_choice` indexes into the candidate list.
 
 def _scan_mixed(sentence, resources, kind):
     out = []
@@ -323,8 +321,7 @@ def _scan_mixed(sentence, resources, kind):
     for entry in resources.mixed_patterns:
         if entry.kind != kind or not head.endswith(entry.match):
             continue
-        new_text = _insert(sentence.text, end, entry.splice)
-        out.append(lambda rng, t=new_text: t)
+        out.append((end, end, entry.splice))
     return out
 
 
@@ -333,9 +330,7 @@ def _scan_unreasonable(sentence, roles, resources):
     for tok in sentence.tokens:
         for superset, subsumed in resources.subsume_pairs:
             if tok.surface == superset and subsumed not in sentence.text:
-                piece = "、" + subsumed
-                new_text = _insert(sentence.text, tok.char_end, piece)
-                out.append(lambda rng, t=new_text: t)
+                out.append((tok.char_end, tok.char_end, "、" + subsumed))
     return out
 
 
@@ -355,8 +350,7 @@ def _scan_reverse_host_guest(sentence, roles, resources):
             continue
         left = _span(sentence, a, k)
         right = _span(sentence, k + 1, b)
-        new_text = _swap(sentence.text, left, right)
-        out.append(lambda rng, t=new_text: t)
+        out.append(_swap(sentence.text, left, right))
     return out
 
 
@@ -462,11 +456,7 @@ def _scan_mixed_subjects(sentence, roles, resources):
     if not words:
         return []
     pos = _span(sentence, *subject)[1]
-
-    def build(rng, pos=pos, words=tuple(words)):
-        return _insert(sentence.text, pos, _choice(rng, words))
-
-    return [build]
+    return [(pos, pos, tuple(words))]
 
 
 def _scan_measure_word(sentence, roles, resources):
@@ -480,20 +470,12 @@ def _scan_measure_word(sentence, roles, resources):
             continue
         window = tokens[max(0, k - 2) : k]
         if approx_pre and any(t.surface in exact for t in window):
-
-            def build(rng, pos=tok.char_start, words=tuple(approx_pre)):
-                return _insert(sentence.text, pos, _choice(rng, words))
-
-            out.append(build)
+            out.append((tok.char_start, tok.char_start, tuple(approx_pre)))
         if approx_post and any(t.surface in approx_pre for t in window):
             j = k + 1
             while j < len(tokens) and tokens[j].tag is POSTag.NOUN:
                 j += 1
-
-            def build(rng, pos=tokens[j - 1].char_end, words=tuple(approx_post)):
-                return _insert(sentence.text, pos, _choice(rng, words))
-
-            out.append(build)
+            out.append((tokens[j - 1].char_end, tokens[j - 1].char_end, tuple(approx_post)))
     return out
 
 
@@ -512,20 +494,12 @@ def _scan_improper_negation(sentence, roles, resources):
                 if tokens[m].tag is POSTag.PUNCT or tokens[m].surface in negators:
                     break
                 if tokens[m].tag is POSTag.VERB:
-
-                    def build(rng, pos=tokens[m].char_start, words=tuple(inserts)):
-                        return _insert(sentence.text, pos, _choice(rng, words))
-
-                    out.append(build)
+                    out.append((tokens[m].char_start, tokens[m].char_start, tuple(inserts)))
                     break
     p = roles.predicate_index()
     if doubles and p is not None and p > 0 and tokens[p - 1].surface in negators:
         if p < 2 or tokens[p - 2].surface not in negators:
-
-            def build(rng, pos=tokens[p - 1].char_start, words=tuple(doubles)):
-                return _insert(sentence.text, pos, _choice(rng, words))
-
-            out.append(build)
+            out.append((tokens[p - 1].char_start, tokens[p - 1].char_start, tuple(doubles)))
     return out
 
 

@@ -25,7 +25,7 @@ from cgeckit.generator import (
 from cgeckit.lm import keep_indices
 from cgeckit.metrics import ScoreParams, levenshtein, score_corpus, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
-from cgeckit.tagging import _shipped, segment_and_tag
+from cgeckit.tagging import _shipped, load_tag_mapping, segment_and_tag, serialize_pretagged
 from oracles import (
     SCAN_FUNCTION_WORD_FNS,
     full_distance_table,
@@ -100,6 +100,32 @@ def test_generate_end_to_end(tmp_path, corpus_file):
     assert report["sentences_read"] == 10
     assert report["pairs_emitted"] == len(pairs)
     assert sum(report["rule_fires"].values()) == sum(len(p.rule_id.split("+")) for p in pairs)
+
+
+def test_generate_pretagged_reads_external_tags_through_the_shipped_mapping(tmp_path):
+    # The same tokens tagged with THULAC names (n, v, ...) and with the
+    # canonical names they map to give the same bytes.
+    external = {}
+    for tag, canonical in load_tag_mapping().items():
+        external.setdefault(canonical, tag)
+    sentences = [segment_and_tag(line) for line in _fixture_text().splitlines() if line.strip()]
+    inputs = {
+        "canonical": [serialize_pretagged(s) for s in sentences],
+        "external": [
+            " ".join(f"{t.surface}/{external[t.tag.value]}" for t in s.tokens) for s in sentences
+        ],
+    }
+    assert inputs["canonical"] != inputs["external"]
+    outputs = []
+    for name, lines in inputs.items():
+        src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.jsonl"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["generate", "--input", str(src), "--output", str(out), "--resources", RES_DIR]
+        argv += ["--pretagged", "--seed", "1", "--per-sentence", "2", "--combine-max", "2"]
+        assert run(argv) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{name}.jsonl.report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") > 50
 
 
 @pytest.mark.parametrize("command", ["generate", "augment"])
@@ -183,9 +209,9 @@ def test_generate_tags_each_sentence_once_when_rules_do_not_stack(tmp_path, monk
     lines = [line for line in _fixture_text().splitlines() if line.strip()]
     calls = []
 
-    def counted(raw, config=None):
+    def counted(raw):
         calls.append(raw)
-        return segment_and_tag(raw, config)
+        return segment_and_tag(raw)
 
     monkeypatch.setattr(generator, "segment_and_tag", counted)
     out = tmp_path / "pairs.jsonl"

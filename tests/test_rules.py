@@ -374,18 +374,15 @@ _tables = st.fixed_dictionaries(
 )
 
 
-def _listed(candidates, seed):
-    return [build(random.Random(seed)) for build in candidates]
-
-
-def _assert_same_candidates(resources, seed=0, scans=SCAN_CANDIDATE_FNS):
-    """Each keyed rule emits the oracle scan's candidates, in its order;
-    returns how many candidates were compared."""
+def _assert_same_candidates(resources, scans=SCAN_CANDIDATE_FNS):
+    """Each keyed rule emits the oracle scan's candidate edits, in its order;
+    returns how many candidates were compared. Equal edits build equal
+    texts at every seed, word pools included."""
     compared = 0
     for sentence, roles in TAGGED:
         for rule, scan in scans.items():
-            got = _listed(RULE_REGISTRY[rule](sentence, roles, resources), seed)
-            assert got == _listed(scan(sentence, roles, resources), seed), (rule, sentence.text)
+            got = RULE_REGISTRY[rule](sentence, roles, resources)
+            assert got == scan(sentence, roles, resources), (rule, sentence.text)
             compared += len(got)
     return compared
 
@@ -407,11 +404,11 @@ def test_keyed_candidates_match_scan_on_shipped_tables():
 
 
 @settings(max_examples=80, deadline=None)
-@given(tables=_tables, seed=st.integers(0, 2**32 - 1))
-def test_keyed_candidates_match_scan_on_random_tables(tables, seed):
+@given(tables=_tables)
+def test_keyed_candidates_match_scan_on_random_tables(tables):
     # Random rows over the fixtures' own words: duplicate keys, repeated
     # rows, matches of several lengths and keys shared across kinds.
-    _assert_same_candidates(RuleResources(**tables), seed)
+    _assert_same_candidates(RuleResources(**tables))
 
 
 def test_function_word_candidates_match_scan_on_shipped_tables():
@@ -419,9 +416,9 @@ def test_function_word_candidates_match_scan_on_shipped_tables():
 
 
 @settings(max_examples=80, deadline=None)
-@given(function_words=_function_words, seed=st.integers(0, 2**32 - 1))
-def test_function_word_candidates_match_scan_on_random_categories(function_words, seed):
+@given(function_words=_function_words)
+def test_function_word_candidates_match_scan_on_random_categories(function_words):
     # Categories over the fixtures' own words, repeats included, so that a
     # subject's own text is in the `subject` category now and then.
     resources = RuleResources(function_words=function_words)
-    _assert_same_candidates(resources, seed, scans=SCAN_FUNCTION_WORD_FNS)
+    _assert_same_candidates(resources, scans=SCAN_FUNCTION_WORD_FNS)

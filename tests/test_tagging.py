@@ -10,6 +10,7 @@ from cgeckit.core import ConfigError, POSTag, ParseError, SyntacticRole, TaggedS
 from cgeckit.tagging import (
     RoleSpans,
     Tagger,
+    get_tagger,
     identify_roles,
     load_tag_mapping,
     map_tag,
@@ -93,8 +94,7 @@ def test_tag_mapping_covers_thulac_style_tags():
 
 
 def test_parse_pretagged_line():
-    mapping = load_tag_mapping()
-    sent = parse_pretagged("他/r 喜欢/v 苹果/n", mapping)
+    sent = parse_pretagged("他/r 喜欢/v 苹果/n")
     assert sent.text == "他喜欢苹果"
     assert [t.tag for t in sent.tokens] == [POSTag.PRON, POSTag.VERB, POSTag.NOUN]
     assert [(t.char_start, t.char_end) for t in sent.tokens] == [(0, 1), (1, 3), (3, 5)]
@@ -252,7 +252,7 @@ def test_tagger_output_equals_its_checked_rebuild(raw):
 
 
 def test_compiled_shipped_lexicon_matches_longest_match_oracle():
-    tagger = Tagger.from_config()
+    tagger = get_tagger()
     with open(_shipped("fixtures/correct_sentences.txt"), encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     for raw in lines + ["学校共有50名学生", "１２３个Q"]:
