@@ -3,11 +3,16 @@
 Each case runs the CLI on the shipped fixture sentences, three times over
 (150 lines), and hashes what it writes. A `--pretagged` case reads the same
 lines as canonical `surface/TAG` items, as `serialize_pretagged` writes them.
+A `score` case scores against the M2 gold that `write_m2` writes for the
+pairs of `generate --seed 1 --per-sentence 2 --combine-max 2`; its
+hypotheses are each pair's correct text on even (0-based) lines and its
+incorrect text on odd lines, so some sentences are fixed and some are not.
 The manifest in tests/golden/manifest.json holds the hashes; test_golden.py
 regenerates the cases and compares.
 
     PYTHONPATH=src python tests/golden.py          # compare; exit 1 on a mismatch
     PYTHONPATH=src python tests/golden.py --write  # rewrite the manifest
+    PYTHONPATH=src python tests/golden.py --case augment-seed7  # compare one case
 
 A change that alters output bytes on purpose rewrites the manifest and
 names the cases whose hashes changed.
@@ -16,13 +21,17 @@ names the cases whose hashes changed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 
 from cgeckit.cli import run
+from cgeckit.core import read_pairs
+from cgeckit.metrics import write_m2
 from cgeckit.resources import default_resources_dir
 from cgeckit.rules import RULE_REGISTRY
 from cgeckit.tagging import _shipped, segment_and_tag, serialize_pretagged
@@ -30,7 +39,8 @@ from cgeckit.tagging import _shipped, segment_and_tag, serialize_pretagged
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 
 # case name -> CLI arguments after the subcommand's --input and --output.
-# Every generate/augment case is also fed to `stats --per-type`.
+# Every generate/augment case is also fed to `stats`, with and without
+# `--per-type`.
 PAIR_CASES = {
     "generate-seed1-per2-combine2": ["generate", "--seed", "1", "--per-sentence", "2", "--combine-max", "2"],
     "generate-seed42-per3-combine3": ["generate", "--seed", "42", "--per-sentence", "3", "--combine-max", "3"],
@@ -46,37 +56,106 @@ PAIR_CASES = {
         for rule in RULE_REGISTRY
     },
 }
+# case name -> `filter` arguments after --input and --output.
+FILTER_CASES = {f"filter-keep50-n{n}": ["--keep", "50", "--n", str(n)] for n in (1, 2, 3, 4)}
+# case name -> `score` arguments after --hyp and --m2.
+SCORE_CASES = {
+    f"score-char-beta{beta}": ["--char-tokenize", "--beta", beta] for beta in ("0.5", "1", "2")
+}
+SCORE_GOLD_CASE = "generate-seed1-per2-combine2"
+CASES = [*PAIR_CASES, *FILTER_CASES, *SCORE_CASES]
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def compute() -> dict[str, dict[str, str]]:
-    """Run every case in a fresh temporary directory; case -> file -> sha256."""
+def _run(name: str, argv: list[str]) -> None:
+    if run(argv) != 0:
+        raise RuntimeError(f"golden case {name} failed: {argv}")
+
+
+def _pair_case(name: str, tmp: Path, inputs: dict[str, Path], extra: list[str]) -> dict[str, str]:
+    command, *options = PAIR_CASES[name]
+    pairs = tmp / f"{name}.jsonl"
+    source = inputs["pretagged" if "--pretagged" in options else "corpus"]
+    argv = [command, "--input", str(source), "--output", str(pairs), *options, *extra]
+    if command == "generate":
+        argv += ["--resources", str(default_resources_dir())]
+    _run(name, argv)
+    stats, per_type = tmp / f"{name}.stats.json", tmp / f"{name}.stats-per-type.json"
+    _run(name, ["stats", "--input", str(pairs), "--output", str(stats)])
+    _run(name, ["stats", "--input", str(pairs), "--per-type", "--output", str(per_type)])
+    return {
+        "pairs.jsonl": _sha256(pairs),
+        "pairs.jsonl.report.json": _sha256(Path(f"{pairs}.report.json")),
+        "stats.json": _sha256(stats),
+        "stats-per-type.json": _sha256(per_type),
+    }
+
+
+def _filter_case(name: str, tmp: Path, inputs: dict[str, Path]) -> dict[str, str]:
+    kept = tmp / f"{name}.txt"
+    _run(name, ["filter", "--input", str(inputs["corpus"]), "--output", str(kept), *FILTER_CASES[name]])
+    return {"kept.txt": _sha256(kept)}
+
+
+def _score_inputs(tmp: Path, inputs: dict[str, Path]) -> tuple[Path, Path]:
+    """The M2 gold and hypotheses the score cases share, written once."""
+    gold, hyp = tmp / "score-gold.m2", tmp / "score-hyp.txt"
+    if not gold.exists():
+        pairs = tmp / "score-pairs.jsonl"
+        _run("score gold", [
+            "generate", "--input", str(inputs["corpus"]), "--output", str(pairs),
+            *PAIR_CASES[SCORE_GOLD_CASE][1:], "--resources", str(default_resources_dir()),
+        ])
+        pair_list = list(read_pairs(str(pairs)))
+        with open(gold, "w", encoding="utf-8") as fh:
+            write_m2(pair_list, fh)
+        hyp.write_text(
+            "".join(
+                (pair.correct if index % 2 == 0 else pair.incorrect) + "\n"
+                for index, pair in enumerate(pair_list)
+            ),
+            encoding="utf-8",
+        )
+    return gold, hyp
+
+
+def _score_case(name: str, tmp: Path, inputs: dict[str, Path]) -> dict[str, str]:
+    gold, hyp = _score_inputs(tmp, inputs)
+    report = tmp / f"{name}.report.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        _run(name, ["score", "--hyp", str(hyp), "--m2", str(gold), *SCORE_CASES[name], "--report", str(report)])
+    return {
+        "stdout.txt": hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest(),
+        "report.json": _sha256(report),
+    }
+
+
+def compute(names: list[str] | None = None, extra: list[str] = ()) -> dict[str, dict[str, str]]:
+    """Run the named cases (default: all) in a fresh temporary directory;
+    case -> file -> sha256. `extra` is appended to every generate/augment
+    run, for options such as `--workers 2` that must not change a byte."""
     with open(_shipped("fixtures/correct_sentences.txt"), encoding="utf-8") as fh:
         lines = fh.read().splitlines() * 3
     tagged = [serialize_pretagged(segment_and_tag(line)) for line in lines]
     hashes: dict[str, dict[str, str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        corpus, pretagged = Path(tmp) / "corpus.txt", Path(tmp) / "pretagged.txt"
-        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        pretagged.write_text("\n".join(tagged) + "\n", encoding="utf-8")
-        for name, (command, *options) in PAIR_CASES.items():
-            pairs, stats = Path(tmp) / f"{name}.jsonl", Path(tmp) / f"{name}.stats.json"
-            source = pretagged if "--pretagged" in options else corpus
-            argv = [command, "--input", str(source), "--output", str(pairs), *options]
-            if command == "generate":
-                argv += ["--resources", str(default_resources_dir())]
-            if run(argv) != 0:
-                raise RuntimeError(f"golden case {name} failed: {argv}")
-            if run(["stats", "--input", str(pairs), "--per-type", "--output", str(stats)]) != 0:
-                raise RuntimeError(f"golden case {name}: stats failed")
-            hashes[name] = {
-                "pairs.jsonl": _sha256(pairs),
-                "pairs.jsonl.report.json": _sha256(Path(f"{pairs}.report.json")),
-                "stats-per-type.json": _sha256(stats),
-            }
+        tmp = Path(tmp)
+        inputs = {"corpus": tmp / "corpus.txt", "pretagged": tmp / "pretagged.txt"}
+        inputs["corpus"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        inputs["pretagged"].write_text("\n".join(tagged) + "\n", encoding="utf-8")
+        for name in CASES if names is None else names:
+            if name in PAIR_CASES:
+                hashes[name] = _pair_case(name, tmp, inputs, list(extra))
+            elif name in FILTER_CASES:
+                hashes[name] = _filter_case(name, tmp, inputs)
+            elif name in SCORE_CASES:
+                hashes[name] = _score_case(name, tmp, inputs)
+            else:
+                raise KeyError(f"unknown golden case: {name}")
     return hashes
 
 
@@ -87,14 +166,21 @@ def load() -> dict[str, dict[str, str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help="rewrite the manifest")
+    parser.add_argument(
+        "--case", action="append", choices=CASES, help="compare only this case (repeatable)"
+    )
     args = parser.parse_args(argv)
-    hashes = compute()
+    if args.write and args.case:
+        parser.error("--write rewrites the whole manifest; it takes no --case")
+    hashes = compute(args.case)
     if args.write:
         MANIFEST.parent.mkdir(exist_ok=True)
         MANIFEST.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {MANIFEST}")
         return 0
     expected = load()
+    if args.case:
+        expected = {case: expected.get(case, {}) for case in args.case}
     changed = sorted(
         f"{case}/{name}"
         for case in expected.keys() | hashes.keys()

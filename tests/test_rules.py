@@ -119,6 +119,9 @@ def test_imposing_cause_and_effect_adds_connectives():
 
 def test_imposing_cause_and_effect_needs_comma_and_no_existing_connective():
     assert corrupt("他是南方人不习惯吃面食", "ImposingCauseAndEffect") is None
+    # Either connective already present: the causal relation is explicit.
+    assert corrupt("他是南方人，所以不习惯吃面食", "ImposingCauseAndEffect") is None
+    assert corrupt("因为他是南方人，不习惯吃面食", "ImposingCauseAndEffect") is None
 
 
 def test_lack_subject_gives_verb_initial_sentence():
