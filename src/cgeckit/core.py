@@ -44,7 +44,20 @@ class ParseError(ValidationError):
     """Unparseable input line or item; carries location context in the message."""
 
 
-class POSTag(Enum):
+class _IdentityEnum(Enum):
+    """An enum whose members hash by identity.
+
+    Members are singletons and compare by identity, so the identity hash
+    agrees with equality. It runs in C, where Enum's own hash is a Python
+    call (hash of the member name) on every set or dict lookup, such as
+    `token.tag in NOMINAL_TAGS`. Hash values, and so the iteration order of
+    a set of members, differ between processes; no output depends on it.
+    """
+
+    __hash__ = object.__hash__
+
+
+class POSTag(_IdentityEnum):
     """Closed 13-member part-of-speech set; unknown external tags map to OTHER."""
 
     NOUN = "NOUN"
@@ -62,7 +75,7 @@ class POSTag(Enum):
     OTHER = "OTHER"
 
 
-class SyntacticRole(Enum):
+class SyntacticRole(_IdentityEnum):
     """The six sentence components corruption rules match against."""
 
     SUBJECT = "Subject"
@@ -73,7 +86,7 @@ class SyntacticRole(Enum):
     COMPLEMENT = "Complement"
 
 
-class CoarseType(Enum):
+class CoarseType(_IdentityEnum):
     """The six coarse grammatical-error categories."""
 
     STRUCTURAL_CONFUSION = "StructuralConfusion"
@@ -134,10 +147,25 @@ class ErrorType:
 
     @classmethod
     def from_fine(cls, fine: str) -> "ErrorType":
+        """The label of a fine rule id: one shared instance per known id."""
+        label = _ERROR_TYPES.get(fine)
+        if label is not None:
+            return label
         coarse = FINE_TO_COARSE.get(fine)
         if coarse is None:
             raise ValidationError(f"unknown fine error type: {fine!r}")
         return cls(coarse, fine)
+
+
+# One frozen label per fine rule id, built once; every pair that a rule
+# fires shares it. Keyed by fine id, and by (coarse value, fine id) for
+# labels read back from JSON.
+_ERROR_TYPES: dict[str, ErrorType] = {
+    fine: ErrorType(coarse, fine) for fine, coarse in FINE_TO_COARSE.items()
+}
+_ERROR_TYPES_BY_NAMES: dict[tuple[str, str], ErrorType] = {
+    (label.coarse.value, fine): label for fine, label in _ERROR_TYPES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -460,6 +488,19 @@ def _fields(obj: dict, spec: tuple, where: str) -> tuple:
     return values
 
 
+def _error_type_from_json(entry) -> ErrorType:
+    """One `error_types` entry as a label: the shared instance when it names
+    a known (coarse, fine) pair as strings; anything else goes through the
+    checked constructor and fails there with its own error."""
+    if type(entry) is dict:
+        coarse, fine = entry.get("coarse"), entry.get("fine")
+        if type(coarse) is str and type(fine) is str:
+            label = _ERROR_TYPES_BY_NAMES.get((coarse, fine))
+            if label is not None:
+                return label
+    return ErrorType(CoarseType(entry["coarse"]), entry["fine"])
+
+
 def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
     where = "" if lineno is None else f" at line {lineno}"
     try:
@@ -475,9 +516,7 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
             edits=tuple(
                 EditSpan(*_fields(e, _EDIT_SPEC, where)) for e in obj["edits"]
             ),
-            error_types=tuple(
-                ErrorType(CoarseType(t["coarse"]), t["fine"]) for t in obj["error_types"]
-            ),
+            error_types=tuple(map(_error_type_from_json, obj["error_types"])),
             rule_id=rule_id,
             seed=seed,
         )

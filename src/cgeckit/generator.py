@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Iterator
 
 from cgeckit.core import (
@@ -64,6 +63,15 @@ class GenConfig:
             if finite_number(f"rule weight of {rule}", weight) < 0:
                 raise ConfigError("rule weights must be >= 0")
         object.__setattr__(self, "enabled_rules", frozenset(self.enabled_rules))
+        rules, weights = self._rule_pool
+        if not rules:
+            raise ConfigError(
+                "rule_weights give every enabled rule weight 0, so no rule can be drawn"
+            )
+        if not math.isfinite(sum(weights)):
+            raise ConfigError(
+                f"the enabled rules' weights must have a finite sum, got {sum(weights)!r}"
+            )
 
     @cached_property
     def _rule_pool(self) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -121,8 +129,11 @@ def _weighted_pop(rng: random.Random, rules: list[str], weights: list[float]) ->
     0.0, exceeds the draw, or else the last rule.
     """
     r = rng.random() * sum(weights)
-    sums = list(accumulate(weights, initial=0.0))
-    index = min(bisect_right(sums, r, 1) - 1, len(rules) - 1)
+    total = 0.0
+    for index, weight in enumerate(weights):
+        total += weight
+        if total > r:
+            break
     del weights[index]
     return rules.pop(index)
 

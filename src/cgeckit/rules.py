@@ -29,7 +29,7 @@ from cgeckit.core import (
     diff_edits,
 )
 from cgeckit.resources import RuleResources, _matching_rows
-from cgeckit.tagging import NOMINAL_TAGS, RoleSpans, _clauses, _is_de
+from cgeckit.tagging import NOMINAL_TAGS, RoleSpans, _PHRASE_TAGS, _clause_of, _clauses, _is_de
 from cgeckit.core import SyntacticRole as Role
 
 
@@ -79,13 +79,6 @@ def _swap(text: str, r1: tuple[int, int], r2: tuple[int, int]) -> Candidate:
 def _surfaces_in(sentence: TaggedSentence, rng_range: tuple[int, int]) -> set[str]:
     i, j = rng_range
     return {t.surface for t in sentence.tokens[i:j]}
-
-
-def _clause_of(sentence: TaggedSentence, index: int) -> tuple[int, int]:
-    for cs, ce in _clauses(sentence):
-        if cs <= index < ce:
-            return cs, ce
-    return 0, len(sentence.tokens)
 
 
 # --- StructuralConfusion -------------------------------------------------
@@ -200,9 +193,6 @@ def _cand_improper_negation(sentence, roles, resources):
             pos = tokens[p - 1].char_start
             out.append((pos, pos, doubles))
     return out
-
-
-_PHRASE_TAGS = NOMINAL_TAGS | {POSTag.NUM}
 
 
 def _cand_reverse_host_guest(sentence, roles, resources):

@@ -227,73 +227,30 @@ def _clauses(sentence: TaggedSentence) -> list[tuple[int, int]]:
     return clauses or [(0, 0)]
 
 
-def _nominal_runs(sentence: TaggedSentence, lo: int, hi: int) -> list[tuple[int, int]]:
-    runs = []
-    i = lo
-    while i < hi:
-        if sentence.tokens[i].tag in NOMINAL_TAGS:
-            j = i
-            while j < hi and sentence.tokens[j].tag in NOMINAL_TAGS:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
-def find_predicate(sentence: TaggedSentence) -> int | None:
-    """First VERB token not immediately followed by 的 (which relativizes it)."""
+def _clause_of(sentence: TaggedSentence, index: int) -> tuple[int, int]:
+    """The clause of `_clauses` that holds token `index`, found by scanning
+    out to the PUNCT tokens on either side; (0, len(tokens)) for a PUNCT
+    token, which no clause holds."""
     tokens = sentence.tokens
-    for i, tok in enumerate(tokens):
-        if tok.tag is POSTag.VERB:
-            if i + 1 < len(tokens) and _is_de(tokens[i + 1]):
-                continue
-            return i
-    return None
+    if tokens[index].tag is POSTag.PUNCT:
+        return 0, len(tokens)
+    start = index
+    while start and tokens[start - 1].tag is not POSTag.PUNCT:
+        start -= 1
+    end = index + 1
+    while end < len(tokens) and tokens[end].tag is not POSTag.PUNCT:
+        end += 1
+    return start, end
 
 
-def _eligible_np(sentence: TaggedSentence, run: tuple[int, int]) -> bool:
-    """A bare noun-phrase run: not an attribute (的 follows) and not the
-    object of a preposition (ADP precedes)."""
-    tokens = sentence.tokens
-    i, j = run
-    if j < len(tokens) and _is_de(tokens[j]):
-        return False
-    if i > 0 and tokens[i - 1].tag is POSTag.ADP:
-        return False
-    return True
-
-
-def _attribute_ranges(sentence: TaggedSentence, predicate: int | None) -> list[tuple[int, int]]:
-    tokens = sentence.tokens
-    out = []
-    for d, tok in enumerate(tokens):
-        if not _is_de(tok) or d == 0:
-            continue
-        # 的 must introduce a noun phrase: optional ADJ run, then a nominal.
-        k = d + 1
-        while k < len(tokens) and tokens[k].tag is POSTag.ADJ:
-            k += 1
-        if k >= len(tokens) or tokens[k].tag not in NOMINAL_TAGS:
-            continue
-        before = tokens[d - 1]
-        if before.tag is POSTag.VERB and d - 1 != predicate:
-            # Relative clause `N* V 的`: include the verb and its bare subject.
-            s = d - 1
-            while s - 1 >= 0 and tokens[s - 1].tag in NOMINAL_TAGS and s - 1 != predicate:
-                s -= 1
-        elif before.tag is POSTag.PRON:
-            # Possessive pronoun directly before 的.
-            s = d - 1
-        elif before.tag in _ATTR_RUN_TAGS:
-            s = d - 1
-            while s - 1 >= 0 and tokens[s - 1].tag in _ATTR_RUN_TAGS and s - 1 != predicate:
-                s -= 1
-        else:
-            continue
-        out.append((s, d + 1))
-    return out
+# The tags the role pass tests, as module names: a global read per test
+# instead of an enum class attribute lookup.
+_VERB, _ADJ, _ADV, _ADP, _PART, _PRON, _PUNCT = (
+    POSTag.VERB, POSTag.ADJ, POSTag.ADV, POSTag.ADP, POSTag.PART, POSTag.PRON, POSTag.PUNCT
+)
+# Tags of a prepositional phrase after its ADP: NUM covers demonstrative
+# compounds (这个/这位/...), as in 对这个问题.
+_PHRASE_TAGS = NOMINAL_TAGS | {POSTag.NUM}
 
 
 def identify_roles(sentence: TaggedSentence) -> RoleSpans:
@@ -316,67 +273,122 @@ def identify_roles(sentence: TaggedSentence) -> RoleSpans:
 
     Sentences with no VERB get an empty Predicate; rules that need one
     simply do not fire.
+
+    The tags are read into a list once; the predicate's clause is found by
+    scanning out from the predicate, and its nominal runs are walked once,
+    the subject taken from those before the predicate and the object from
+    those after it.
     """
     tokens = sentence.tokens
-    spans: dict[SyntacticRole, tuple[tuple[int, int], ...]] = {}
-    predicate = find_predicate(sentence)
-    clauses = _clauses(sentence)
-    if predicate is not None:
-        cs, ce = next((c for c in clauses if c[0] <= predicate < c[1]), (0, len(tokens)))
-        spans[SyntacticRole.PREDICATE] = ((predicate, predicate + 1),)
-    else:
-        cs, ce = clauses[0]
+    n = len(tokens)
+    tags = [tok.tag for tok in tokens]
+    de = [tag is _PART and tok.surface == "的" for tag, tok in zip(tags, tokens)]
 
-    subject_hi = predicate if predicate is not None else ce
-    for run in _nominal_runs(sentence, cs, subject_hi):
-        if _eligible_np(sentence, run):
-            spans[SyntacticRole.SUBJECT] = (run,)
+    predicate = None
+    for i, tag in enumerate(tags):
+        if tag is _VERB and not (i + 1 < n and de[i + 1]):
+            predicate = i
             break
-
+    # The predicate's clause, or with no predicate the first clause.
     if predicate is not None:
-        objects = [
-            run
-            for run in _nominal_runs(sentence, predicate + 1, ce)
-            if _eligible_np(sentence, run)
-        ]
-        if objects:
-            spans[SyntacticRole.OBJECT] = (objects[-1],)
+        cs = predicate
+        while cs and tags[cs - 1] is not _PUNCT:
+            cs -= 1
+        ce = predicate + 1
+    else:
+        cs = 0
+        while cs < n and tags[cs] is _PUNCT:
+            cs += 1
+        ce = cs
+    while ce < n and tags[ce] is not _PUNCT:
+        ce += 1
 
-    attributes = _attribute_ranges(sentence, predicate)
+    # Bare noun-phrase runs: not an attribute (的 follows) and not the
+    # object of a preposition (ADP precedes). The predicate is a VERB, so
+    # no run crosses it.
+    subject = obj = None
+    subject_hi = ce if predicate is None else predicate
+    i = cs
+    while i < ce:
+        if tags[i] not in NOMINAL_TAGS:
+            i += 1
+            continue
+        j = i + 1
+        while j < ce and tags[j] in NOMINAL_TAGS:
+            j += 1
+        if not (j < n and de[j]) and not (i and tags[i - 1] is _ADP):
+            if j > subject_hi:
+                obj = (i, j)
+            elif subject is None:
+                subject = (i, j)
+                if predicate is None:
+                    break
+                j = predicate + 1  # later runs before the predicate are not read
+        i = j
+
+    # Attributes: a modifier run ending in 的 that introduces a noun phrase
+    # (an optional ADJ run, then a nominal). The predicate is a VERB that
+    # 的 does not follow, so no attribute holds it.
+    attributes = []
+    for d in range(1, n):
+        if not de[d]:
+            continue
+        k = d + 1
+        while k < n and tags[k] is _ADJ:
+            k += 1
+        if k >= n or tags[k] not in NOMINAL_TAGS:
+            continue
+        before = tags[d - 1]
+        s = d - 1
+        if before is _VERB:
+            # Relative clause `N* V 的`: include the verb and its bare subject.
+            while s and tags[s - 1] in NOMINAL_TAGS:
+                s -= 1
+        elif before is _PRON:
+            pass  # possessive pronoun directly before 的
+        elif before in _ATTR_RUN_TAGS:
+            while s and tags[s - 1] in _ATTR_RUN_TAGS:
+                s -= 1
+        else:
+            continue
+        attributes.append((s, d + 1))
+
+    spans: dict[SyntacticRole, tuple[tuple[int, int], ...]] = {}
+    if predicate is not None:
+        spans[SyntacticRole.PREDICATE] = ((predicate, predicate + 1),)
+    if subject is not None:
+        spans[SyntacticRole.SUBJECT] = (subject,)
+    if obj is not None:
+        spans[SyntacticRole.OBJECT] = (obj,)
     if attributes:
         spans[SyntacticRole.ATTRIBUTE] = tuple(attributes)
+    if predicate is None:
+        return RoleSpans(spans)
 
-    if predicate is not None:
-        adverbials: list[tuple[int, int]] = []
-        in_attr = {
-            i for a, b in attributes for i in range(a, b)
-        }
-        i = cs
-        while i < predicate:
-            tok = tokens[i]
-            if tok.tag is POSTag.ADV and i not in in_attr:
-                j = i
-                while j < predicate and tokens[j].tag is POSTag.ADV and j not in in_attr:
-                    j += 1
-                adverbials.append((i, j))
-                i = j
-            elif tok.tag is POSTag.ADP:
-                # NUM covers demonstrative compounds (这个/这位/...), which
-                # sit inside prepositional phrases: 对这个问题.
-                j = i + 1
-                while j < predicate and (
-                    tokens[j].tag in NOMINAL_TAGS or tokens[j].tag is POSTag.NUM
-                ):
-                    j += 1
-                adverbials.append((i, j))
-                i = j
-            else:
-                i += 1
-        if adverbials:
-            spans[SyntacticRole.ADVERBIAL] = tuple(adverbials)
+    # Adverbials: ADV runs outside attributes, and ADP-led phrases, between
+    # the clause start and the predicate.
+    in_attr = {i for a, b in attributes for i in range(a, b)} if attributes else ()
+    adverbials = []
+    i = cs
+    while i < predicate:
+        tag = tags[i]
+        if tag is _ADV and i not in in_attr:
+            j = i + 1
+            while j < predicate and tags[j] is _ADV and j not in in_attr:
+                j += 1
+        elif tag is _ADP:
+            j = i + 1
+            while j < predicate and tags[j] in _PHRASE_TAGS:
+                j += 1
+        else:
+            i += 1
+            continue
+        adverbials.append((i, j))
+        i = j
+    if adverbials:
+        spans[SyntacticRole.ADVERBIAL] = tuple(adverbials)
 
-        nxt = predicate + 1
-        if nxt < ce and tokens[nxt].surface == "得" and tokens[nxt].tag is POSTag.PART:
-            spans[SyntacticRole.COMPLEMENT] = ((nxt, ce),)
-
+    nxt = predicate + 1
+    if nxt < ce and tags[nxt] is _PART and tokens[nxt].surface == "得":
+        spans[SyntacticRole.COMPLEMENT] = ((nxt, ce),)
     return RoleSpans(spans)

@@ -12,12 +12,11 @@ import unicodedata
 from fractions import Fraction
 from functools import lru_cache
 
-from cgeckit.core import POSTag
+from cgeckit.core import POSTag, SyntacticRole, TaggedSentence
 from cgeckit.lm import BOUNDARY, UNK
 from cgeckit.core import SyntacticRole as Role
 from cgeckit.rules import (
     _PHRASE_TAGS,
-    _clause_of,
     _core_end,
     _delete_candidate,
     _find_after,
@@ -26,6 +25,7 @@ from cgeckit.rules import (
     _surfaces_in,
     _swap,
 )
+from cgeckit.tagging import _ATTR_RUN_TAGS, NOMINAL_TAGS, RoleSpans, _clauses, _is_de
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -306,6 +306,173 @@ def all_alignment_op_counts(a: str, b: str) -> set[tuple[int, int, int]]:
     return triples
 
 
+# --- the role heuristic, written plainly -----------------------------------
+
+
+def clause_of_reference(sentence, index):
+    """The clause of `_clauses` that holds token index, by a scan of the list."""
+    for cs, ce in _clauses(sentence):
+        if cs <= index < ce:
+            return cs, ce
+    return 0, len(sentence.tokens)
+
+
+def _nominal_runs(sentence: TaggedSentence, lo: int, hi: int) -> list[tuple[int, int]]:
+    runs = []
+    i = lo
+    while i < hi:
+        if sentence.tokens[i].tag in NOMINAL_TAGS:
+            j = i
+            while j < hi and sentence.tokens[j].tag in NOMINAL_TAGS:
+                j += 1
+            runs.append((i, j))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+def find_predicate(sentence: TaggedSentence) -> int | None:
+    """First VERB token not immediately followed by 的 (which relativizes it)."""
+    tokens = sentence.tokens
+    for i, tok in enumerate(tokens):
+        if tok.tag is POSTag.VERB:
+            if i + 1 < len(tokens) and _is_de(tokens[i + 1]):
+                continue
+            return i
+    return None
+
+
+def _eligible_np(sentence: TaggedSentence, run: tuple[int, int]) -> bool:
+    """A bare noun-phrase run: not an attribute (的 follows) and not the
+    object of a preposition (ADP precedes)."""
+    tokens = sentence.tokens
+    i, j = run
+    if j < len(tokens) and _is_de(tokens[j]):
+        return False
+    if i > 0 and tokens[i - 1].tag is POSTag.ADP:
+        return False
+    return True
+
+
+def _attribute_ranges(sentence: TaggedSentence, predicate: int | None) -> list[tuple[int, int]]:
+    tokens = sentence.tokens
+    out = []
+    for d, tok in enumerate(tokens):
+        if not _is_de(tok) or d == 0:
+            continue
+        # 的 must introduce a noun phrase: optional ADJ run, then a nominal.
+        k = d + 1
+        while k < len(tokens) and tokens[k].tag is POSTag.ADJ:
+            k += 1
+        if k >= len(tokens) or tokens[k].tag not in NOMINAL_TAGS:
+            continue
+        before = tokens[d - 1]
+        if before.tag is POSTag.VERB and d - 1 != predicate:
+            # Relative clause `N* V 的`: include the verb and its bare subject.
+            s = d - 1
+            while s - 1 >= 0 and tokens[s - 1].tag in NOMINAL_TAGS and s - 1 != predicate:
+                s -= 1
+        elif before.tag is POSTag.PRON:
+            # Possessive pronoun directly before 的.
+            s = d - 1
+        elif before.tag in _ATTR_RUN_TAGS:
+            s = d - 1
+            while s - 1 >= 0 and tokens[s - 1].tag in _ATTR_RUN_TAGS and s - 1 != predicate:
+                s -= 1
+        else:
+            continue
+        out.append((s, d + 1))
+    return out
+
+
+def identify_roles_reference(sentence: TaggedSentence) -> RoleSpans:
+    """`tagging.identify_roles` written plainly: it builds every clause,
+    finds the predicate's clause with a generator scan, and collects the
+    nominal runs before and after the predicate separately. The heuristic
+    (documented behavior, validated against the shipped hand-labeled
+    fixtures):
+
+    - Predicate: first VERB not immediately followed by 的/PART.
+    - Subject: first bare nominal run (NOUN/PRON/PROPN, not followed by 的,
+      not preceded by an ADP) before the predicate in its clause; with no
+      predicate, the first bare nominal run of the first clause.
+    - Object: last bare nominal run after the predicate in its clause.
+    - Attribute: modifier run ending in 的 that introduces a noun phrase
+      (possessive pronouns and `N* V 的` relative clauses included).
+    - Adverbial: ADV runs and ADP-led phrases between clause start and the
+      predicate (ADV tokens inside an attribute are not re-reported).
+    - Complement: 得/PART-led phrase immediately after the predicate, to the
+      end of the clause.
+
+    Sentences with no VERB get an empty Predicate; rules that need one
+    simply do not fire.
+    """
+    tokens = sentence.tokens
+    spans: dict[SyntacticRole, tuple[tuple[int, int], ...]] = {}
+    predicate = find_predicate(sentence)
+    clauses = _clauses(sentence)
+    if predicate is not None:
+        cs, ce = next((c for c in clauses if c[0] <= predicate < c[1]), (0, len(tokens)))
+        spans[SyntacticRole.PREDICATE] = ((predicate, predicate + 1),)
+    else:
+        cs, ce = clauses[0]
+
+    subject_hi = predicate if predicate is not None else ce
+    for run in _nominal_runs(sentence, cs, subject_hi):
+        if _eligible_np(sentence, run):
+            spans[SyntacticRole.SUBJECT] = (run,)
+            break
+
+    if predicate is not None:
+        objects = [
+            run
+            for run in _nominal_runs(sentence, predicate + 1, ce)
+            if _eligible_np(sentence, run)
+        ]
+        if objects:
+            spans[SyntacticRole.OBJECT] = (objects[-1],)
+
+    attributes = _attribute_ranges(sentence, predicate)
+    if attributes:
+        spans[SyntacticRole.ATTRIBUTE] = tuple(attributes)
+
+    if predicate is not None:
+        adverbials: list[tuple[int, int]] = []
+        in_attr = {
+            i for a, b in attributes for i in range(a, b)
+        }
+        i = cs
+        while i < predicate:
+            tok = tokens[i]
+            if tok.tag is POSTag.ADV and i not in in_attr:
+                j = i
+                while j < predicate and tokens[j].tag is POSTag.ADV and j not in in_attr:
+                    j += 1
+                adverbials.append((i, j))
+                i = j
+            elif tok.tag is POSTag.ADP:
+                # NUM covers demonstrative compounds (这个/这位/...), which
+                # sit inside prepositional phrases: 对这个问题.
+                j = i + 1
+                while j < predicate and (
+                    tokens[j].tag in NOMINAL_TAGS or tokens[j].tag is POSTag.NUM
+                ):
+                    j += 1
+                adverbials.append((i, j))
+                i = j
+            else:
+                i += 1
+        if adverbials:
+            spans[SyntacticRole.ADVERBIAL] = tuple(adverbials)
+
+        nxt = predicate + 1
+        if nxt < ce and tokens[nxt].surface == "得" and tokens[nxt].tag is POSTag.PART:
+            spans[SyntacticRole.COMPLEMENT] = ((nxt, ce),)
+
+    return RoleSpans(spans)
+
+
 # --- whole-table candidate scans --------------------------------------------
 # The table-driven rules' candidate functions written as plain scans: every
 # row of the table is tested against the sentence. The library finds its
@@ -376,7 +543,7 @@ def _scan_predicate_object(sentence, roles, resources):
     p = roles.predicate_index()
     if p is None:
         return []
-    cs, ce = _clause_of(sentence, p)
+    cs, ce = clause_of_reference(sentence, p)
     out = []
     for c in (c for c in resources.collocations if c.kind == "predicate_object"):
         if sentence.tokens[p].surface != c.left:
@@ -394,7 +561,7 @@ def _scan_subject_object(sentence, roles, resources):
     subject = roles.first(Role.SUBJECT)
     if p is None or subject is None:
         return []
-    cs, ce = _clause_of(sentence, p)
+    cs, ce = clause_of_reference(sentence, p)
     subj_words = _surfaces_in(sentence, subject)
     out = []
     for c in (c for c in resources.collocations if c.kind == "subject_object"):

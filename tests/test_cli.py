@@ -874,6 +874,10 @@ def test_score_beta_must_be_finite(tmp_path, capsys, beta):
         ("generate", '{"rule_weights": ["LackSubject"]}'),
         ("generate", '{"per_sentence": "2"}'),
         ("generate", '{"combine_max": 1.5}'),
+        # Each weight is valid, but no rule is left to draw, or the weights'
+        # sum overflows to inf.
+        ("generate", '{"enabled_rules": ["LackSubject"], "rule_weights": {"LackSubject": 0}}'),
+        ("generate", '{"rule_weights": {"LackSubject": 1e308, "LackObject": 1e308}}'),
     ],
 )
 def test_bad_config_numbers_are_usage_errors(tmp_path, corpus_file, capsys, command, config):

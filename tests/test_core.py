@@ -58,6 +58,34 @@ def test_error_type_rejects_wrong_coarse():
     assert t.coarse is CoarseType.REDUNDANT_COMPONENT
 
 
+def test_labels_are_shared_and_misses_keep_their_errors():
+    # One frozen instance per fine id, for rules and for records read back.
+    for fine, coarse in FINE_TO_COARSE.items():
+        label = ErrorType.from_fine(fine)
+        assert label is ErrorType.from_fine(fine)
+        assert label == ErrorType(coarse, fine)
+    obj = json.loads(pair_to_json(_sample_pair()))
+    first = pair_from_json(json.dumps(obj, ensure_ascii=False))
+    second = pair_from_json(json.dumps(obj, ensure_ascii=False))
+    assert first.error_types[0] is second.error_types[0] is ErrorType.from_fine("MultiMeanings")
+    # Anything else fails as the checked constructor does.
+    with pytest.raises(ValidationError, match="unknown fine error type: 'NoSuchRule'"):
+        ErrorType.from_fine("NoSuchRule")
+    with pytest.raises(TypeError, match="unhashable"):
+        ErrorType.from_fine(["MultiWords"])
+    for entry, error, message in [
+        ({"coarse": "MissingComponent", "fine": "MultiMeanings"}, ValidationError, "belongs to"),
+        ({"coarse": "RedundantComponent", "fine": "NoSuchRule"}, ValidationError, "unknown fine"),
+        ({"coarse": "Redundant", "fine": "MultiMeanings"}, ParseError, "not a valid CoarseType"),
+        ({"coarse": "RedundantComponent", "fine": ["MultiMeanings"]}, ParseError, "unhashable"),
+        ({"fine": "MultiMeanings"}, ParseError, "'coarse'"),
+        ("MultiMeanings", ParseError, "string indices"),
+    ]:
+        obj["error_types"] = [entry]
+        with pytest.raises(error, match=message):
+            pair_from_json(json.dumps(obj, ensure_ascii=False))
+
+
 def test_apply_edits_empty_is_identity():
     assert apply_edits("昨天是转会的最后一天", []) == "昨天是转会的最后一天"
 

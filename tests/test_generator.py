@@ -64,6 +64,32 @@ def test_genconfig_rejects_bad_values(kwargs):
         GenConfig(**kwargs)
 
 
+def test_genconfig_rejects_weights_that_leave_no_rule_drawable():
+    # Generation would be silently empty: every attempt finds no rule.
+    with pytest.raises(ConfigError, match="weight 0"):
+        GenConfig(rule_weights=dict.fromkeys(RULE_REGISTRY, 0.0))
+    with pytest.raises(ConfigError, match="weight 0"):
+        GenConfig(enabled_rules=frozenset({"LackSubject"}), rule_weights={"LackSubject": 0})
+    # A zero weight on a rule that is not enabled leaves the others drawable.
+    config = GenConfig(
+        enabled_rules=frozenset({"LackObject"}), rule_weights={"LackSubject": 0.0}
+    )
+    assert config._rule_pool == (("LackObject",), (1.0,))
+
+
+def test_genconfig_rejects_weights_whose_sum_is_not_finite():
+    # Each weight is finite, but their sum is inf, so r = random() * inf is
+    # inf or nan and the draw would always take the first or the last rule.
+    weights = {"LackSubject": 1e308, "LackObject": 1e308}
+    with pytest.raises(ConfigError, match="finite sum"):
+        GenConfig(rule_weights=weights)
+    with pytest.raises(ConfigError, match="finite sum"):
+        GenConfig(enabled_rules=frozenset(weights), rule_weights=weights)
+    # Only enabled rules count towards the sum.
+    config = GenConfig(enabled_rules=frozenset({"LackSubject"}), rule_weights=weights)
+    assert config._rule_pool == (("LackSubject",), (1e308,))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

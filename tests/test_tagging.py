@@ -17,9 +17,10 @@ from cgeckit.tagging import (
     parse_pretagged,
     segment_and_tag,
     serialize_pretagged,
+    _clause_of,
     _shipped,
 )
-from oracles import longest_match_tag
+from oracles import clause_of_reference, identify_roles_reference, longest_match_tag
 
 
 def test_empty_input_yields_empty_sentence():
@@ -195,6 +196,30 @@ def test_fixture_files_align():
     labels = [c["text"] for c in _load_role_fixtures()]
     assert sents == labels
     assert len(sents) == 50
+
+
+# Items of a random tagged sentence: every tag, with the nominal tags and
+# VERB, ADV and ADP, which the heuristic tests most, drawn more often; 的
+# and 得 as PART (or not); and a comma that breaks clauses as PUNCT.
+_ROLE_TAGS = [*POSTag, POSTag.NOUN, POSTag.PRON, POSTag.VERB, POSTag.VERB, POSTag.ADV, POSTag.ADP]
+_role_items = st.one_of(
+    st.tuples(st.just("书"), st.sampled_from(_ROLE_TAGS)),
+    st.tuples(st.sampled_from("的得"), st.sampled_from([POSTag.PART, POSTag.PART, POSTag.ADJ])),
+    st.just(("，", POSTag.PUNCT)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_role_items, max_size=16))
+def test_identify_roles_matches_the_reference(items):
+    tokens = tuple(Token(surface, tag, i, i + 1) for i, (surface, tag) in enumerate(items))
+    sentence = TaggedSentence("".join(surface for surface, _ in items), tokens)
+    roles = identify_roles(sentence)
+    expected = identify_roles_reference(sentence)
+    assert roles == expected
+    assert list(roles.spans.items()) == list(expected.spans.items())
+    for index in range(len(tokens)):
+        assert _clause_of(sentence, index) == clause_of_reference(sentence, index)
 
 
 def test_role_spans_helpers():
