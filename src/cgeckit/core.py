@@ -149,22 +149,15 @@ class ErrorType:
     def from_fine(cls, fine: str) -> "ErrorType":
         """The label of a fine rule id: one shared instance per known id."""
         label = _ERROR_TYPES.get(fine)
-        if label is not None:
-            return label
-        coarse = FINE_TO_COARSE.get(fine)
-        if coarse is None:
+        if label is None:
             raise ValidationError(f"unknown fine error type: {fine!r}")
-        return cls(coarse, fine)
+        return label
 
 
 # One frozen label per fine rule id, built once; every pair that a rule
-# fires shares it. Keyed by fine id, and by (coarse value, fine id) for
-# labels read back from JSON.
+# fires shares it.
 _ERROR_TYPES: dict[str, ErrorType] = {
     fine: ErrorType(coarse, fine) for fine, coarse in FINE_TO_COARSE.items()
-}
-_ERROR_TYPES_BY_NAMES: dict[tuple[str, str], ErrorType] = {
-    (label.coarse.value, fine): label for fine, label in _ERROR_TYPES.items()
 }
 
 
@@ -494,9 +487,9 @@ def _error_type_from_json(entry) -> ErrorType:
     checked constructor and fails there with its own error."""
     if type(entry) is dict:
         coarse, fine = entry.get("coarse"), entry.get("fine")
-        if type(coarse) is str and type(fine) is str:
-            label = _ERROR_TYPES_BY_NAMES.get((coarse, fine))
-            if label is not None:
+        if type(fine) is str:
+            label = _ERROR_TYPES.get(fine)
+            if label is not None and label.coarse.value == coarse:
                 return label
     return ErrorType(CoarseType(entry["coarse"]), entry["fine"])
 
