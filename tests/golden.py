@@ -7,6 +7,10 @@ A `score` case scores against the M2 gold that `write_m2` writes for the
 pairs of `generate --seed 1 --per-sentence 2 --combine-max 2`; its
 hypotheses are each pair's correct text on even (0-based) lines and its
 incorrect text on odd lines, so some sentences are fixed and some are not.
+A `score-3ref` case scores against three annotators per sentence: 0 holds
+the `write_m2` edits, 1 one span that merges them, and 2 a `-NONE-` no-op.
+Its hypotheses cycle through each pair's correct text, its incorrect text,
+and its incorrect text with only the last edit made.
 The manifest in tests/golden/manifest.json holds the hashes; test_golden.py
 regenerates the cases and compares.
 
@@ -30,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 from cgeckit.cli import run
-from cgeckit.core import read_pairs
+from cgeckit.core import apply_edits, read_pairs
 from cgeckit.metrics import write_m2
 from cgeckit.resources import default_resources_dir
 from cgeckit.rules import RULE_REGISTRY
@@ -58,9 +62,16 @@ PAIR_CASES = {
 }
 # case name -> `filter` arguments after --input and --output.
 FILTER_CASES = {f"filter-keep50-n{n}": ["--keep", "50", "--n", str(n)] for n in (1, 2, 3, 4)}
-# case name -> `score` arguments after --hyp and --m2.
+# case name -> `score` arguments after --hyp and --m2. A `score-3ref` case
+# reads the three-annotator gold.
 SCORE_CASES = {
-    f"score-char-beta{beta}": ["--char-tokenize", "--beta", beta] for beta in ("0.5", "1", "2")
+    **{f"score-char-beta{beta}": ["--char-tokenize", "--beta", beta] for beta in ("0.5", "1", "2")},
+    **{
+        f"score-3ref-char-beta0.5-unchanged{k}": [
+            "--char-tokenize", "--beta", "0.5", "--max-unchanged", k
+        ]
+        for k in ("0", "2")
+    },
 }
 SCORE_GOLD_CASE = "generate-seed1-per2-combine2"
 CASES = [*PAIR_CASES, *FILTER_CASES, *SCORE_CASES]
@@ -100,30 +111,60 @@ def _filter_case(name: str, tmp: Path, inputs: dict[str, Path]) -> dict[str, str
     return {"kept.txt": _sha256(kept)}
 
 
-def _score_inputs(tmp: Path, inputs: dict[str, Path]) -> tuple[Path, Path]:
-    """The M2 gold and hypotheses the score cases share, written once."""
-    gold, hyp = tmp / "score-gold.m2", tmp / "score-hyp.txt"
-    if not gold.exists():
-        pairs = tmp / "score-pairs.jsonl"
+def _three_annotator_m2(pairs: list, one: str) -> str:
+    """`one` (the `write_m2` gold of `pairs`) with two more annotators per
+    sentence: 1 replaces the pair's edits by the one span from the first
+    edit's start to the last edit's end, 2 registers a `-NONE-` no-op."""
+    blocks = one.split("\n\n")
+    assert len(blocks) == len(pairs) + 1 and blocks[-1] == ""
+    out = []
+    for block, pair in zip(blocks, pairs):
+        start = min(span.start for span in pair.edits)
+        end = max(span.end for span in pair.edits)
+        merged = pair.correct[start : len(pair.correct) - (len(pair.incorrect) - end)]
+        out.append(
+            f"{block}\nA {start} {end}|||Merged|||{' '.join(merged)}|||REQUIRED|||-NONE-|||1"
+            "\nA 0 0|||noop|||-NONE-|||REQUIRED|||-NONE-|||2\n\n"
+        )
+    return "".join(out)
+
+
+def _score_inputs(tmp: Path, inputs: dict[str, Path], three: bool) -> tuple[Path, Path]:
+    """The M2 gold and hypotheses of the one-annotator or the
+    three-annotator score cases; each file is written once."""
+    gold, hyp = tmp / f"score-gold-{three:d}.m2", tmp / f"score-hyp-{three:d}.txt"
+    if gold.exists():
+        return gold, hyp
+    pairs = tmp / "score-pairs.jsonl"
+    if not pairs.exists():
         _run("score gold", [
             "generate", "--input", str(inputs["corpus"]), "--output", str(pairs),
             *PAIR_CASES[SCORE_GOLD_CASE][1:], "--resources", str(default_resources_dir()),
         ])
-        pair_list = list(read_pairs(str(pairs)))
-        with open(gold, "w", encoding="utf-8") as fh:
-            write_m2(pair_list, fh)
-        hyp.write_text(
-            "".join(
-                (pair.correct if index % 2 == 0 else pair.incorrect) + "\n"
-                for index, pair in enumerate(pair_list)
-            ),
-            encoding="utf-8",
-        )
+    pair_list = list(read_pairs(str(pairs)))
+    one = io.StringIO()
+    write_m2(pair_list, one)
+    text = one.getvalue()
+    gold.write_text(_three_annotator_m2(pair_list, text) if three else text, encoding="utf-8")
+    if three:
+        # Correct, incorrect, and incorrect with only the last edit made:
+        # the last kind keeps the running F below 1, so that the choice
+        # among annotators is not a tie.
+        texts = [
+            (pair.correct, pair.incorrect, apply_edits(pair.incorrect, pair.edits[-1:]))[index % 3]
+            for index, pair in enumerate(pair_list)
+        ]
+    else:
+        texts = [
+            pair.correct if index % 2 == 0 else pair.incorrect
+            for index, pair in enumerate(pair_list)
+        ]
+    hyp.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
     return gold, hyp
 
 
 def _score_case(name: str, tmp: Path, inputs: dict[str, Path]) -> dict[str, str]:
-    gold, hyp = _score_inputs(tmp, inputs)
+    gold, hyp = _score_inputs(tmp, inputs, name.startswith("score-3ref"))
     report = tmp / f"{name}.report.json"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
