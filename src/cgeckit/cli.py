@@ -264,8 +264,11 @@ def _cmd_score(args) -> int:
     )
     joiner = "" if args.char_tokenize else " "
     sources = [joiner.join(entry.tokens) for entry in gold]
+    # One hypothesis per line, blank ones included. Lines end only at
+    # "\n", as iterating a text file gives them; str.splitlines would also
+    # break at \x0c, \x85, U+2028 and other characters inside a line.
     with open_input(args.hyp) as fh:
-        hypotheses = fh.read().splitlines()
+        hypotheses = [line.rstrip("\n") for line in fh]
     report = score_corpus(sources, hypotheses, gold, params)
     sys.stdout.write(format_score(report))
     if args.report:

@@ -105,11 +105,13 @@ def parse_m2(source) -> list[M2Sentence]:
     with an empty edit set. A sentence without annotation lines gets one
     implicit annotator 0 with an empty set. Accepts a path or an open file.
     """
+    # Lines end only at "\n", as in iterating a text file; splitlines
+    # would also break an S line at a \x0c between tokens.
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        lines = source.read().split("\n")
     else:
         with open_input(source) as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")
 
     sentences: list[M2Sentence] = []
     tokens: tuple[str, ...] | None = None
@@ -294,9 +296,35 @@ def extract_system_edits(
     tokens (the merged correction keeps those tokens). Among all reachable
     edit sets the result maximizes exact overlap with gold, then has the
     fewest edits, then the lexicographically smallest spans. Corrections
-    are hypothesis tokens joined by single spaces. `tables` takes the
-    pair's minimal-path lattice from `_alignment_tables`, so that several
-    gold sets can share it; by default it is built here.
+    are hypothesis tokens joined by single spaces. This is the one-gold-set
+    case of `extract_system_edit_sets`, which does the walk; `tables`
+    takes the pair's lattice from `_alignment_tables`, and by default it
+    is built here.
+    """
+    gold_set = frozenset(_as_triple(g) for g in gold)
+    return extract_system_edit_sets(
+        source_tokens, hypothesis_tokens, [gold_set], params, tables=tables
+    )[0]
+
+
+def extract_system_edit_sets(
+    source_tokens: Sequence[str],
+    hypothesis_tokens: Sequence[str],
+    gold_sets: Sequence[frozenset[tuple[int, int, str]]],
+    params: ScoreParams = ScoreParams(),
+    *,
+    tables: list[dict] | None = None,
+) -> list[tuple[tuple[int, int, str], ...]]:
+    """For each gold set, the `extract_system_edits` result against it,
+    from one walk over the pair's alignments.
+
+    gold_sets hold (start, end, correction) triples. The walk expands
+    each state once for all gold sets and keeps one best value per gold
+    set; only the gold credits differ between them. A value depends only
+    on its own gold set, so each equals what a walk against that set
+    alone finds, tie-breaking included. `tables` takes the pair's
+    minimal-path lattice from `_alignment_tables`; by default it is built
+    here.
 
     No distance table is built: the lattice comes from 3 bits per source x
     hypothesis token pair (core._delta_columns), and it holds, like the
@@ -304,78 +332,96 @@ def extract_system_edits(
     sentence grows the heap by a few MiB.
     """
     hyp = list(hypothesis_tokens)
-    gold_set = frozenset(_as_triple(g) for g in gold)
     n, m = len(source_tokens), len(hyp)
     max_unchanged = params.max_unchanged
     lattice = _alignment_tables(list(source_tokens), hyp) if tables is None else tables
+    k = len(gold_sets)
+    # gains[edit][g] is 1 when gold set g holds the edit; edits that no
+    # gold set holds are absent.
+    gains: dict = {}
+    for g, gold_set in enumerate(gold_sets):
+        for edit in gold_set:
+            gains.setdefault(edit, [0] * k)[g] = 1
+    nothing = [0] * k
 
     # A state is (i, j, seg, used). seg is None between edits, else
     # (start_i, start_j, trailing matches). Gold matching counts DISTINCT
     # edits, and only pure insertions (which never advance the source
     # index) can repeat a span; `used` carries the corrections already
     # credited at the current source index and resets whenever the walk
-    # consumes a source token.
+    # consumes a source token. One set serves every gold set: a
+    # correction joins it when the walk closes an insertion that some gold
+    # set holds, and each gold set that holds it is credited right then.
 
     def moves(i: int, j: int, seg, used: frozenset[str]) -> list:
-        """(next state, edit closed on the way or None, its gold credit)."""
+        """(next state, edit closed on the way or None, its gain per gold
+        set or None for no gain)."""
         match, arcs, jump = lattice[i][j]
         if seg is None:
             # Between edits a cell whose only arc is the match leads, with
             # nothing closed, to the end of its run of matches.
             if jump is not None:
-                return [(jump, None, 0)]
-            out = [((i + 1, j + 1, None, _EMPTY), None, 0)] if match else []
+                return [(jump, None, None)]
+            out = [((i + 1, j + 1, None, _EMPTY), None, None)] if match else []
             nseg = (i, j, 0)
         else:
             out = []
             if seg[2] == 0:
                 edit = (seg[0], i, " ".join(hyp[seg[1] : j]))
-                if seg[0] == i:  # pure insertion; may duplicate an earlier one
-                    tp = 1 if edit in gold_set and edit[2] not in used else 0
-                    next_used = used | {edit[2]} if edit in gold_set else used
-                else:
-                    tp = 1 if edit in gold_set else 0
-                    next_used = used
-                out.append(((i, j, None, next_used), edit, tp))
+                gain = gains.get(edit)
+                next_used = used
+                if gain is not None and seg[0] == i:  # pure insertion; may repeat
+                    if edit[2] in used:
+                        gain = None
+                    else:
+                        next_used = used | {edit[2]}
+                out.append(((i, j, None, next_used), edit, gain))
             if match and seg[2] < max_unchanged:
-                out.append(((i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), _EMPTY), None, 0))
+                out.append(((i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), _EMPTY), None, None))
             nseg = (seg[0], seg[1], 0)
         for ni, nj in arcs:
-            out.append(((ni, nj, nseg, used if ni == i else _EMPTY), None, 0))
+            out.append(((ni, nj, nseg, used if ni == i else _EMPTY), None, None))
         return out
 
-    # memo holds each state's value: the best (-(gold matches), edit count,
-    # edit tuple) completing the walk from there, or None for a dead end.
-    # The states form a DAG, walked depth-first with an explicit stack, so
-    # the input length is not bounded by the interpreter's recursion limit:
-    # a state is expanded once, and valued once all its successors are.
+    # memo holds each state's value: per gold set, the best (-(gold
+    # matches), edit count, edit tuple) completing the walk from there; or
+    # None for a dead end, which no gold set changes. The states form a
+    # DAG, walked depth-first with an explicit stack, so the input length
+    # is not bounded by the interpreter's recursion limit: a state is
+    # expanded once, and valued once all its successors are.
     start = (0, 0, None, _EMPTY)
     memo: dict = {}
+    final = ((0, 0, ()),) * k
     stack: list = [(start, None)]
     while stack:
         state, out = stack.pop()
         if out is None:
             if state in memo:
                 continue
-            if state[:3] == (n, m, None):
-                memo[state] = (0, 0, ())
+            if state[0] == n and state[1] == m and state[2] is None:
+                memo[state] = final
                 continue
             out = moves(*state)
             stack.append((state, out))
-            stack.extend((nxt, None) for nxt, _, _ in out if nxt not in memo)
+            for nxt, _, _ in out:
+                if nxt not in memo:
+                    stack.append((nxt, None))
             continue
-        candidates = []
-        for nxt, edit, tp in out:
+        best = None
+        for nxt, edit, gain in out:
             sub = memo[nxt]
             if sub is None:
                 continue
             if edit is not None:
-                sub = (sub[0] - tp, sub[1] + 1, (edit,) + sub[2])
-            candidates.append(sub)
-        memo[state] = min(candidates) if candidates else None
+                closed = []
+                for (tp, count, edits), x in zip(sub, gain or nothing):
+                    closed.append((tp - x, count + 1, (edit,) + edits))
+                sub = tuple(closed)
+            best = sub if best is None else tuple(map(min, best, sub))
+        memo[state] = best
     value = memo[start]
     assert value is not None, "alignment walk must reach the end"
-    return value[2]
+    return [best[2] for best in value]
 
 
 def edit_counts(
@@ -448,9 +494,10 @@ def score_corpus(
 ) -> ScoreReport:
     """Score hypotheses against M2 gold with running-F annotator selection.
 
-    For every sentence each annotator's gold set gets its own MaxMatch
-    extraction; the annotator whose counts maximize the corpus F-score so
-    far (ties: lowest id) is accumulated. Sources must tokenize to exactly
+    For every sentence one walk over its alignments finds the MaxMatch
+    edits against each annotator's gold set (`extract_system_edit_sets`);
+    the annotator whose counts maximize the corpus F-score so far (ties:
+    lowest id) is accumulated. Sources must tokenize to exactly
     the gold `S` line tokens; a mismatch means the gold file was built with
     a different tokenization and scoring would be meaningless.
     """
@@ -473,14 +520,16 @@ def score_corpus(
                 f"({len(src_tokens)} vs {len(entry.tokens)} tokens)"
             )
         hyp_tokens = _tokenize(hypothesis, params)
-        tables = _alignment_tables(src_tokens, hyp_tokens)
+        annotators = sorted(entry.by_annotator)
+        gold_sets = [frozenset(g.triple for g in entry.by_annotator[a]) for a in annotators]
+        systems = extract_system_edit_sets(src_tokens, hyp_tokens, gold_sets, params)
         best_id = None
         best_f = (0, 1)
         best_counts = (0, 0, 0)
-        for annotator in sorted(entry.by_annotator):
-            gold_set = entry.by_annotator[annotator]
-            system = extract_system_edits(src_tokens, hyp_tokens, gold_set, params, tables=tables)
-            tp, fp, fn = edit_counts(system, gold_set)
+        for annotator, gold_set, system in zip(annotators, gold_sets, systems):
+            # As edit_counts: a gold edit matches once, a repeat is an fp.
+            tp = len(gold_set.intersection(system))
+            fp, fn = len(system) - tp, len(gold_set) - tp
             f = _f_beta_ratio(tp_total + tp, fp_total + fp, fn_total + fn, p2, q2)
             # Exact comparison of the two ratios, by cross-multiplying.
             if best_id is None or f[0] * best_f[1] > best_f[0] * f[1]:

@@ -29,7 +29,24 @@ from cgeckit.core import (
     diff_edits,
 )
 from cgeckit.resources import RuleResources, _matching_rows
-from cgeckit.tagging import NOMINAL_TAGS, RoleSpans, _PHRASE_TAGS, _clause_of, _clauses, _is_de
+from cgeckit.tagging import (
+    NOMINAL_TAGS,
+    RoleSpans,
+    _ADJ,
+    _ADP,
+    _ADV,
+    _CCONJ,
+    _NOUN,
+    _NUM,
+    _PHRASE_TAGS,
+    _PRON,
+    _PUNCT,
+    _VERB,
+    _X,
+    _clause_of,
+    _clauses,
+    _is_de,
+)
 from cgeckit.core import SyntacticRole as Role
 
 
@@ -87,7 +104,7 @@ def _surfaces_in(sentence: TaggedSentence, rng_range: tuple[int, int]) -> set[st
 def _core_end(sentence: TaggedSentence) -> int | None:
     """Character position after the last non-punctuation token."""
     for tok in reversed(sentence.tokens):
-        if tok.tag is not POSTag.PUNCT:
+        if tok.tag is not _PUNCT:
             return tok.char_end
     return None
 
@@ -140,7 +157,7 @@ def _cand_measure_word(sentence, roles, resources):
     approx_post = resources._word_tuples.get("approx_post", ())
     out = []
     for k, tok in enumerate(tokens):
-        if tok.tag is not POSTag.NUM:
+        if tok.tag is not _NUM:
             continue
         window = tokens[max(0, k - 2) : k]
         if approx_pre and any(t.surface in exact for t in window):
@@ -149,7 +166,7 @@ def _cand_measure_word(sentence, roles, resources):
         if approx_post and any(t.surface in approx_pre_set for t in window):
             # approximate quantifier + numeral: add a trailing 左右/上下 too
             j = k + 1
-            while j < len(tokens) and tokens[j].tag is POSTag.NOUN:
+            while j < len(tokens) and tokens[j].tag is _NOUN:
                 j += 1
             pos = tokens[j - 1].char_end
             out.append((pos, pos, approx_post))
@@ -178,11 +195,11 @@ def _cand_improper_negation(sentence, roles, resources):
             if tok.surface not in implicit:
                 continue
             for m in range(k + 1, len(tokens)):
-                if tokens[m].tag is POSTag.PUNCT:
+                if tokens[m].tag is _PUNCT:
                     break
                 if tokens[m].surface in negators:
                     break
-                if tokens[m].tag is POSTag.VERB:
+                if tokens[m].tag is _VERB:
                     # 防止…发生 → 防止…不发生: the hidden negation doubles up
                     pos = tokens[m].char_start
                     out.append((pos, pos, inserts))
@@ -199,7 +216,7 @@ def _cand_reverse_host_guest(sentence, roles, resources):
     tokens = sentence.tokens
     out = []
     for k, tok in enumerate(tokens):
-        if tok.tag is not POSTag.ADP or tok.surface not in resources._hostguest_set:
+        if tok.tag is not _ADP or tok.surface not in resources._hostguest_set:
             continue
         a = k
         while a - 1 >= 0 and tokens[a - 1].tag in _PHRASE_TAGS:
@@ -431,7 +448,7 @@ def _cand_multi_adverbials(sentence, roles, resources):
     out = []
     for k in range(p - 1):
         a, b = tokens[k], tokens[k + 1]
-        if a.tag is POSTag.ADV and b.tag is POSTag.ADV and a.surface != b.surface:
+        if a.tag is _ADV and b.tag is _ADV and a.surface != b.surface:
             out.append(
                 _swap(sentence.text, (a.char_start, a.char_end), (b.char_start, b.char_end))
             )
@@ -443,7 +460,7 @@ def _cand_attributive_head(sentence, roles, resources):
     out = []
     for a, b in roles.ranges(Role.ATTRIBUTE):
         h = b
-        while h < len(tokens) and tokens[h].tag is POSTag.ADJ:
+        while h < len(tokens) and tokens[h].tag is _ADJ:
             h += 1
         e = h
         while e < len(tokens) and tokens[e].tag in NOMINAL_TAGS:
@@ -470,7 +487,7 @@ def _cand_prepositions(sentence, roles, resources):
     subject = roles.first(Role.SUBJECT) or (0, 0)
     out = []
     for k, tok in enumerate(tokens):
-        if tok.tag is not POSTag.ADP:
+        if tok.tag is not _ADP:
             continue
         j = _adp_phrase(sentence, k)
         phrase = _span(sentence, k, j)
@@ -482,9 +499,9 @@ def _cand_prepositions(sentence, roles, resources):
         while (
             r - 1 >= 0
             and (
-                tokens[r - 1].tag in (POSTag.ADV, POSTag.X)
+                tokens[r - 1].tag in (_ADV, _X)
                 or (
-                    tokens[r - 1].tag is POSTag.PRON
+                    tokens[r - 1].tag is _PRON
                     and not subject[0] <= r - 1 < subject[1]
                 )
             )
@@ -504,7 +521,7 @@ def _cand_connectives_subject(sentence, roles, resources):
         j = cs
         while j < ce and tokens[j].tag in NOMINAL_TAGS:
             j += 1
-        if j < ce and tokens[j].tag is POSTag.CCONJ:
+        if j < ce and tokens[j].tag is _CCONJ:
             out.append(_swap(sentence.text, _span(sentence, cs, j), _span(sentence, j, j + 1)))
     return out
 
@@ -513,7 +530,7 @@ def _cand_associated_words(sentence, roles, resources):
     tokens = sentence.tokens
     out = []
     for k in range(len(tokens) - 1):
-        if tokens[k].tag is POSTag.ADV and tokens[k + 1].tag is POSTag.VERB:
+        if tokens[k].tag is _ADV and tokens[k + 1].tag is _VERB:
             out.append(
                 _swap(
                     sentence.text,

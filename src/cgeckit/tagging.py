@@ -27,6 +27,15 @@ from cgeckit.core import (
     open_input,
 )
 
+# The tags that per-token loops here and in rules.py test, as module
+# names. A global read costs about 14 ns; `POSTag.VERB` costs about 160 ns
+# on Python 3.11, whose EnumType defines a Python-level `__getattr__` that
+# every class attribute read pays (27 ns on 3.13, which dropped it).
+_VERB, _NOUN, _ADJ, _ADV, _ADP, _PART, _PRON, _NUM, _CCONJ, _PUNCT, _X, _OTHER = (
+    POSTag.VERB, POSTag.NOUN, POSTag.ADJ, POSTag.ADV, POSTag.ADP, POSTag.PART, POSTag.PRON,
+    POSTag.NUM, POSTag.CCONJ, POSTag.PUNCT, POSTag.X, POSTag.OTHER,
+)
+
 NOMINAL_TAGS = frozenset({POSTag.NOUN, POSTag.PRON, POSTag.PROPN})
 # Tags allowed inside an attribute's modifier run (before 的).
 _ATTR_RUN_TAGS = frozenset({POSTag.ADJ, POSTag.NOUN, POSTag.PROPN, POSTag.NUM, POSTag.ADV})
@@ -131,9 +140,9 @@ class Tagger:
                     # Numerals are unbounded; group a digit run into one NUM token.
                     while end < n and _is_digit(raw[end]):
                         end += 1
-                    tag = POSTag.NUM
+                    tag = _NUM
                 else:
-                    tag = POSTag.OTHER
+                    tag = _OTHER
                 surface = raw[pos:end]
             # The tokens tile raw by construction, so they skip the checks.
             tokens.append(_token(surface, tag, pos, end))
@@ -210,7 +219,7 @@ class RoleSpans:
 
 
 def _is_de(token: Token) -> bool:
-    return token.surface == "的" and token.tag is POSTag.PART
+    return token.surface == "的" and token.tag is _PART
 
 
 def _clauses(sentence: TaggedSentence) -> list[tuple[int, int]]:
@@ -218,22 +227,13 @@ def _clauses(sentence: TaggedSentence) -> list[tuple[int, int]]:
     clauses = []
     start = 0
     for i, tok in enumerate(sentence.tokens):
-        if tok.tag is POSTag.PUNCT:
+        if tok.tag is _PUNCT:
             if i > start:
                 clauses.append((start, i))
             start = i + 1
     if start < len(sentence.tokens):
         clauses.append((start, len(sentence.tokens)))
     return clauses or [(0, 0)]
-
-
-# The tags the role pass and `_clause_of` test, as module names. A global
-# read costs about 14 ns; `POSTag.VERB` costs about 160 ns on Python 3.11,
-# whose EnumType defines a Python-level `__getattr__` that every class
-# attribute read pays (27 ns on 3.13, which dropped it).
-_VERB, _ADJ, _ADV, _ADP, _PART, _PRON, _PUNCT = (
-    POSTag.VERB, POSTag.ADJ, POSTag.ADV, POSTag.ADP, POSTag.PART, POSTag.PRON, POSTag.PUNCT
-)
 
 
 def _clause_of(sentence: TaggedSentence, index: int) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from cgeckit.generator import (
     generate_corpus,
 )
 from cgeckit.lm import keep_indices
-from cgeckit.metrics import ScoreParams, levenshtein, score_corpus, write_m2
+from cgeckit.metrics import ScoreParams, format_score, levenshtein, score_corpus, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
 from cgeckit.tagging import _shipped, load_tag_mapping, segment_and_tag, serialize_pretagged
 from oracles import (
@@ -704,6 +704,55 @@ def test_score_count_mismatch_is_data_error(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     hyp.write_text("只有一行\n", encoding="utf-8")
     assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]) == 3
+
+
+WORD_GOLD = "S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n\nS d e\n"
+
+
+@pytest.mark.parametrize(
+    "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_score_hypothesis_lines_end_only_at_newlines(tmp_path, capsys, separator):
+    # A form feed or the like inside a hypothesis is whitespace between
+    # its words, not a line end; the blank line is the second hypothesis.
+    gold = tmp_path / "gold.m2"
+    gold.write_text(WORD_GOLD, encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text(f"a x{separator}c\n\n", encoding="utf-8")
+    report = tmp_path / "score.json"
+    assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--report", str(report)]) == 0
+    # The blank hypothesis deletes "d e", an edit the gold does not hold.
+    expected = score_corpus(["a b c", "d e"], ["a x c", ""], io.StringIO(WORD_GOLD))
+    assert (expected.tp, expected.fp, expected.fn) == (1, 1, 0)
+    assert capsys.readouterr().out == format_score(expected)
+    assert json.loads(report.read_text(encoding="utf-8")) == json.loads(expected.to_json())
+
+
+def test_score_char_tokenized_hypothesis_keeps_a_form_feed_as_a_token(tmp_path, capsys):
+    gold = tmp_path / "gold.m2"
+    gold.write_text("S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n\n", encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("ax\x0cc\n", encoding="utf-8")
+    report = tmp_path / "score.json"
+    argv = ["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]
+    assert run([*argv, "--report", str(report)]) == 0
+    got = json.loads(report.read_text(encoding="utf-8"))
+    expected = score_corpus(
+        ["abc"], ["ax\x0cc"], io.StringIO(gold.read_text(encoding="utf-8")),
+        ScoreParams(char_tokenize=True),
+    )
+    assert got == json.loads(expected.to_json())
+    assert got["chosen_annotators"] == [0] and got["fp"] == 1
+
+
+def test_score_gold_s_line_with_a_form_feed_between_tokens(tmp_path, capsys):
+    gold = tmp_path / "gold.m2"
+    gold.write_text("S a\x0cb c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n\n", encoding="utf-8")
+    assert [e.tokens for e in metrics.parse_m2(str(gold))] == [("a", "b", "c")]
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a x c\n", encoding="utf-8")
+    assert run(["score", "--hyp", str(hyp), "--m2", str(gold)]) == 0
+    assert capsys.readouterr().out == "Precision : 1.0000\nRecall : 1.0000\nF_0.5 : 1.0000\n"
 
 
 # --- kappa ----------------------------------------------------------------------

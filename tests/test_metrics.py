@@ -23,6 +23,7 @@ from cgeckit.metrics import (
     ScoreParams,
     corpus_stats,
     edit_counts,
+    extract_system_edit_sets,
     extract_system_edits,
     fleiss_kappa,
     format_score,
@@ -345,20 +346,22 @@ def test_score_builds_tables_once_per_sentence(monkeypatch):
         "S e f\nA 0 1|||X|||g|||REQUIRED|||-NONE-|||0\n"
         "A 0 1|||X|||h|||REQUIRED|||-NONE-|||1\nA 1 2|||X||||||REQUIRED|||-NONE-|||2\n\n"
     )
+    # One lattice and one walk per sentence; the walk serves all three
+    # annotators' gold sets.
     built = []
-    extracted = []
-    real_tables, real_extract = metrics._alignment_tables, metrics.extract_system_edits
+    walked = []
+    real_tables, real_walk = metrics._alignment_tables, metrics.extract_system_edit_sets
     monkeypatch.setattr(
         metrics, "_alignment_tables", lambda *a: built.append(a) or real_tables(*a)
     )
     monkeypatch.setattr(
         metrics,
-        "extract_system_edits",
-        lambda *a, **k: extracted.append(a) or real_extract(*a, **k),
+        "extract_system_edit_sets",
+        lambda *a, **k: walked.append(a[2]) or real_walk(*a, **k),
     )
     report = score_corpus(["a b c d", "e f"], ["a x c y", "g f"], text)
     assert len(built) == 2
-    assert len(extracted) == 6
+    assert [len(gold_sets) for gold_sets in walked] == [3, 3]
     assert (report.tp, report.fp, report.fn) == (3, 0, 0)
     assert report.chosen_annotators == (0, 0)
 
@@ -382,6 +385,65 @@ def test_duplicate_insertions_scored_against_oracle():
     system = extract_system_edits(src, hyp, gold)
     assert sorted(system) == [(0, 0, "a"), (0, 1, "y"), (1, 1, "a"), (1, 1, "a"), (1, 1, "y")]
     assert edit_counts(system, gold) == (4, 1, 0)
+
+
+def test_shared_walk_matches_the_oracle_for_every_gold_set():
+    # One walk against several gold sets gives, for each, the edits that
+    # enumeration finds against that set alone: reachable sets, random
+    # ones, the empty set and a repeat of an earlier set side by side.
+    rng = random.Random(53)
+    alphabet = "abxy"
+    for case in range(120):
+        src = [rng.choice(alphabet) for _ in range(rng.randint(0, 5))]
+        hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, 5))]
+        max_unchanged = case % 3
+        reachable = [edits for edits in enumerate_edit_sets(src, hyp, max_unchanged) if edits]
+        gold_sets = [frozenset()]
+        for _ in range(rng.randint(1, 3)):
+            if reachable and rng.random() < 0.5:
+                gold_sets.append(frozenset(rng.choice(reachable)))
+            else:
+                gold_sets.append(frozenset(
+                    (lo := rng.randint(0, len(src)), rng.randint(lo, len(src)), rng.choice(alphabet))
+                    for _ in range(rng.randint(1, 2))
+                ))
+        gold_sets.append(rng.choice(gold_sets))
+        rng.shuffle(gold_sets)
+        params = ScoreParams(max_unchanged=max_unchanged)
+        got = extract_system_edit_sets(src, hyp, gold_sets, params)
+        expected = [best_edit_set(src, hyp, gold, max_unchanged) for gold in gold_sets]
+        assert [list(edits) for edits in got] == expected, (case, src, hyp, gold_sets)
+
+
+@pytest.mark.parametrize("max_unchanged", [0, 1, 2])
+def test_shared_walk_keeps_each_gold_sets_credited_insertions_apart(max_unchanged):
+    # b -> a y a a y: annotator 0 credits the insertion (1, 1, "a") once,
+    # though its best edits emit it twice; annotator 1 lacks that edit, so
+    # no repeat of it can earn 1 anything. 2 is identical to 0, 3 is a
+    # -NONE- no-op and 4 holds one merged span.
+    text = (
+        "S b\n"
+        "A 0 0|||M|||a|||REQUIRED|||-NONE-|||0\nA 0 1|||R|||y|||REQUIRED|||-NONE-|||0\n"
+        "A 1 1|||M|||a|||REQUIRED|||-NONE-|||0\nA 1 1|||M|||y|||REQUIRED|||-NONE-|||0\n"
+        "A 0 0|||M|||a|||REQUIRED|||-NONE-|||1\nA 0 1|||R|||y|||REQUIRED|||-NONE-|||1\n"
+        "A 1 1|||M|||y|||REQUIRED|||-NONE-|||1\n"
+        "A 0 0|||M|||a|||REQUIRED|||-NONE-|||2\nA 0 1|||R|||y|||REQUIRED|||-NONE-|||2\n"
+        "A 1 1|||M|||a|||REQUIRED|||-NONE-|||2\nA 1 1|||M|||y|||REQUIRED|||-NONE-|||2\n"
+        "A 0 0|||noop|||-NONE-|||REQUIRED|||-NONE-|||3\n"
+        "A 0 1|||R|||a y a a y|||REQUIRED|||-NONE-|||4\n"
+    )
+    (entry,) = parse_m2(io.StringIO(text))
+    assert entry.by_annotator[3] == ()
+    src, hyp = list(entry.tokens), "a y a a y".split()
+    gold_sets = [frozenset(e.triple for e in entry.by_annotator[a]) for a in range(5)]
+    params = ScoreParams(max_unchanged=max_unchanged)
+    got = extract_system_edit_sets(src, hyp, gold_sets, params)
+    expected = [best_edit_set(src, hyp, gold, max_unchanged) for gold in gold_sets]
+    assert [list(edits) for edits in got] == expected
+    assert got[0] == got[2] and got[0].count((1, 1, "a")) == 2
+    assert got[1].count((1, 1, "a")) < 2
+    for edits, gold in zip(got, gold_sets):
+        assert extract_system_edits(src, hyp, gold, params) == edits
 
 
 # --- corpus scoring --------------------------------------------------------
