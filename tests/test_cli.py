@@ -706,6 +706,20 @@ def test_score_count_mismatch_is_data_error(tmp_path, capsys):
     assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]) == 3
 
 
+def test_score_char_tokenize_rejects_a_multi_character_gold_token(tmp_path, capsys):
+    # Under --char-tokenize every S token must be one character; a gold
+    # file tokenized into words cannot be scored character by character.
+    gold = tmp_path / "gold.m2"
+    gold.write_text("S 我们 好\nA 1 2|||R|||很好|||REQUIRED|||-NONE-|||0\n\n", encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("我们很好\n", encoding="utf-8")
+    assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cgeckit: data error:")
+    assert captured.err.count("\n") == 1
+
+
 WORD_GOLD = "S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n\nS d e\n"
 
 
