@@ -38,22 +38,23 @@ write_m2(pairs, gold)
 print("gold M2 (first block):")
 print(gold.getvalue().split("\n\n")[0])
 
-sources = [p.incorrect for p in pairs]
+# Step 2: score system outputs, one per gold sentence. The scorer reads
+# each source sentence from its S line, so it needs only the outputs.
 params = ScoreParams(char_tokenize=True)
 
-# Step 2: a perfect system outputs the reference corrections.
+# A perfect system outputs the reference corrections.
 print("perfect system:")
-print(format_score(score_corpus(sources, [p.correct for p in pairs], io.StringIO(gold.getvalue()), params)))
+print(format_score(score_corpus([p.correct for p in pairs], io.StringIO(gold.getvalue()), params)))
 
 # A system that copies its input earns recall 0; precision is 1 by
 # convention when no edits are proposed at all.
 print("do-nothing system:")
-print(format_score(score_corpus(sources, sources, io.StringIO(gold.getvalue()), params)))
+print(format_score(score_corpus([p.incorrect for p in pairs], io.StringIO(gold.getvalue()), params)))
 
 # Fixing only the even sentences: precision stays perfect, recall drops.
 half = [p.correct if i % 2 == 0 else p.incorrect for i, p in enumerate(pairs)]
 print("half-fixed system:")
-print(format_score(score_corpus(sources, half, io.StringIO(gold.getvalue()), params)))
+print(format_score(score_corpus(half, io.StringIO(gold.getvalue()), params)))
 
 # Step 3: extraction on its own, word-level. The hypothesis differs in
 # two places separated by one unchanged token. Extraction gives the

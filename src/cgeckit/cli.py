@@ -262,14 +262,12 @@ def _cmd_score(args) -> int:
     params = ScoreParams(
         beta=args.beta, max_unchanged=args.max_unchanged, char_tokenize=args.char_tokenize
     )
-    joiner = "" if args.char_tokenize else " "
-    sources = [joiner.join(entry.tokens) for entry in gold]
     # One hypothesis per line, blank ones included. Lines end only at
     # "\n", as iterating a text file gives them; str.splitlines would also
     # break at \x0c, \x85, U+2028 and other characters inside a line.
     with open_input(args.hyp) as fh:
         hypotheses = [line.rstrip("\n") for line in fh]
-    report = score_corpus(sources, hypotheses, gold, params)
+    report = score_corpus(hypotheses, gold, params)
     sys.stdout.write(format_score(report))
     if args.report:
         with _write_on_success(args.report) as (out,):

@@ -26,7 +26,7 @@ from cgeckit.core import (
     ordered_map,
 )
 from cgeckit.resources import RuleResources
-from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
+from cgeckit.rules import RULE_REGISTRY, _choice, apply_fine_rule
 from cgeckit.tagging import RoleSpans, identify_roles, parse_pretagged, segment_and_tag
 
 _MAX_DRAWS = 5  # weighted rule draws per pair before giving up
@@ -68,9 +68,10 @@ class GenConfig:
             raise ConfigError(
                 "rule_weights give every enabled rule weight 0, so no rule can be drawn"
             )
-        if not math.isfinite(sum(weights)):
+        total = _float_sum(weights)
+        if not math.isfinite(total):
             raise ConfigError(
-                f"the enabled rules' weights must have a finite sum, got {sum(weights)!r}"
+                f"the enabled rules' weights must have a finite sum, got {total!r}"
             )
 
     @cached_property
@@ -122,13 +123,24 @@ def derive_seed(seed: int, *parts: int) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
+def _float_sum(weights) -> float:
+    """The weights added up in float from 0.0, in order. From Python 3.12
+    on, sum() of floats is compensated and can differ in the last bit,
+    which would move a draw that lands on a rule boundary."""
+    total = 0.0
+    for weight in weights:
+        total += weight
+    return total
+
+
 def _weighted_pop(rng: random.Random, rules: list[str], weights: list[float]) -> str:
     """Draw one rule by weight and remove it from both lists.
 
-    The rule is the first whose running weight sum, added up in float from
-    0.0, exceeds the draw, or else the last rule.
+    The draw is rng.random() times the weights' `_float_sum`; the rule is
+    the first whose running weight sum, added up the same way, exceeds
+    it, or else the last rule.
     """
-    r = rng.random() * sum(weights)
+    r = rng.random() * _float_sum(weights)
     total = 0.0
     for index, weight in enumerate(weights):
         total += weight
@@ -309,9 +321,7 @@ def _augment_ops(
         counts[op] += 1
         if op in ("insert", "replace"):
             # config validation guarantees the pool is non-empty here
-            word = config.word_pool[
-                min(int(rng.random() * len(config.word_pool)), len(config.word_pool) - 1)
-            ]
+            word = _choice(rng, config.word_pool)
             if op == "insert":
                 pieces.append(word)
                 pieces.append(token.surface)

@@ -102,7 +102,8 @@ def parse_m2(source) -> list[M2Sentence]:
     """Parse an M2 gold file: `S` token lines plus `A` annotation lines.
 
     A `-NONE-` correction is a no-op annotation: it registers the annotator
-    with an empty edit set. A sentence without annotation lines gets one
+    with an empty edit set. Its span may be the standard `-1 -1`, which no
+    other correction may have. A sentence without annotation lines gets one
     implicit annotator 0 with an empty set. Accepts a path or an open file.
     """
     # Lines end only at "\n", as in iterating a text file; splitlines
@@ -149,12 +150,13 @@ def parse_m2(source) -> list[M2Sentence]:
             annotator = int(fields[5])
         except ValueError as exc:
             raise ParseError(f"line {num}: {exc}") from None
-        if not 0 <= start <= end:
+        noop = fields[2] == _NOOP
+        if not (0 <= start <= end or noop and start == end == -1):
             raise ParseError(f"line {num}: invalid span {start} {end}")
         if end > len(tokens):
             raise ParseError(f"line {num}: span end {end} exceeds {len(tokens)} tokens")
         bucket = edits.setdefault(annotator, [])
-        if fields[2] != _NOOP:
+        if not noop:
             correction = " ".join(fields[2].split())
             bucket.append(GoldEdit(start, end, correction, annotator))
     flush()
@@ -286,8 +288,6 @@ def extract_system_edits(
     hypothesis_tokens: Sequence[str],
     gold: Iterable,
     params: ScoreParams = ScoreParams(),
-    *,
-    tables: list[dict] | None = None,
 ) -> tuple[tuple[int, int, str], ...]:
     """System edits between source and hypothesis that best match gold.
 
@@ -297,14 +297,10 @@ def extract_system_edits(
     edit sets the result maximizes exact overlap with gold, then has the
     fewest edits, then the lexicographically smallest spans. Corrections
     are hypothesis tokens joined by single spaces. This is the one-gold-set
-    case of `extract_system_edit_sets`, which does the walk; `tables`
-    takes the pair's lattice from `_alignment_tables`, and by default it
-    is built here.
+    case of `extract_system_edit_sets`, which does the walk.
     """
     gold_set = frozenset(_as_triple(g) for g in gold)
-    return extract_system_edit_sets(
-        source_tokens, hypothesis_tokens, [gold_set], params, tables=tables
-    )[0]
+    return extract_system_edit_sets(source_tokens, hypothesis_tokens, [gold_set], params)[0]
 
 
 def extract_system_edit_sets(
@@ -312,8 +308,6 @@ def extract_system_edit_sets(
     hypothesis_tokens: Sequence[str],
     gold_sets: Sequence[frozenset[tuple[int, int, str]]],
     params: ScoreParams = ScoreParams(),
-    *,
-    tables: list[dict] | None = None,
 ) -> list[tuple[tuple[int, int, str], ...]]:
     """For each gold set, the `extract_system_edits` result against it,
     from one walk over the pair's alignments.
@@ -322,11 +316,10 @@ def extract_system_edit_sets(
     each state once for all gold sets and keeps one best value per gold
     set; only the gold credits differ between them. A value depends only
     on its own gold set, so each equals what a walk against that set
-    alone finds, tie-breaking included. `tables` takes the pair's
-    minimal-path lattice from `_alignment_tables`; by default it is built
-    here.
+    alone finds, tie-breaking included.
 
-    No distance table is built: the lattice comes from 3 bits per source x
+    No distance table is built: the pair's minimal-path lattice
+    (`_alignment_tables`) comes from 3 bits per source x
     hypothesis token pair (core._delta_columns), and it holds, like the
     walk's states, only the cells on minimal paths. Scoring a 3,000-token
     sentence grows the heap by a few MiB.
@@ -334,7 +327,7 @@ def extract_system_edit_sets(
     hyp = list(hypothesis_tokens)
     n, m = len(source_tokens), len(hyp)
     max_unchanged = params.max_unchanged
-    lattice = _alignment_tables(list(source_tokens), hyp) if tables is None else tables
+    lattice = _alignment_tables(list(source_tokens), hyp)
     k = len(gold_sets)
     # gains[edit][g] is 1 when gold set g holds the edit; edits that no
     # gold set holds are absent.
@@ -424,20 +417,27 @@ def extract_system_edit_sets(
     return [best[2] for best in value]
 
 
-def edit_counts(
-    system: Iterable[tuple[int, int, str]], gold: Iterable
+def _counts(
+    system: Sequence[tuple[int, int, str]], gold_set: frozenset[tuple[int, int, str]]
 ) -> tuple[int, int, int]:
-    """(tp, fp, fn) of a system edit sequence against one gold edit set.
+    """(tp, fp, fn) of a system edit triple sequence against a gold set.
 
     Each gold edit can be matched at most once, but the system side is a
     sequence: extraction may emit the same insertion twice (the source
     index does not advance), and every occurrence beyond the single
     credited match is a false positive.
     """
-    system_list = [_as_triple(e) for e in system]
-    gold_set = {_as_triple(g) for g in gold}
-    tp = len(set(system_list) & gold_set)
-    return tp, len(system_list) - tp, len(gold_set) - tp
+    tp = len(gold_set.intersection(system))
+    return tp, len(system) - tp, len(gold_set) - tp
+
+
+def edit_counts(
+    system: Iterable[tuple[int, int, str]], gold: Iterable
+) -> tuple[int, int, int]:
+    """(tp, fp, fn) of a system edit sequence against one gold edit set;
+    a gold edit matches once, so a repeated system edit is a false
+    positive."""
+    return _counts([_as_triple(e) for e in system], frozenset(_as_triple(g) for g in gold))
 
 
 # --- corpus scoring --------------------------------------------------------
@@ -482,44 +482,44 @@ def _f_beta_ratio(tp: int, fp: int, fn: int, p2: int, q2: int) -> tuple[int, int
     return weighted, weighted + p2 * fn + q2 * fp
 
 
-def _tokenize(text: str, params: ScoreParams) -> list[str]:
-    return list(text) if params.char_tokenize else text.split()
-
-
 def score_corpus(
-    sources: Sequence[str],
     hypotheses: Sequence[str],
     gold,
     params: ScoreParams = ScoreParams(),
 ) -> ScoreReport:
     """Score hypotheses against M2 gold with running-F annotator selection.
 
-    For every sentence one walk over its alignments finds the MaxMatch
-    edits against each annotator's gold set (`extract_system_edit_sets`);
-    the annotator whose counts maximize the corpus F-score so far (ties:
-    lowest id) is accumulated. Sources must tokenize to exactly
-    the gold `S` line tokens; a mismatch means the gold file was built with
-    a different tokenization and scoring would be meaningless.
+    gold is a path, an open file or the list `parse_m2` returns; the
+    source of each sentence is its `S` line tokens, and hypotheses hold
+    one text per gold sentence, in order. For every sentence one walk over
+    its alignments finds the MaxMatch edits against each annotator's gold
+    set (`extract_system_edit_sets`); the annotator whose counts maximize
+    the corpus F-score so far (ties: lowest id) is accumulated. Under
+    char_tokenize every `S` token must be one character: a longer one
+    means the gold file was built with another tokenization, and scoring
+    would be meaningless.
     """
     if isinstance(gold, (str, os.PathLike)) or hasattr(gold, "read"):
         gold = parse_m2(gold)
-    if not len(sources) == len(hypotheses) == len(gold):
+    if len(hypotheses) != len(gold):
         raise ValidationError(
-            f"count mismatch: {len(sources)} sources, {len(hypotheses)} hypotheses, "
-            f"{len(gold)} gold sentences"
+            f"count mismatch: {len(hypotheses)} hypotheses, {len(gold)} gold sentences"
         )
     beta = Fraction(str(params.beta))
     p2, q2 = beta.numerator**2, beta.denominator**2
     tp_total = fp_total = fn_total = 0
     chosen: list[int] = []
-    for index, (source, hypothesis, entry) in enumerate(zip(sources, hypotheses, gold)):
-        src_tokens = _tokenize(source, params)
-        if tuple(src_tokens) != entry.tokens:
+    for index, (hypothesis, entry) in enumerate(zip(hypotheses, gold)):
+        src_tokens = entry.tokens
+        # S tokens are never empty, so the lengths differ only if one is
+        # longer than a character.
+        if params.char_tokenize and len("".join(src_tokens)) != len(src_tokens):
+            token = next(t for t in src_tokens if len(t) > 1)
             raise ValidationError(
-                f"sentence {index}: source tokens do not match the gold S line "
-                f"({len(src_tokens)} vs {len(entry.tokens)} tokens)"
+                f"sentence {index}: gold S token {token!r} is longer than one "
+                f"character, so it cannot be scored with character tokens"
             )
-        hyp_tokens = _tokenize(hypothesis, params)
+        hyp_tokens = list(hypothesis) if params.char_tokenize else hypothesis.split()
         annotators = sorted(entry.by_annotator)
         gold_sets = [frozenset(g.triple for g in entry.by_annotator[a]) for a in annotators]
         systems = extract_system_edit_sets(src_tokens, hyp_tokens, gold_sets, params)
@@ -527,9 +527,7 @@ def score_corpus(
         best_f = (0, 1)
         best_counts = (0, 0, 0)
         for annotator, gold_set, system in zip(annotators, gold_sets, systems):
-            # As edit_counts: a gold edit matches once, a repeat is an fp.
-            tp = len(gold_set.intersection(system))
-            fp, fn = len(system) - tp, len(gold_set) - tp
+            tp, fp, fn = _counts(system, gold_set)
             f = _f_beta_ratio(tp_total + tp, fp_total + fp, fn_total + fn, p2, q2)
             # Exact comparison of the two ratios, by cross-multiplying.
             if best_id is None or f[0] * best_f[1] > best_f[0] * f[1]:

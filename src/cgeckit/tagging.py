@@ -24,8 +24,8 @@ from cgeckit.core import (
     Token,
     _tagged,
     _token,
-    open_input,
 )
+from cgeckit.resources import _rows
 
 # The tags that per-token loops here and in rules.py test, as module
 # names. A global read costs about 14 ns; `POSTag.VERB` costs about 160 ns
@@ -50,15 +50,10 @@ def load_tag_mapping(path: str | None = None) -> dict[str, str]:
     path = path or _shipped("tag_mapping.tsv")
     mapping: dict[str, str] = {}
     try:
-        with open_input(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0]:
-                    raise ConfigError(f"{path}:{lineno}: expected `tag<TAB>canonical`")
-                mapping.setdefault(parts[0], parts[1])
+        for lineno, parts in _rows(path):
+            if len(parts) != 2 or not parts[0]:
+                raise ConfigError(f"{path}:{lineno}: expected `tag<TAB>canonical`")
+            mapping.setdefault(parts[0], parts[1])
     except OSError as exc:
         raise ConfigError(f"cannot read tag mapping {path}: {exc}") from exc
     return mapping
@@ -82,17 +77,12 @@ def load_lexicon(
     path = path or _shipped("lexicon.tsv")
     lexicon: dict[str, POSTag] = {}
     try:
-        with open_input(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0]:
-                    raise ConfigError(f"{path}:{lineno}: expected `surface<TAB>tag`")
-                surface, tag = parts
-                if surface not in lexicon:
-                    lexicon[surface] = map_tag(tag, mapping)
+        for lineno, parts in _rows(path):
+            if len(parts) != 2 or not parts[0]:
+                raise ConfigError(f"{path}:{lineno}: expected `surface<TAB>tag`")
+            surface, tag = parts
+            if surface not in lexicon:
+                lexicon[surface] = map_tag(tag, mapping)
     except OSError as exc:
         raise ConfigError(f"cannot read lexicon {path}: {exc}") from exc
     return lexicon

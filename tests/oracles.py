@@ -705,10 +705,13 @@ SCAN_CANDIDATE_FNS = {
 
 
 def weighted_pop_reference(rng, pool: list[tuple[str, float]]) -> str:
-    """One weighted draw without replacement from (rule, weight) pairs: a
-    running sum from 0.0, the first rule whose sum exceeds the draw, else
-    the last rule."""
-    total = sum(w for _, w in pool)
+    """One weighted draw without replacement from (rule, weight) pairs: the
+    draw scaled by the weights' total added up in float from 0.0 (not
+    sum(), which Python 3.12 compensates), then a running sum from 0.0,
+    the first rule whose sum exceeds the draw, else the last rule."""
+    total = 0.0
+    for _, weight in pool:
+        total += weight
     r = rng.random() * total
     acc = 0.0
     for index, (rule, weight) in enumerate(pool):

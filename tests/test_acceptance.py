@@ -79,11 +79,10 @@ def test_acceptance_01_m2_oracle_equivalence():
 
     # Corpus scoring (annotator selection + conventions) equals the oracle.
     for _ in range(40):
-        blocks, sources, hyps, per_sentence = [], [], [], []
+        blocks, hyps, per_sentence = [], [], []
         for _ in range(rng.randint(1, 6)):
             src = [rng.choice(alphabet) for _ in range(rng.randint(1, 6))]
             hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, 6))]
-            sources.append(" ".join(src))
             hyps.append(" ".join(hyp))
             lines = ["S " + " ".join(src)]
             annotators = []
@@ -101,7 +100,7 @@ def test_acceptance_01_m2_oracle_equivalence():
                 annotators.append((tp, len(system) - tp, len(gold) - tp))
             per_sentence.append(annotators)
             blocks.append("\n".join(lines))
-        report = score_corpus(sources, hyps, io.StringIO("\n\n".join(blocks) + "\n"))
+        report = score_corpus(hyps, io.StringIO("\n\n".join(blocks) + "\n"))
         tp, fp, fn, chosen = score_oracle(per_sentence)
         ok = ok and (report.tp, report.fp, report.fn) == (tp, fp, fn)
         ok = ok and list(report.chosen_annotators) == chosen
@@ -121,7 +120,6 @@ def test_acceptance_02_perfect_system_scores_one():
     write_m2(pairs, buffer)
     gold = parse_m2(io.StringIO(buffer.getvalue()))
     report = score_corpus(
-        [p.incorrect for p in pairs],
         [p.correct for p in pairs],
         gold,
         ScoreParams(char_tokenize=True),

@@ -695,7 +695,7 @@ def test_score_long_sentence_keeps_one_distance_table():
     source, hypothesis, gold = _long_sentence_score_input()
     table = _table_bytes(full_distance_table(source, hypothesis))
     params = ScoreParams(char_tokenize=True)
-    score = _heap_peak(score_corpus, [source], [hypothesis], io.StringIO(gold), params)
+    score = _heap_peak(score_corpus, [hypothesis], io.StringIO(gold), params)
     assert score < 0.25 * table, (score, table)
 
 
@@ -736,7 +736,7 @@ def test_score_hypothesis_lines_end_only_at_newlines(tmp_path, capsys, separator
     report = tmp_path / "score.json"
     assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--report", str(report)]) == 0
     # The blank hypothesis deletes "d e", an edit the gold does not hold.
-    expected = score_corpus(["a b c", "d e"], ["a x c", ""], io.StringIO(WORD_GOLD))
+    expected = score_corpus(["a x c", ""], io.StringIO(WORD_GOLD))
     assert (expected.tp, expected.fp, expected.fn) == (1, 1, 0)
     assert capsys.readouterr().out == format_score(expected)
     assert json.loads(report.read_text(encoding="utf-8")) == json.loads(expected.to_json())
@@ -752,7 +752,7 @@ def test_score_char_tokenized_hypothesis_keeps_a_form_feed_as_a_token(tmp_path, 
     assert run([*argv, "--report", str(report)]) == 0
     got = json.loads(report.read_text(encoding="utf-8"))
     expected = score_corpus(
-        ["abc"], ["ax\x0cc"], io.StringIO(gold.read_text(encoding="utf-8")),
+        ["ax\x0cc"], io.StringIO(gold.read_text(encoding="utf-8")),
         ScoreParams(char_tokenize=True),
     )
     assert got == json.loads(expected.to_json())

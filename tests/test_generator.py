@@ -188,6 +188,20 @@ def test_weighted_draws_match_running_sum_reference(weights, seed):
     assert got_weights == [w for _, w in pool]
 
 
+class _FixedDraw:
+    def random(self):
+        return 0.5
+
+
+def test_weighted_draw_scales_by_the_plain_float_total():
+    # Ten weights of 0.1 add up to 0.9999999999999999 in plain float but
+    # to 1.0 compensated (math.fsum, and sum() from Python 3.12 on). The
+    # draw 0.5 then lands in rule 4 or in rule 5, so the total must be
+    # the plain one on every Python version.
+    rules = [f"rule{i}" for i in range(10)]
+    assert _weighted_pop(_FixedDraw(), rules, [0.1] * 10) == "rule4"
+
+
 def test_rule_pool_is_built_once_per_config():
     config = GenConfig(
         enabled_rules=frozenset({"MultiWords", "MixedPatterns", "LackSubject"}),
