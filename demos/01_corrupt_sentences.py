@@ -37,12 +37,16 @@ roles = identify_roles(sentence)
 print("roles  :", {role.value: spans for role, spans in roles.spans.items() if spans})
 
 # Step 3: apply one corruption rule directly. Rules are deterministic
-# given the rng, and return None when they do not apply.
+# given the rng. A rule returns the edit it made, (start, end, piece):
+# replace text[start:end] with piece. It returns None when it does not apply.
 rng = random.Random(7)
-outcome = apply_fine_rule(sentence, roles, resources, rng, "MultiWords")
+edit = apply_fine_rule(sentence, roles, resources, rng, "MultiWords")
 print("\nMultiWords corruption:")
 print("  correct  :", sentence.text)
-print("  corrupted:", outcome.incorrect if outcome else None)
+print("  edit     :", edit)
+if edit is not None:
+    start, end, piece = edit
+    print("  corrupted:", sentence.text[:start] + piece + sentence.text[end:])
 
 # Step 4: generate_pair draws rules for us and labels the result.
 # combine_max=2 lets two rules stack on the same sentence.

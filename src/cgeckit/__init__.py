@@ -59,7 +59,7 @@ from cgeckit.metrics import (
     write_m2,
 )
 from cgeckit.resources import RuleResources, default_resources_dir, load_resources
-from cgeckit.rules import RULE_REGISTRY, RuleOutcome, apply_fine_rule
+from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
 from cgeckit.tagging import identify_roles, parse_pretagged, segment_and_tag
 
 __version__ = "0.1.0"

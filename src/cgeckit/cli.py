@@ -231,7 +231,9 @@ def _cmd_augment(args) -> int:
     if unknown:
         raise ConfigError(f"config {args.config}: unknown keys {sorted(unknown)}")
     word_pool = build_word_pool(segment_and_tag(line) for line in _read_lines(args.input))
-    config = AugmentConfig(**overrides, word_pool=word_pool, seed=args.seed)
+    # An input with no words draws no word; the stand-in pool lets the
+    # config be checked all the same.
+    config = AugmentConfig(**overrides, word_pool=word_pool or ("",), seed=args.seed)
     report = AugmentReport()
     with _write_on_success(args.output, report_path) as (out, report_out):
         for pair, counts in stream_augment_lines(

@@ -185,10 +185,14 @@ def generate_pair(
         if current.text != incorrect:
             current = segment_and_tag(incorrect)
             current_roles = identify_roles(current)
-        outcome = apply_fine_rule(current, current_roles, resources, rng, rule)
-        if outcome is None or outcome.incorrect in seen:
+        edit = apply_fine_rule(current, current_roles, resources, rng, rule)
+        if edit is None:
             continue
-        incorrect = outcome.incorrect
+        start, end, piece = edit
+        output = incorrect[:start] + piece + incorrect[end:]
+        if output in seen:
+            continue
+        incorrect = output
         seen.add(incorrect)
         fired.append(rule)
     if not fired:

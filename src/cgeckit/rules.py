@@ -2,32 +2,24 @@
 
 Every rule proposes edits of a correct TaggedSentence, one per site it
 matches, from the sentence and its RoleSpans. apply_fine_rule picks one
-edit and builds the ungrammatical variant; character edits that restore
-the original are diffed from the two texts. Rules never error on
+edit and returns it, trimmed to the characters it changes; the caller
+splices it into the text and labels the result. Rules never error on
 non-matching input; apply_fine_rule returns None.
 
 Randomness discipline: only apply_fine_rule reads the rng, and only
 through rng.random() (via _choice): one draw picks the site uniformly, and
 one more draws the word when the picked edit carries a word pool. An
-outcome is therefore fully determined by (sentence, resources, seed) and
+edit is therefore fully determined by (sentence, resources, seed) and
 never by interpreter details.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
-from cgeckit.core import (
-    EditSpan,
-    ErrorType,
-    POSTag,
-    TaggedSentence,
-    apply_edits,
-    diff_edits,
-)
+from cgeckit.core import POSTag, TaggedSentence, _common_prefix_length
+from cgeckit.core import diff_edits  # unused; bench/spans.py patches this name
 from cgeckit.resources import RuleResources, _matching_rows
 from cgeckit.tagging import (
     NOMINAL_TAGS,
@@ -54,25 +46,6 @@ from cgeckit.core import SyntacticRole as Role
 # text[start:end] with piece. A tuple piece is a word pool; the word is drawn
 # from it when the candidate is picked, so only such a candidate reads the rng.
 Candidate = tuple[int, int, str | tuple[str, ...]]
-
-
-@dataclass(frozen=True)
-class RuleOutcome:
-    """A fired rule: the corrupted text, the original, and the rule's label.
-
-    `edits` (restoring the original) is diffed on first read only, so a
-    caller that never reads it never pays for the diff.
-    """
-
-    incorrect: str
-    correct: str
-    fine_type: ErrorType
-
-    @cached_property
-    def edits(self) -> tuple[EditSpan, ...]:
-        edits = diff_edits(self.incorrect, self.correct)
-        assert apply_edits(self.incorrect, edits) == self.correct
-        return edits
 
 
 def _choice(rng: random.Random, seq):
@@ -591,25 +564,27 @@ def apply_fine_rule(
     resources: RuleResources,
     rng: random.Random,
     fine_id: str,
-) -> RuleOutcome | None:
-    """Apply one fine-grained rule; None when it does not match.
+) -> tuple[int, int, str] | None:
+    """Apply one fine-grained rule: the edit (start, end, piece) it made to
+    sentence.text, or None when it does not match.
 
-    Picks one of the rule's candidate edits uniformly, draws its word when
-    it carries a word pool, and builds only that text. An edit that leaves
-    the text unchanged counts as a non-match, and the pick is made again
-    among the remaining candidates.
+    Picks one of the rule's candidate edits uniformly and draws its word
+    when it carries a word pool. The edit is trimmed to its changed window:
+    the characters its slice and its piece share at either end are cut
+    off. An edit that leaves the text unchanged counts as a non-match, and
+    the pick is made again among the remaining candidates.
     """
     if fine_id not in RULE_REGISTRY:
         raise KeyError(f"unknown rule id: {fine_id}")
-    if not sentence.tokens:
-        return None
     text = sentence.text
     candidates = RULE_REGISTRY[fine_id](sentence, roles, resources)
     while candidates:
         start, end, piece = candidates.pop(_choice(rng, range(len(candidates))))
         if isinstance(piece, tuple):
             piece = _choice(rng, piece)
-        if piece != text[start:end]:
-            incorrect = text[:start] + piece + text[end:]
-            return RuleOutcome(incorrect, text, ErrorType.from_fine(fine_id))
+        old = text[start:end]
+        if piece != old:
+            head = _common_prefix_length(old, piece)
+            tail = _common_prefix_length(old[head:][::-1], piece[head:][::-1])
+            return start + head, end - tail, piece[head : len(piece) - tail]
     return None

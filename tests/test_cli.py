@@ -539,6 +539,29 @@ def test_augment_input_that_is_not_a_regular_file_is_usage_error(tmp_path, capsy
     assert out.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("content", ["", "\n \n\u3000\t\n"], ids=["empty", "blank-only"])
+def test_augment_input_without_sentences_writes_nothing_and_a_zero_report(
+    tmp_path, capsys, content
+):
+    src, out = tmp_path / "in.txt", tmp_path / "out.jsonl"
+    src.write_text(content, encoding="utf-8")
+    assert run(["augment", "--input", str(src), "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == ""
+    report = json.loads((tmp_path / "out.jsonl.report.json").read_text(encoding="utf-8"))
+    assert report == {
+        "sentences_read": 0,
+        "words_seen": 0,
+        "op_counts": {"keep": 0, "insert": 0, "replace": 0, "delete": 0},
+    }
+    # a malformed config is still refused on such an input
+    config = tmp_path / "aug.json"
+    config.write_text('{"p_keep": 0.5}', encoding="utf-8")
+    out.unlink()
+    argv = ["augment", "--input", str(src), "--output", str(out), "--config", str(config)]
+    _assert_one_usage_error(capsys, argv)
+    assert not out.exists()
+
+
 # --- stats --------------------------------------------------------------------
 
 

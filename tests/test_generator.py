@@ -1,12 +1,14 @@
 """Generator tests: seeding, determinism, rule policy, random baseline."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgeckit.core import ConfigError, apply_edits, pair_to_json
+from cgeckit import generator
+from cgeckit.core import FINE_TO_COARSE, CoarseType, ConfigError, apply_edits, pair_to_json
 from cgeckit.generator import (
     AugmentConfig,
     GenConfig,
@@ -18,7 +20,7 @@ from cgeckit.generator import (
 )
 from cgeckit.generator import _augment_job, _weighted_pop
 from cgeckit.resources import load_resources
-from cgeckit.rules import RULE_REGISTRY
+from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
 from tests.oracles import weighted_pop_reference
 
@@ -246,6 +248,78 @@ def test_stacked_pairs_always_hold_an_edit(combine_max):
         pairs, _ = generate_corpus(fixture_sentences(), config, RES)
         assert pairs
         assert [p.id for p in pairs if not p.edits] == []
+
+
+@pytest.fixture(scope="module")
+def recorded_runs():
+    """(source, pair or None, steps) for every generate_pair attempt on the
+    fixtures at seeds 0-7, per_sentence 2 and combine_max 1-3. The steps
+    are (text, rule, edit), one for each rule that returned an edit."""
+    steps = []
+
+    def recording(sentence, roles, resources, rng, rule):
+        edit = apply_fine_rule(sentence, roles, resources, rng, rule)
+        if edit is not None:
+            steps.append((sentence.text, rule, edit))
+        return edit
+
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generator, "apply_fine_rule", recording)
+        for index, text in enumerate(fixture_sentences()):
+            sent, roles = tagged(text)
+            for seed in range(8):
+                for combine_max in (1, 2, 3):
+                    config = GenConfig(seed=seed, per_sentence=2, combine_max=combine_max)
+                    for attempt in range(config.per_sentence):
+                        steps.clear()
+                        pair = generate_pair(sent, roles, RES, config, index, attempt)
+                        runs.append((text, pair, list(steps)))
+    return runs
+
+
+def splice(text, edit):
+    start, end, piece = edit
+    return text[:start] + piece + text[end:]
+
+
+def test_returned_edits_replay_every_pair(recorded_runs):
+    # From the source, a step is taken when it edits the current text and
+    # its output is a text not seen yet: the pair is those steps' output,
+    # labelled with their rules in order.
+    pairs = stacked = 0
+    for source, pair, steps in recorded_runs:
+        current, seen, rules = source, {source}, []
+        for text, rule, edit in steps:
+            output = splice(text, edit)
+            if text == current and output not in seen:
+                current = output
+                seen.add(output)
+                rules.append(rule)
+        if pair is None:
+            assert rules == []
+            continue
+        assert (current, "+".join(rules)) == (pair.incorrect, pair.rule_id)
+        pairs += 1
+        stacked += len(rules) > 1
+    assert pairs > 1500 and stacked > 300
+
+
+def test_single_rule_pairs_have_their_category_shape(recorded_runs):
+    # The gold edits restore the correct text from the incorrect one.
+    checked = 0
+    for _, pair, _ in recorded_runs:
+        if pair is None or "+" in pair.rule_id:
+            continue
+        coarse = FINE_TO_COARSE[pair.rule_id]
+        if coarse is CoarseType.MISSING_COMPONENT:
+            assert all(e.start == e.end and e.replacement for e in pair.edits), pair
+        elif coarse is CoarseType.REDUNDANT_COMPONENT:
+            assert all(e.end > e.start and not e.replacement for e in pair.edits), pair
+        elif coarse is CoarseType.IMPROPER_WORD_ORDER:
+            assert Counter(pair.incorrect) == Counter(pair.correct), pair
+        checked += 1
+    assert checked > 1000
 
 
 # --- generate_corpus -----------------------------------------------------

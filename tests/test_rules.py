@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgeckit.core import FINE_TO_COARSE, CoarseType, apply_edits
+from cgeckit.core import FINE_TO_COARSE, CoarseType, apply_edits, diff_edits
 from cgeckit.resources import (
     Collocation,
     ConnectivePair,
@@ -23,17 +23,27 @@ from tests.oracles import SCAN_CANDIDATE_FNS, SCAN_FUNCTION_WORD_FNS
 RES = load_resources()
 
 
-def corrupt(text, fine, seed=0):
+def splice(text, edit):
+    start, end, piece = edit
+    return text[:start] + piece + text[end:]
+
+
+def rule_edit(text, fine, seed=0):
+    """The edit the rule makes to text, or None when it does not fire."""
     sent = segment_and_tag(text)
     return apply_fine_rule(sent, identify_roles(sent), RES, random.Random(seed), fine)
 
 
+def corrupt(text, fine, seed=0):
+    """The text the rule makes of text, or None when it does not fire."""
+    edit = rule_edit(text, fine, seed)
+    return None if edit is None else splice(text, edit)
+
+
 def sweep(text, fine, seeds=60):
-    outs = {}
-    for s in range(seeds):
-        outcome = corrupt(text, fine, s)
-        if outcome is not None:
-            outs[outcome.incorrect] = outcome
+    """Every text the rule makes of text over the first seeds seeds."""
+    outs = {corrupt(text, fine, s) for s in range(seeds)}
+    outs.discard(None)
     return outs
 
 
@@ -49,50 +59,54 @@ def test_registry_has_exactly_26_rules():
 
 
 def test_mixed_patterns_splices_competing_structure():
-    outcome = corrupt("食用水果前应该洗净削皮", "MixedPatterns")
-    assert outcome.incorrect == "食用水果前应该洗净削皮较为安全"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "食用水果前应该洗净削皮"
-    assert len(outcome.edits) == 1 and outcome.edits[0].replacement == ""
+    incorrect = corrupt("食用水果前应该洗净削皮", "MixedPatterns")
+    assert incorrect == "食用水果前应该洗净削皮较为安全"
+    edits = diff_edits(incorrect, "食用水果前应该洗净削皮")
+    assert apply_edits(incorrect, edits) == "食用水果前应该洗净削皮"
+    assert len(edits) == 1 and edits[0].replacement == ""
 
 
 def test_mixed_sentences_appends_run_on_tail():
-    outcome = corrupt("他喜欢苹果", "MixedSentences")
-    assert outcome.incorrect == "他喜欢苹果是他最喜欢的水果"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "他喜欢苹果"
+    incorrect = corrupt("他喜欢苹果", "MixedSentences")
+    assert incorrect == "他喜欢苹果是他最喜欢的水果"
+    assert apply_edits(incorrect, diff_edits(incorrect, "他喜欢苹果")) == "他喜欢苹果"
 
 
 def test_mixed_subjects_inserts_competing_subject():
     outs = sweep("学校采取措施防止事故发生", "MixedSubjects")
     assert outs
-    for text, outcome in outs.items():
+    for text in outs:
         assert text.startswith("学校")
         inserted = text[2 : len(text) - len("采取措施防止事故发生")]
         assert inserted in ("我们", "大家", "人们")
-        assert apply_edits(text, outcome.edits) == "学校采取措施防止事故发生"
+        edits = diff_edits(text, "学校采取措施防止事故发生")
+        assert apply_edits(text, edits) == "学校采取措施防止事故发生"
 
 
 def test_measure_word_exact_marker_gains_approximation():
     outs = sweep("共有50人", "MeasureWord")
     assert "共有大约50人" in outs
-    for text, outcome in outs.items():
+    for text in outs:
         assert text in ("共有大约50人", "共有将近50人")
-        assert apply_edits(text, outcome.edits) == "共有50人"
-        assert len(outcome.edits) == 1 and outcome.edits[0].replacement == ""
+        edits = diff_edits(text, "共有50人")
+        assert apply_edits(text, edits) == "共有50人"
+        assert len(edits) == 1 and edits[0].replacement == ""
 
 
 def test_measure_word_double_approximation():
     outs = sweep("大约五十名学生参加了比赛", "MeasureWord")
     assert outs
-    assert set(outs) <= {
+    assert outs <= {
         "大约五十名学生左右参加了比赛",
         "大约五十名学生上下参加了比赛",
     }
 
 
 def test_unreasonable_inserts_subsumed_concept():
-    outcome = corrupt("集团向社会各界人士表示歉意", "Unreasonable")
-    assert outcome.incorrect == "集团向社会各界人士、沿途村庄百姓表示歉意"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "集团向社会各界人士表示歉意"
+    incorrect = corrupt("集团向社会各界人士表示歉意", "Unreasonable")
+    assert incorrect == "集团向社会各界人士、沿途村庄百姓表示歉意"
+    edits = diff_edits(incorrect, "集团向社会各界人士表示歉意")
+    assert apply_edits(incorrect, edits) == "集团向社会各界人士表示歉意"
 
 
 def test_improper_negation_after_implicit_negative_verb():
@@ -101,20 +115,30 @@ def test_improper_negation_after_implicit_negative_verb():
 
 
 def test_improper_negation_double_negative_before_predicate():
-    outcome = corrupt("我们不赞成这种做法", "ImproperNegation")
-    assert outcome.incorrect == "我们没有不赞成这种做法"
+    assert corrupt("我们不赞成这种做法", "ImproperNegation") == "我们没有不赞成这种做法"
 
 
 def test_reverse_host_guest_swaps_noun_phrases():
-    outcome = corrupt("学生对这个问题很感兴趣", "ReverseHostGuest")
-    assert outcome.incorrect == "这个问题对学生很感兴趣"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "学生对这个问题很感兴趣"
+    incorrect = corrupt("学生对这个问题很感兴趣", "ReverseHostGuest")
+    assert incorrect == "这个问题对学生很感兴趣"
+    edits = diff_edits(incorrect, "学生对这个问题很感兴趣")
+    assert apply_edits(incorrect, edits) == "学生对这个问题很感兴趣"
 
 
 def test_imposing_cause_and_effect_adds_connectives():
-    outcome = corrupt("他是南方人，不习惯吃面食", "ImposingCauseAndEffect")
-    assert outcome.incorrect == "因为他是南方人，所以不习惯吃面食"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "他是南方人，不习惯吃面食"
+    incorrect = corrupt("他是南方人，不习惯吃面食", "ImposingCauseAndEffect")
+    assert incorrect == "因为他是南方人，所以不习惯吃面食"
+    edits = diff_edits(incorrect, "他是南方人，不习惯吃面食")
+    assert apply_edits(incorrect, edits) == "他是南方人，不习惯吃面食"
+
+
+def test_returned_edit_is_trimmed_to_the_changed_characters():
+    # 优异 -> 优美 keeps its first character, so only 异 is replaced.
+    assert rule_edit("他取得了优异的成绩", "ModifierHeadWord") == (5, 6, "美")
+    # The clause rewrite starts and ends with an insert: nothing to trim.
+    assert rule_edit("他是南方人，不习惯吃面食", "ImposingCauseAndEffect") == (
+        0, 6, "因为他是南方人，所以"
+    )
 
 
 def test_imposing_cause_and_effect_needs_comma_and_no_existing_connective():
@@ -125,26 +149,26 @@ def test_imposing_cause_and_effect_needs_comma_and_no_existing_connective():
 
 
 def test_lack_subject_gives_verb_initial_sentence():
-    outcome = corrupt("他喜欢苹果", "LackSubject")
-    assert outcome.incorrect == "喜欢苹果"
-    assert outcome.edits[0].start == 0 and outcome.edits[0].end == 0
-    assert outcome.edits[0].replacement == "他"
+    incorrect = corrupt("他喜欢苹果", "LackSubject")
+    assert incorrect == "喜欢苹果"
+    edits = diff_edits(incorrect, "他喜欢苹果")
+    assert edits[0].start == 0 and edits[0].end == 0
+    assert edits[0].replacement == "他"
 
 
 def test_lack_predicate_removes_verb():
-    outcome = corrupt("他喜欢苹果", "LackPredicate")
-    assert outcome.incorrect == "他苹果"
+    assert corrupt("他喜欢苹果", "LackPredicate") == "他苹果"
 
 
 def test_lack_object_prefers_removing_de_phrase_head():
-    outcome = corrupt("该节目成功地实现了收视冠军的目标", "LackObject")
-    assert outcome.incorrect == "该节目成功地实现了收视冠军"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "该节目成功地实现了收视冠军的目标"
+    incorrect = corrupt("该节目成功地实现了收视冠军的目标", "LackObject")
+    assert incorrect == "该节目成功地实现了收视冠军"
+    edits = diff_edits(incorrect, "该节目成功地实现了收视冠军的目标")
+    assert apply_edits(incorrect, edits) == "该节目成功地实现了收视冠军的目标"
 
 
 def test_lack_object_plain_object():
-    outcome = corrupt("他喜欢苹果", "LackObject")
-    assert outcome.incorrect == "他喜欢"
+    assert corrupt("他喜欢苹果", "LackObject") == "他喜欢"
 
 
 def test_lack_modifier_drops_essential_word():
@@ -163,70 +187,68 @@ def test_single_token_sentence_has_no_removable_role():
 def test_multi_words_inserts_synonym():
     outs = sweep("我非常喜欢苹果", "MultiWords")
     assert "我非常十分喜欢苹果" in outs
-    outcome = outs["我非常十分喜欢苹果"]
-    assert len(outcome.edits) == 1 and outcome.edits[0].replacement == ""
-    assert apply_edits(outcome.incorrect, outcome.edits) == "我非常喜欢苹果"
+    edits = diff_edits("我非常十分喜欢苹果", "我非常喜欢苹果")
+    assert len(edits) == 1 and edits[0].replacement == ""
+    assert apply_edits("我非常十分喜欢苹果", edits) == "我非常喜欢苹果"
 
 
 def test_multi_meanings_inserts_covering_word():
-    outcome = corrupt("昨天是转会的最后一天", "MultiMeanings")
-    assert outcome.incorrect == "昨天是转会截止日期的最后一天"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "昨天是转会的最后一天"
+    incorrect = corrupt("昨天是转会的最后一天", "MultiMeanings")
+    assert incorrect == "昨天是转会截止日期的最后一天"
+    edits = diff_edits(incorrect, "昨天是转会的最后一天")
+    assert apply_edits(incorrect, edits) == "昨天是转会的最后一天"
 
 
 def test_subject_predicate_collocation_replacement():
     outs = sweep("学生的汉语水平提高了", "SubjectPredicate")
-    assert set(outs) == {"学生的汉语水平增加了", "学生的汉语水平增长了"}
+    assert outs == {"学生的汉语水平增加了", "学生的汉语水平增长了"}
 
 
 def test_predicate_object_collocation_replacement():
-    outcome = corrupt("丝绸之路谱写了千古传诵的壮美篇章", "PredicateObject")
-    assert outcome.incorrect == "丝绸之路开拓了千古传诵的壮美篇章"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "丝绸之路谱写了千古传诵的壮美篇章"
+    incorrect = corrupt("丝绸之路谱写了千古传诵的壮美篇章", "PredicateObject")
+    assert incorrect == "丝绸之路开拓了千古传诵的壮美篇章"
+    edits = diff_edits(incorrect, "丝绸之路谱写了千古传诵的壮美篇章")
+    assert apply_edits(incorrect, edits) == "丝绸之路谱写了千古传诵的壮美篇章"
 
 
 def test_subject_object_collocation_replacement():
-    outcome = corrupt("春节是中国最重要的传统节日", "SubjectObject")
-    assert outcome.incorrect == "春节是中国最重要的传统季节"
+    assert corrupt("春节是中国最重要的传统节日", "SubjectObject") == "春节是中国最重要的传统季节"
 
 
 def test_modifier_head_collocation_replacement():
-    outcome = corrupt("他取得了优异的成绩", "ModifierHeadWord")
-    assert outcome.incorrect == "他取得了优美的成绩"
+    assert corrupt("他取得了优异的成绩", "ModifierHeadWord") == "他取得了优美的成绩"
 
 
 def test_connectives_replace_second_member():
     outs = sweep("只有努力学习，才能取得好成绩", "Connectives")
-    assert set(outs) == {
+    assert outs == {
         "只有努力学习，就能取得好成绩",
         "只有努力学习，都能取得好成绩",
     }
 
 
 def test_multi_attributives_swap():
-    outcome = corrupt("他是勤劳的善良的农民", "MultiAttributives")
-    assert outcome.incorrect == "他是善良的勤劳的农民"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "他是勤劳的善良的农民"
+    incorrect = corrupt("他是勤劳的善良的农民", "MultiAttributives")
+    assert incorrect == "他是善良的勤劳的农民"
+    edits = diff_edits(incorrect, "他是勤劳的善良的农民")
+    assert apply_edits(incorrect, edits) == "他是勤劳的善良的农民"
 
 
 def test_multi_adverbials_swap():
-    outcome = corrupt("他已经非常熟悉这里的环境", "MultiAdverbials")
-    assert outcome.incorrect == "他非常已经熟悉这里的环境"
+    assert corrupt("他已经非常熟悉这里的环境", "MultiAdverbials") == "他非常已经熟悉这里的环境"
 
 
 def test_attributive_head_word_swap():
-    outcome = corrupt("他是优秀的教师", "AttributiveHeadWord")
-    assert outcome.incorrect == "他是教师优秀的"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "他是优秀的教师"
+    incorrect = corrupt("他是优秀的教师", "AttributiveHeadWord")
+    assert incorrect == "他是教师优秀的"
+    assert apply_edits(incorrect, diff_edits(incorrect, "他是优秀的教师")) == "他是优秀的教师"
 
 
 def test_prepositions_move_phrase_before_predicate():
-    outcome = corrupt("学校要求每名学生三个月内完成20个小时的义工服务", "Prepositions")
-    assert outcome.incorrect == "学校三个月内要求每名学生完成20个小时的义工服务"
-    assert (
-        apply_edits(outcome.incorrect, outcome.edits)
-        == "学校要求每名学生三个月内完成20个小时的义工服务"
-    )
+    text = "学校要求每名学生三个月内完成20个小时的义工服务"
+    incorrect = corrupt(text, "Prepositions")
+    assert incorrect == "学校三个月内要求每名学生完成20个小时的义工服务"
+    assert apply_edits(incorrect, diff_edits(incorrect, text)) == text
 
 
 def test_prepositions_swap_with_preceding_adverbs():
@@ -237,13 +259,13 @@ def test_prepositions_swap_with_preceding_adverbs():
 def test_prepositions_reproduce_case_study_order_error():
     outs = sweep("请你不要把这件事放在心上", "Prepositions")
     assert "请把这件事你不要放在心上" in outs
-    for text, outcome in outs.items():
-        assert apply_edits(text, outcome.edits) == "请你不要把这件事放在心上"
+    for text in outs:
+        edits = diff_edits(text, "请你不要把这件事放在心上")
+        assert apply_edits(text, edits) == "请你不要把这件事放在心上"
 
 
 def test_connectives_subject_swap():
-    outcome = corrupt("他不仅会唱歌，而且会跳舞", "ConnectivesSubject")
-    assert outcome.incorrect == "不仅他会唱歌，而且会跳舞"
+    assert corrupt("他不仅会唱歌，而且会跳舞", "ConnectivesSubject") == "不仅他会唱歌，而且会跳舞"
 
 
 def test_associated_words_move_adverb_after_verb():
@@ -252,9 +274,10 @@ def test_associated_words_move_adverb_after_verb():
 
 
 def test_adverbial_attributives_exchange():
-    outcome = corrupt("他认真地读了老师布置的作业", "AdverbialAttributives")
-    assert outcome.incorrect == "他老师布置的读了认真地作业"
-    assert apply_edits(outcome.incorrect, outcome.edits) == "他认真地读了老师布置的作业"
+    incorrect = corrupt("他认真地读了老师布置的作业", "AdverbialAttributives")
+    assert incorrect == "他老师布置的读了认真地作业"
+    edits = diff_edits(incorrect, "他认真地读了老师布置的作业")
+    assert apply_edits(incorrect, edits) == "他认真地读了老师布置的作业"
 
 
 def test_no_rule_fires_on_empty_sentence():
@@ -299,7 +322,8 @@ def test_every_fine_rule_fires_somewhere_on_the_fixture_corpus():
 
 
 def test_exhaustive_round_trip_over_fixtures():
-    """Every fired outcome restores its source exactly and stays in category."""
+    """Every fired edit is minimal, has its category's shape, and its text
+    diffs back to the source exactly."""
     sentences = fixture_sentences()
     fired = 0
     for text in sentences:
@@ -307,32 +331,36 @@ def test_exhaustive_round_trip_over_fixtures():
         roles = identify_roles(sent)
         for fine in RULE_REGISTRY:
             for seed in (0, 1):
-                outcome = apply_fine_rule(sent, roles, RES, random.Random(seed), fine)
-                if outcome is None:
+                edit = apply_fine_rule(sent, roles, RES, random.Random(seed), fine)
+                if edit is None:
                     continue
                 fired += 1
-                assert outcome.incorrect != text
-                assert apply_edits(outcome.incorrect, outcome.edits) == text
-                assert outcome.fine_type.fine == fine
-                assert outcome.fine_type.coarse is FINE_TO_COARSE[fine]
+                start, end, piece = edit
+                old = text[start:end]
+                # the window is minimal: no shared first or last character
+                assert old != piece
+                assert not (old and piece and (old[0] == piece[0] or old[-1] == piece[-1]))
+                incorrect = splice(text, edit)
+                assert incorrect != text
+                edits = diff_edits(incorrect, text)
+                assert apply_edits(incorrect, edits) == text
                 coarse = FINE_TO_COARSE[fine]
                 if coarse is CoarseType.MISSING_COMPONENT:
+                    assert piece == ""
                     # something was deleted: restoring edits are pure
                     # insertions totalling the removed length
-                    assert all(e.start == e.end and e.replacement for e in outcome.edits)
-                    assert sum(len(e.replacement) for e in outcome.edits) == len(text) - len(
-                        outcome.incorrect
-                    )
+                    assert all(e.start == e.end and e.replacement for e in edits)
+                    assert sum(len(e.replacement) for e in edits) == len(text) - len(incorrect)
                 elif coarse is CoarseType.REDUNDANT_COMPONENT:
+                    assert start == end
                     # something was inserted: restoring edits are pure
                     # deletions totalling the inserted length
-                    assert all(e.end > e.start and not e.replacement for e in outcome.edits)
-                    assert sum(e.end - e.start for e in outcome.edits) == len(
-                        outcome.incorrect
-                    ) - len(text)
+                    assert all(e.end > e.start and not e.replacement for e in edits)
+                    assert sum(e.end - e.start for e in edits) == len(incorrect) - len(text)
                 elif coarse is CoarseType.IMPROPER_WORD_ORDER:
                     # pieces only move: the characters are the same multiset
-                    assert Counter(outcome.incorrect) == Counter(text)
+                    assert Counter(old) == Counter(piece)
+                    assert Counter(incorrect) == Counter(text)
     assert fired > 200  # the corpus gives the rules plenty to do
 
 
