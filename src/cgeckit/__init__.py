@@ -19,6 +19,7 @@ from cgeckit.core import (
     pair_from_json,
     pair_to_json,
     read_pairs,
+    report_json,
 )
 from cgeckit.generator import (
     AugmentConfig,
@@ -30,6 +31,7 @@ from cgeckit.generator import (
     derive_seed,
     generate_corpus,
     generate_pair,
+    stream_augment_lines,
     stream_generate,
 )
 from cgeckit.lm import (

@@ -14,16 +14,18 @@ import json
 import os
 import random
 import sys
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from cgeckit import lm as lm_mod
 from cgeckit.core import (
     ConfigError,
+    CorpusPair,
     ParseError,
     ValidationError,
     open_input,
     pair_to_json,
     read_pairs,
+    report_json,
 )
 from cgeckit.generator import (
     AugmentConfig,
@@ -116,17 +118,37 @@ def _report_path(args) -> str:
     return report
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, allowed_keys: set[str]) -> dict:
+    """The JSON object of a --config file (empty without one), holding
+    only allowed keys."""
     if path is None:
         return {}
     with open_input(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: {exc}") from None
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an int of more digits than int() takes
+        raise ConfigError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
+    unknown = set(doc) - allowed_keys
+    if unknown:
+        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
     return doc
+
+
+def _write_pairs(
+    output: str,
+    report_path: str,
+    pairs: Iterable[CorpusPair],
+    report: GenerationReport | AugmentReport,
+) -> None:
+    """Write pairs as JSON lines, then the report the stream counted them
+    into; both files appear only if every pair is written."""
+    with _write_on_success(output, report_path) as (out, report_out):
+        for pair in pairs:
+            out.write(pair_to_json(pair) + "\n")
+        report_out.write(report_json(report.to_dict()))
 
 
 def _pick(flag_value, config: dict, key: str, default):
@@ -172,10 +194,7 @@ def _cmd_generate(args) -> int:
     if not resources_dir:
         raise ConfigError(f"generate needs --resources or ${RESOURCES_ENV}")
     resources = load_resources(resources_dir)
-    overrides = _load_config(args.config)
-    unknown = set(overrides) - _GEN_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config {args.config}: unknown keys {sorted(unknown)}")
+    overrides = _load_config(args.config, _GEN_CONFIG_KEYS)
     enabled = overrides.get("enabled_rules")
     if enabled is not None and (
         type(enabled) is not list or not all(type(rule) is str for rule in enabled)
@@ -203,15 +222,10 @@ def _cmd_generate(args) -> int:
         )
     pretagged = args.pretagged or pretagged
     report = GenerationReport()
-    with _write_on_success(args.output, report_path) as (out, report_out):
-        stream = stream_generate(
-            _read_lines(args.input), config, resources, args.workers, pretagged
-        )
-        for pairs, sub in stream:
-            for pair in pairs:
-                out.write(pair_to_json(pair) + "\n")
-            report.merge(sub)
-        report_out.write(report.to_json())
+    pairs = stream_generate(
+        _read_lines(args.input), config, resources, report, args.workers, pretagged
+    )
+    _write_pairs(args.output, report_path, pairs, report)
     return EXIT_OK
 
 
@@ -226,22 +240,14 @@ def _cmd_augment(args) -> int:
             f"augment reads its input twice (word pool, then pairs), so --input "
             f"must be a regular file: {args.input}"
         )
-    overrides = _load_config(args.config)
-    unknown = set(overrides) - _AUG_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config {args.config}: unknown keys {sorted(unknown)}")
+    overrides = _load_config(args.config, _AUG_CONFIG_KEYS)
     word_pool = build_word_pool(segment_and_tag(line) for line in _read_lines(args.input))
     # An input with no words draws no word; the stand-in pool lets the
     # config be checked all the same.
     config = AugmentConfig(**overrides, word_pool=word_pool or ("",), seed=args.seed)
     report = AugmentReport()
-    with _write_on_success(args.output, report_path) as (out, report_out):
-        for pair, counts in stream_augment_lines(
-            _read_lines(args.input), config, args.workers
-        ):
-            out.write(pair_to_json(pair) + "\n")
-            report.add(counts)
-        report_out.write(report.to_json())
+    pairs = stream_augment_lines(_read_lines(args.input), config, report, args.workers)
+    _write_pairs(args.output, report_path, pairs, report)
     return EXIT_OK
 
 
@@ -250,7 +256,7 @@ def _cmd_stats(args) -> int:
     doc = report.to_dict()
     if args.per_type:
         doc = {"corpus": doc, "per_type": report.per_type}
-    text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    text = report_json(doc)
     if args.output:
         with _write_on_success(args.output) as (out,):
             out.write(text)
@@ -273,7 +279,7 @@ def _cmd_score(args) -> int:
     sys.stdout.write(format_score(report))
     if args.report:
         with _write_on_success(args.report) as (out,):
-            out.write(report.to_json())
+            out.write(report_json(report.to_dict()))
     return EXIT_OK
 
 

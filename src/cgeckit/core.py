@@ -2,8 +2,9 @@
 
 Everything downstream builds on the types here: POS-tagged tokens and
 sentences, the coarse/fine error-type taxonomy, character-level edit
-spans, and the training-pair record with its JSON-lines serialization.
-All offsets are Unicode code point indices, never bytes.
+spans, the training-pair record with its JSON-lines serialization, and
+`report_json`, the one JSON format of every report. All offsets are
+Unicode code point indices, never bytes.
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ class ConfigError(CgecError):
 
 def finite_number(name: str, value) -> float:
     """value, if it is a finite int or float and not a bool; else a
-    ConfigError naming it. Config files may hold NaN, Infinity, strings
-    and booleans where a number belongs."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+    ConfigError naming it. Config files may hold NaN, Infinity, strings,
+    booleans and ints beyond float range where a number belongs."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int that no float can hold
+        finite = False
+    if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
 
@@ -198,9 +203,6 @@ class TaggedSentence:
             pos = tok.char_end
         if pos != len(self.text):
             raise ValidationError("tokens do not cover the sentence text")
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
 
 
 def _token(surface: str, tag: POSTag, char_start: int, char_end: int) -> Token:
@@ -455,6 +457,12 @@ def pair_to_json(pair: CorpusPair) -> str:
     return _PAIR_ENCODER.encode(obj)
 
 
+def report_json(doc: dict) -> str:
+    """A report's document as indented JSON text with a final newline: the
+    one format of every report and of `stats` output."""
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
 def _spec(**types: type) -> tuple:
     """(names, getter of their values, types) of some record fields."""
     return tuple(types), itemgetter(*types), tuple(types.values())
@@ -498,7 +506,7 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
     where = "" if lineno is None else f" at line {lineno}"
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int of more digits than int() takes
         raise ParseError(f"bad JSON{where}: {exc}") from exc
     try:
         pair_id, incorrect, correct, rule_id, seed = _fields(obj, _PAIR_SPEC, where)

@@ -3,16 +3,22 @@
 Reproducibility scheme: every sentence gets its own rng seeded by
 sha256(seed, sentence_index, attempt). Workers therefore never share rng
 state and the output is byte-identical for any worker count.
+
+`stream_generate` and `stream_augment_lines` are the one corpus driver of
+each: they yield pairs in input order and count every line into the
+caller's report, through `GenerationReport.add` or `AugmentReport.add`.
+`generate_corpus` and `augment_corpus` collect a stream into a list.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from cgeckit.core import (
@@ -68,7 +74,7 @@ class GenConfig:
             raise ConfigError(
                 "rule_weights give every enabled rule weight 0, so no rule can be drawn"
             )
-        total = _float_sum(weights)
+        total = list(accumulate(weights, initial=0.0))[-1]
         if not math.isfinite(total):
             raise ConfigError(
                 f"the enabled rules' weights must have a finite sum, got {total!r}"
@@ -123,29 +129,17 @@ def derive_seed(seed: int, *parts: int) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _float_sum(weights) -> float:
-    """The weights added up in float from 0.0, in order. From Python 3.12
-    on, sum() of floats is compensated and can differ in the last bit,
-    which would move a draw that lands on a rule boundary."""
-    total = 0.0
-    for weight in weights:
-        total += weight
-    return total
-
-
 def _weighted_pop(rng: random.Random, rules: list[str], weights: list[float]) -> str:
     """Draw one rule by weight and remove it from both lists.
 
-    The draw is rng.random() times the weights' `_float_sum`; the rule is
-    the first whose running weight sum, added up the same way, exceeds
-    it, or else the last rule.
+    The draw is rng.random() times the weights' total; the rule is the
+    first whose running sum exceeds it, or else the last rule. The running
+    sums are added in float from 0.0, in order: from Python 3.12 on, sum()
+    of floats is compensated and can differ in the last bit, which would
+    move a draw that lands on a rule boundary.
     """
-    r = rng.random() * _float_sum(weights)
-    total = 0.0
-    for index, weight in enumerate(weights):
-        total += weight
-        if total > r:
-            break
+    sums = list(accumulate(weights, initial=0.0))
+    index = min(bisect_right(sums, rng.random() * sums[-1]) - 1, len(weights) - 1)
     del weights[index]
     return rules.pop(index)
 
@@ -212,19 +206,21 @@ def generate_pair(
 
 @dataclass
 class GenerationReport:
-    """Counters for one generate_corpus run."""
+    """Counters for one generate run."""
 
     sentences_read: int = 0
     pairs_emitted: int = 0
     skipped: int = 0
     rule_fires: dict[str, int] = field(default_factory=dict)
 
-    def merge(self, other: "GenerationReport") -> None:
-        self.sentences_read += other.sentences_read
-        self.pairs_emitted += other.pairs_emitted
-        self.skipped += other.skipped
-        for rule, count in other.rule_fires.items():
-            self.rule_fires[rule] = self.rule_fires.get(rule, 0) + count
+    def add(self, pairs: list[CorpusPair], attempts: int) -> None:
+        """Count one sentence from the pairs its attempts gave."""
+        self.sentences_read += 1
+        self.pairs_emitted += len(pairs)
+        self.skipped += attempts - len(pairs)
+        for pair in pairs:
+            for rule in pair.rule_id.split("+"):
+                self.rule_fires[rule] = self.rule_fires.get(rule, 0) + 1
 
     def to_dict(self) -> dict:
         return {
@@ -234,46 +230,44 @@ class GenerationReport:
             "rule_fires": {k: self.rule_fires[k] for k in sorted(self.rule_fires)},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
-
 
 def _generate_job(
     state: tuple[GenConfig, RuleResources, bool], item: tuple[int, str]
-) -> tuple[list[CorpusPair], GenerationReport]:
+) -> list[CorpusPair]:
     config, resources, pretagged = state
     index, line = item
-    report = GenerationReport(sentences_read=1)
     sentence = parse_pretagged(line) if pretagged else segment_and_tag(line)
     roles = identify_roles(sentence)
     pairs = []
     for attempt in range(config.per_sentence):
         pair = generate_pair(sentence, roles, resources, config, index, attempt)
-        if pair is None:
-            report.skipped += 1
-            continue
-        pairs.append(pair)
-        report.pairs_emitted += 1
-        for rule in pair.rule_id.split("+"):
-            report.rule_fires[rule] = report.rule_fires.get(rule, 0) + 1
-    return pairs, report
+        if pair is not None:
+            pairs.append(pair)
+    return pairs
 
 
 def stream_generate(
     corpus: Iterable[str],
     config: GenConfig,
     resources: RuleResources,
+    report: GenerationReport,
     workers: int = 1,
     pretagged: bool = False,
-) -> Iterator[tuple[list[CorpusPair], GenerationReport]]:
-    """Yield (pairs, report) per input sentence, preserving input order.
+) -> Iterator[CorpusPair]:
+    """Yield the pairs of a sentence stream in input order, counting each
+    sentence into `report` as its pairs are yielded.
 
-    Consumes the corpus lazily so arbitrarily large files process in
-    bounded memory. Output is a pure function of (corpus, config): worker
-    count only changes wall-clock time, never bytes.
+    With pretagged=True input lines are `surface/TAG ...` items;
+    intermediate re-tagging after a rule fires still uses the builtin
+    segmenter either way. Consumes the corpus lazily so arbitrarily large
+    files process in bounded memory. Output is a pure function of
+    (corpus, config): worker count only changes wall-clock time, never
+    bytes.
     """
     state = (config, resources, pretagged)
-    return ordered_map(_generate_job, state, enumerate(corpus), workers)
+    for pairs in ordered_map(_generate_job, state, enumerate(corpus), workers):
+        report.add(pairs, config.per_sentence)
+        yield from pairs
 
 
 def generate_corpus(
@@ -283,18 +277,9 @@ def generate_corpus(
     workers: int = 1,
     pretagged: bool = False,
 ) -> tuple[list[CorpusPair], GenerationReport]:
-    """Generate pairs for a sentence stream, preserving input order.
-
-    With pretagged=True input lines are `surface/TAG ...` items;
-    intermediate re-tagging after a rule fires still uses the builtin
-    segmenter either way.
-    """
+    """The pairs and report of `stream_generate`, as a list."""
     report = GenerationReport()
-    pairs: list[CorpusPair] = []
-    for got, sub in stream_generate(corpus, config, resources, workers, pretagged):
-        pairs.extend(got)
-        report.merge(sub)
-    return pairs, report
+    return list(stream_generate(corpus, config, resources, report, workers, pretagged)), report
 
 
 # --- random-augmentation baseline ---------------------------------------
@@ -357,9 +342,6 @@ class AugmentReport:
             "op_counts": dict(self.op_counts),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
-
 
 def build_word_pool(sentences: Iterable[TaggedSentence]) -> tuple[str, ...]:
     """Sorted unique token surfaces: the insert/replace vocabulary."""
@@ -393,21 +375,20 @@ def _augment_job(
 
 
 def stream_augment_lines(
-    lines: Iterable[str], config: AugmentConfig, workers: int = 1
-) -> Iterator[tuple[CorpusPair, dict[str, int]]]:
-    """Yield (pair, per-op draw counts) per raw text line, in input order,
-    segmenting with the builtin tagger."""
-    return ordered_map(_augment_job, config, enumerate(lines), workers)
+    lines: Iterable[str], config: AugmentConfig, report: AugmentReport, workers: int = 1
+) -> Iterator[CorpusPair]:
+    """Yield the pair of each raw text line, in input order, segmenting
+    with the builtin tagger, and count each line into `report` as its pair
+    is yielded."""
+    for pair, counts in ordered_map(_augment_job, config, enumerate(lines), workers):
+        report.add(counts)
+        yield pair
 
 
 def augment_corpus(
     lines: Iterable[str], config: AugmentConfig
 ) -> tuple[list[CorpusPair], AugmentReport]:
-    """Augment raw text lines in order, in this process; the pairs and
-    report are those `stream_augment_lines` gives for any worker count."""
+    """The pairs and report of `stream_augment_lines` in this process, as a
+    list; they are the same for any worker count."""
     report = AugmentReport()
-    pairs = []
-    for pair, counts in stream_augment_lines(lines, config):
-        pairs.append(pair)
-        report.add(counts)
-    return pairs, report
+    return list(stream_augment_lines(lines, config, report)), report

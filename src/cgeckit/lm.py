@@ -232,7 +232,7 @@ def load_lm(path: str) -> NGramModel:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int of more digits than int() takes
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ParseError(f"{path}: not a {_FORMAT} document")

@@ -6,11 +6,12 @@ hypothesis, allowing adjacent edits to merge across short unchanged runs,
 and returns the edit set that best matches the gold annotation. Annotator
 selection during corpus scoring maximizes the running F-score, so scoring
 is sequential by contract even though extraction is per-sentence pure.
+`ScoreReport` and `StatsReport` give their documents with `to_dict`;
+`core.report_json` writes them.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -465,9 +466,6 @@ class ScoreReport:
             "chosen_annotators": list(self.chosen_annotators),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
-
 
 def _f_beta_ratio(tp: int, fp: int, fn: int, p2: int, q2: int) -> tuple[int, int]:
     """F_beta of the counts as integers (numerator, denominator > 0), for
@@ -576,7 +574,6 @@ class StatsReport:
     average_length_chars: float = 0.0
     average_edit_distance_chars: float = 0.0
     references_per_sentence: float = 0.0
-    empty: bool = False  # set when the input stream had no pairs
     per_type: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -588,9 +585,6 @@ class StatsReport:
             "Edit Distance (Char.)": self.average_edit_distance_chars,
             "References / Sentence": self.references_per_sentence,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
 
 
 def _display_name(coarse: CoarseType) -> str:
@@ -604,13 +598,12 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
     coarse type, for the edit direction incorrect -> correct. A pair
     carrying several error types counts in each distinct type's row.
     """
-    sentences = erroneous = references = 0
+    sentences = erroneous = 0
     length_sum = 0
     distance_sum = 0
     sums: dict[CoarseType, list[int]] = {}  # replace, insert, delete, total, pairs
     for pair in pairs:
         sentences += 1
-        references += 1
         length_sum += len(pair.incorrect)
         ops = levenshtein(pair.incorrect, pair.correct)
         distance_sum += ops.distance
@@ -621,7 +614,7 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
             for index, count in enumerate((ops.replace, ops.insert, ops.delete, ops.distance, 1)):
                 row[index] += count
     if sentences == 0:
-        return StatsReport(empty=True)
+        return StatsReport()
     per_type = {
         _display_name(coarse): {
             name: total / sums[coarse][4]
@@ -633,10 +626,10 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
     return StatsReport(
         number_of_sentences=sentences,
         erroneous_sentences=erroneous,
-        number_of_references=references,
+        number_of_references=sentences,  # one correct text per pair
         average_length_chars=length_sum / sentences,
         average_edit_distance_chars=distance_sum / sentences,
-        references_per_sentence=references / sentences,
+        references_per_sentence=1.0,
         per_type=per_type,
     )
 

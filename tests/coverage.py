@@ -54,7 +54,6 @@ ALLOWED = {
     ("tagging", "load_lexicon", 'raise ConfigError(f"{path}:{lineno}: expected `surface<TAB>tag`")'),
     ("tagging", "load_tag_mapping", 'raise ConfigError(f"cannot read tag mapping {path}: {exc}") from exc'),
     ("tagging", "load_tag_mapping", 'raise ConfigError(f"{path}:{lineno}: expected `tag<TAB>canonical`")'),
-    ("tagging", "map_tag", "name = mapping[raw]"),
     ("tagging", "map_tag", "return POSTag.OTHER"),
     ("tagging", "parse_pretagged", 'raise ParseError(f"item {index} ({item!r}): empty surface")'),
     ("tagging", "parse_pretagged", 'raise ParseError(f"item {index} ({item!r}): missing `/TAG` separator")'),

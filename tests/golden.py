@@ -3,6 +3,9 @@
 Each case runs the CLI on the shipped fixture sentences, three times over
 (150 lines), and hashes what it writes. A `--pretagged` case reads the same
 lines as canonical `surface/TAG` items, as `serialize_pretagged` writes them.
+The `--pretagged` THULAC case reads them tagged instead, for each canonical
+tag, with the first `tag_mapping.tsv` name that maps to it (n, np, m, v, vm,
+a, d, r, c, p, u, w, e), so its hashes equal the canonical case's.
 A `score` case scores against the M2 gold that `write_m2` writes for the
 pairs of `generate --seed 1 --per-sentence 2 --combine-max 2`; its
 hypotheses are each pair's correct text on even (0-based) lines and its
@@ -38,7 +41,7 @@ from cgeckit.core import apply_edits, read_pairs
 from cgeckit.metrics import write_m2
 from cgeckit.resources import default_resources_dir
 from cgeckit.rules import RULE_REGISTRY
-from cgeckit.tagging import _shipped, segment_and_tag, serialize_pretagged
+from cgeckit.tagging import _shipped, load_tag_mapping, segment_and_tag, serialize_pretagged
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 
@@ -52,6 +55,9 @@ PAIR_CASES = {
     "generate-pretagged-seed1-per2-combine2": [
         "generate", "--pretagged", "--seed", "1", "--per-sentence", "2", "--combine-max", "2"
     ],
+    "generate-pretagged-thulac-seed1-per2-combine2": [
+        "generate", "--pretagged", "--seed", "1", "--per-sentence", "2", "--combine-max", "2"
+    ],
     "augment-seed7": ["augment", "--seed", "7"],
     # One case per rule: the mixed cases draw some rules only a few times,
     # so a one-character change to such a rule's output could slip past them.
@@ -59,6 +65,11 @@ PAIR_CASES = {
         f"generate-rule-{rule}": ["generate", "--rules", rule, "--seed", "1", "--per-sentence", "3"]
         for rule in RULE_REGISTRY
     },
+}
+# pair case name -> its input, if not the plain "corpus".
+PAIR_INPUTS = {
+    "generate-pretagged-seed1-per2-combine2": "pretagged",
+    "generate-pretagged-thulac-seed1-per2-combine2": "thulac",
 }
 # case name -> `filter` arguments after --input and --output.
 FILTER_CASES = {f"filter-keep50-n{n}": ["--keep", "50", "--n", str(n)] for n in (1, 2, 3, 4)}
@@ -89,7 +100,7 @@ def _run(name: str, argv: list[str]) -> None:
 def _pair_case(name: str, tmp: Path, inputs: dict[str, Path], extra: list[str]) -> dict[str, str]:
     command, *options = PAIR_CASES[name]
     pairs = tmp / f"{name}.jsonl"
-    source = inputs["pretagged" if "--pretagged" in options else "corpus"]
+    source = inputs[PAIR_INPUTS.get(name, "corpus")]
     argv = [command, "--input", str(source), "--output", str(pairs), *options, *extra]
     if command == "generate":
         argv += ["--resources", str(default_resources_dir())]
@@ -181,13 +192,25 @@ def compute(names: list[str] | None = None, extra: list[str] = ()) -> dict[str, 
     run, for options such as `--workers 2` that must not change a byte."""
     with open(_shipped("fixtures/correct_sentences.txt"), encoding="utf-8") as fh:
         lines = fh.read().splitlines() * 3
-    tagged = [serialize_pretagged(segment_and_tag(line)) for line in lines]
+    sentences = [segment_and_tag(line) for line in lines]
+    thulac_name = {}
+    for tag, canonical in load_tag_mapping().items():
+        thulac_name.setdefault(canonical, tag)
+    tagged = {
+        "pretagged": [serialize_pretagged(s) for s in sentences],
+        "thulac": [
+            " ".join(f"{t.surface}/{thulac_name[t.tag.value]}" for t in s.tokens)
+            for s in sentences
+        ],
+    }
     hashes: dict[str, dict[str, str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = {"corpus": tmp / "corpus.txt", "pretagged": tmp / "pretagged.txt"}
+        inputs = {"corpus": tmp / "corpus.txt"}
         inputs["corpus"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-        inputs["pretagged"].write_text("\n".join(tagged) + "\n", encoding="utf-8")
+        for kind, tagged_lines in tagged.items():
+            inputs[kind] = tmp / f"{kind}.txt"
+            inputs[kind].write_text("\n".join(tagged_lines) + "\n", encoding="utf-8")
         for name in CASES if names is None else names:
             if name in PAIR_CASES:
                 hashes[name] = _pair_case(name, tmp, inputs, list(extra))

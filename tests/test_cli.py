@@ -14,7 +14,7 @@ import pytest
 
 from cgeckit import generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
-from cgeckit.core import apply_edits, pair_to_json, read_pairs
+from cgeckit.core import apply_edits, pair_to_json, read_pairs, report_json
 from cgeckit.generator import (
     AugmentConfig,
     GenConfig,
@@ -520,7 +520,9 @@ def test_augment_corpus_equals_the_cli_in_two_workers(tmp_path):
     pool = build_word_pool(segment_and_tag(line) for line in lines)
     pairs, report = augment_corpus(lines, AugmentConfig(word_pool=pool, seed=4))
     assert "".join(pair_to_json(pair) + "\n" for pair in pairs) == out.read_text(encoding="utf-8")
-    assert report.to_json() == (tmp_path / "out.jsonl.report.json").read_text(encoding="utf-8")
+    assert report_json(report.to_dict()) == (tmp_path / "out.jsonl.report.json").read_text(
+        encoding="utf-8"
+    )
 
 
 def test_augment_input_that_is_not_a_regular_file_is_usage_error(tmp_path, capsys):
@@ -762,7 +764,7 @@ def test_score_hypothesis_lines_end_only_at_newlines(tmp_path, capsys, separator
     expected = score_corpus(["a x c", ""], io.StringIO(WORD_GOLD))
     assert (expected.tp, expected.fp, expected.fn) == (1, 1, 0)
     assert capsys.readouterr().out == format_score(expected)
-    assert json.loads(report.read_text(encoding="utf-8")) == json.loads(expected.to_json())
+    assert json.loads(report.read_text(encoding="utf-8")) == json.loads(report_json(expected.to_dict()))
 
 
 def test_score_char_tokenized_hypothesis_keeps_a_form_feed_as_a_token(tmp_path, capsys):
@@ -778,7 +780,7 @@ def test_score_char_tokenized_hypothesis_keeps_a_form_feed_as_a_token(tmp_path, 
         ["ax\x0cc"], io.StringIO(gold.read_text(encoding="utf-8")),
         ScoreParams(char_tokenize=True),
     )
-    assert got == json.loads(expected.to_json())
+    assert got == json.loads(report_json(expected.to_dict()))
     assert got["chosen_annotators"] == [0] and got["fp"] == 1
 
 
@@ -1059,6 +1061,68 @@ def test_filter_mistyped_model_is_data_error(tmp_path, capsys, change):
     assert err.startswith("cgeckit: data error:") and err.count("\n") == 1, err
     assert str(model) in err
     assert not (tmp_path / "out.txt").exists()
+
+
+_HUGE = "1" + "0" * 5000  # more digits than int() takes from a string
+_BEYOND_FLOAT = "1" + "0" * 400  # an int that no float can hold
+
+
+# JSON numbers that Python cannot turn into a usable number: an integer
+# literal past the int-string digit limit fails in the JSON parser, and an
+# int beyond float range fails the finiteness check. A config file is a
+# usage error; a pairs or model file is a data error.
+@pytest.mark.parametrize(
+    "kind, text, code",
+    [
+        ("augment-config", f'{{"p_keep": {_HUGE}}}', 2),
+        ("augment-config", f'{{"p_delete": {_BEYOND_FLOAT}}}', 2),
+        ("generate-config", f'{{"rule_weights": {{"LackSubject": {_BEYOND_FLOAT}}}}}', 2),
+        ("pairs", _HUGE, 3),
+        ("model-n", _HUGE, 3),
+        ("model-alpha", _BEYOND_FLOAT, 3),
+    ],
+    ids=[
+        "augment-p_keep-digits", "augment-p_delete-overflow", "generate-weight-overflow",
+        "stats-seed-digits", "filter-model-n-digits", "filter-model-alpha-overflow",
+    ],
+)
+def test_unconvertible_json_numbers_end_in_one_error_line(
+    tmp_path, corpus_file, capsys, kind, text, code
+):
+    output = tmp_path / "out.txt"
+    if kind.endswith("-config"):
+        command = kind.split("-")[0]
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        argv = [command, "--input", str(corpus_file), "--output", str(output),
+                "--config", str(config)]
+        if command == "generate":
+            argv += ["--resources", RES_DIR]
+    elif kind == "pairs":
+        pairs = make_pairs_file(tmp_path, corpus_file)
+        line = pairs.read_text(encoding="utf-8").splitlines()[0]
+        seed = json.loads(line)["seed"]
+        changed = line.replace(f'"seed":{seed}', f'"seed":{text}')
+        assert changed != line
+        pairs.write_text(changed + "\n", encoding="utf-8")
+        argv = ["stats", "--input", str(pairs), "--output", str(output)]
+    else:
+        model = tmp_path / "lm.json"
+        argv = _filter_argv(tmp_path, ["他喜欢苹果", "我们不赞成"], "--keep", "50")
+        assert run([*argv, "--n", "1", "--save-model", str(model)]) == 0
+        doc = model.read_text(encoding="utf-8")
+        field = kind.split("-")[1]
+        changed = doc.replace(f'"{field}": {json.loads(doc)[field]}', f'"{field}": {text}')
+        assert changed != doc
+        model.write_text(changed, encoding="utf-8")
+        os.remove(output)
+        argv += ["--model", str(model)]
+    capsys.readouterr()
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    kind_name = "usage" if code == 2 else "data"
+    assert err.startswith(f"cgeckit: {kind_name} error:") and err.count("\n") == 1, err
+    assert not output.exists()
 
 
 def test_filter_trained_on_other_text_in_two_workers(tmp_path):

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgeckit import generator
-from cgeckit.core import FINE_TO_COARSE, CoarseType, ConfigError, apply_edits, pair_to_json
+from cgeckit.core import (
+    FINE_TO_COARSE,
+    CoarseType,
+    ConfigError,
+    apply_edits,
+    pair_to_json,
+    report_json,
+)
 from cgeckit.generator import (
     AugmentConfig,
     GenConfig,
@@ -366,7 +373,11 @@ def test_generate_corpus_byte_identical_across_runs_and_workers():
     pooled, report_c = generate_corpus(corpus, config, RES, workers=2)
     render = lambda pairs: "".join(pair_to_json(p) + "\n" for p in pairs)
     assert render(first) == render(second) == render(pooled)
-    assert report_a.to_json() == report_b.to_json() == report_c.to_json()
+    assert (
+        report_json(report_a.to_dict())
+        == report_json(report_b.to_dict())
+        == report_json(report_c.to_dict())
+    )
 
 
 def test_generate_corpus_pretagged_matches_builtin_tagging():

@@ -18,6 +18,16 @@ def test_output_bytes_match_the_golden_manifest():
     assert golden.compute() == golden.load()
 
 
+def test_thulac_tags_write_the_canonical_tags_bytes():
+    # The shipped tag mapping turns the THULAC names into the canonical
+    # tags, so both pretagged inputs give the same pairs, report and stats.
+    manifest = golden.load()
+    assert (
+        manifest["generate-pretagged-thulac-seed1-per2-combine2"]
+        == manifest["generate-pretagged-seed1-per2-combine2"]
+    )
+
+
 def test_two_workers_write_the_one_worker_bytes():
     # 150 lines make three 64-line chunks, so two pool workers start.
     case = "generate-seed1-per2-combine2"
