@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import json
 import os
@@ -151,29 +152,26 @@ def _write_pairs(
         report_out.write(report_json(report.to_dict()))
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Flag beats config file beats built-in default."""
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
+def _given(args, *names: str) -> dict:
+    """The named settings whose flags were given. Such flags default to
+    None, so each setting's default lives only in its config class."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_filter(args) -> int:
     if args.model:
-        flags = {"--n": args.n, "--alpha": args.alpha, "--save-model": args.save_model}
-        given = [flag for flag, value in flags.items() if value is not None]
+        given = _given(args, "n", "alpha", "save_model")
         if given:
             raise ConfigError(
-                f"--model excludes {', '.join(given)}: a loaded model keeps its own "
-                "n and alpha and is not saved again"
+                f"--model excludes {', '.join('--' + name.replace('_', '-') for name in given)}: "
+                "a loaded model keeps its own n and alpha and is not saved again"
             )
         model = lm_mod.load_lm(args.model)
         sentences = list(_read_lines(args.input))
     else:
-        settings = {"n": args.n, "alpha": args.alpha}
-        config = lm_mod.LMConfig(**{k: v for k, v in settings.items() if v is not None})
+        config = lm_mod.LMConfig(**_given(args, "n", "alpha"))
         sentences = list(_read_lines(args.input))
         model = lm_mod.train_lm(_read_lines(args.train) if args.train else sentences, config)
         if args.save_model:
@@ -185,46 +183,23 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
-_GEN_CONFIG_KEYS = {"enabled_rules", "per_sentence", "combine_max", "rule_weights", "pretagged"}
-
-
 def _cmd_generate(args) -> int:
     report_path = _report_path(args)
     resources_dir = args.resources or os.environ.get(RESOURCES_ENV)
     if not resources_dir:
         raise ConfigError(f"generate needs --resources or ${RESOURCES_ENV}")
     resources = load_resources(resources_dir)
-    overrides = _load_config(args.config, _GEN_CONFIG_KEYS)
-    enabled = overrides.get("enabled_rules")
-    if enabled is not None and (
-        type(enabled) is not list or not all(type(rule) is str for rule in enabled)
-    ):
-        raise ConfigError(
-            f"config {args.config}: 'enabled_rules' must be a list of rule id strings, "
-            f"got {json.dumps(enabled, ensure_ascii=False)}"
-        )
+    doc = _load_config(args.config, {field.name for field in dataclasses.fields(GenConfig)})
+    try:
+        config = GenConfig(**doc)
+    except ConfigError as exc:
+        raise ConfigError(f"config {args.config}: {exc}") from None
+    given = _given(args, "seed", "per_sentence", "combine_max", "pretagged")
     if args.rules:
-        enabled = args.rules.split(",")
-    kwargs = {
-        "seed": args.seed,
-        "per_sentence": _pick(args.per_sentence, overrides, "per_sentence", 1),
-        "combine_max": _pick(args.combine_max, overrides, "combine_max", 1),
-        "rule_weights": overrides.get("rule_weights", {}),
-    }
-    if enabled is not None:
-        kwargs["enabled_rules"] = frozenset(enabled)
-    config = GenConfig(**kwargs)
-    pretagged = overrides.get("pretagged", False)
-    if type(pretagged) is not bool:
-        raise ConfigError(
-            f"config {args.config}: 'pretagged' must be true or false, "
-            f"got {json.dumps(pretagged, ensure_ascii=False)}"
-        )
-    pretagged = args.pretagged or pretagged
+        given["enabled_rules"] = args.rules.split(",")
+    config = dataclasses.replace(config, **given)
     report = GenerationReport()
-    pairs = stream_generate(
-        _read_lines(args.input), config, resources, report, args.workers, pretagged
-    )
+    pairs = stream_generate(_read_lines(args.input), config, resources, report, args.workers)
     _write_pairs(args.output, report_path, pairs, report)
     return EXIT_OK
 
@@ -244,7 +219,7 @@ def _cmd_augment(args) -> int:
     word_pool = build_word_pool(segment_and_tag(line) for line in _read_lines(args.input))
     # An input with no words draws no word; the stand-in pool lets the
     # config be checked all the same.
-    config = AugmentConfig(**overrides, word_pool=word_pool or ("",), seed=args.seed)
+    config = AugmentConfig(**overrides, word_pool=word_pool or ("",), **_given(args, "seed"))
     report = AugmentReport()
     pairs = stream_augment_lines(_read_lines(args.input), config, report, args.workers)
     _write_pairs(args.output, report_path, pairs, report)
@@ -267,9 +242,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_score(args) -> int:
     gold = parse_m2(args.m2)
-    params = ScoreParams(
-        beta=args.beta, max_unchanged=args.max_unchanged, char_tokenize=args.char_tokenize
-    )
+    params = ScoreParams(**_given(args, "beta", "max_unchanged", "char_tokenize"))
     # One hypothesis per line, blank ones included. Lines end only at
     # "\n", as iterating a text file gives them; str.splitlines would also
     # break at \x0c, \x85, U+2028 and other characters inside a line.
@@ -335,8 +308,8 @@ def _build_parser() -> _Parser:
     source.add_argument("--train", help="training corpus (default: the input itself)")
     source.add_argument("--model", help="load a saved model instead of training")
     p.add_argument("--save-model", help="save the trained model as JSON")
-    p.add_argument("--n", type=int, help="n-gram order when training (default 3)")
-    p.add_argument("--alpha", type=float, help="additive smoothing when training (default 1.0)")
+    p.add_argument("--n", type=int, help=f"n-gram order when training (default {lm_mod.LMConfig.n})")
+    p.add_argument("--alpha", type=float, help=f"additive smoothing when training (default {lm_mod.LMConfig.alpha})")
     p.add_argument("--workers", type=int, default=1, help="parallel perplexity workers")
     p.set_defaults(func=_cmd_filter)
 
@@ -344,20 +317,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="correct sentences, one per line")
     p.add_argument("--output", required=True, help="pairs as JSON lines")
     p.add_argument("--resources", help=f"rule resources directory (or ${RESOURCES_ENV})")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--per-sentence", type=int, dest="per_sentence", help="pairs to attempt per sentence")
-    p.add_argument("--combine-max", type=int, dest="combine_max", help="max rules stacked per pair")
+    p.add_argument("--seed", type=int, help=f"master seed (default {GenConfig.seed})")
+    p.add_argument("--per-sentence", type=int, dest="per_sentence", help=f"pairs to attempt per sentence (default {GenConfig.per_sentence})")
+    p.add_argument("--combine-max", type=int, dest="combine_max", help=f"max rules stacked per pair (default {GenConfig.combine_max})")
     p.add_argument("--rules", help="comma-separated fine rule ids to enable")
-    p.add_argument("--config", help="JSON config: enabled_rules/per_sentence/combine_max/rule_weights/pretagged")
+    p.add_argument("--config", help="JSON config of seed, enabled_rules, per_sentence, combine_max, rule_weights, pretagged; valid on its own, and given flags win over it")
     p.add_argument("--report", help="report path (default: OUTPUT.report.json)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
-    p.add_argument("--pretagged", action="store_true", help="input lines are surface/TAG items")
+    p.add_argument("--pretagged", action="store_true", default=None, help="input lines are surface/TAG items")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("augment", help="random word-level corruption baseline")
     p.add_argument("--input", required=True, help="correct sentences, one per line")
     p.add_argument("--output", required=True, help="pairs as JSON lines")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=int, help=f"master seed (default {AugmentConfig.seed})")
     p.add_argument("--config", help="JSON config: p_keep/p_insert/p_replace/p_delete")
     p.add_argument("--report", help="report path (default: OUTPUT.report.json)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
@@ -372,9 +345,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("score", help="MaxMatch P/R/F against an M2 gold file")
     p.add_argument("--hyp", required=True, help="hypotheses, one per line, aligned with the gold file")
     p.add_argument("--m2", required=True, help="gold annotations in M2 format")
-    p.add_argument("--beta", type=float, default=0.5, help="F-measure beta (default 0.5)")
-    p.add_argument("--max-unchanged", type=int, default=2, dest="max_unchanged", help="merge window (default 2)")
-    p.add_argument("--char-tokenize", action="store_true", dest="char_tokenize", help="split hypotheses into characters")
+    p.add_argument("--beta", type=float, help=f"F-measure beta (default {ScoreParams.beta})")
+    p.add_argument("--max-unchanged", type=int, dest="max_unchanged", help=f"merge window (default {ScoreParams.max_unchanged})")
+    p.add_argument("--char-tokenize", action="store_true", default=None, dest="char_tokenize", help="split hypotheses into characters")
     p.add_argument("--report", help="also write a JSON score report")
     p.set_defaults(func=_cmd_score)
 

@@ -38,19 +38,39 @@ from cgeckit.tagging import RoleSpans, identify_roles, parse_pretagged, segment_
 _MAX_DRAWS = 5  # weighted rule draws per pair before giving up
 
 
+def _check_seed(seed) -> None:
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer that fits in 64 unsigned bits, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Generation policy: which rules, how many, how seeded."""
+    """Generation policy: which rules, how many, how seeded, and whether
+    input lines are `surface/TAG` items (pretagged) or raw text.
+
+    Every field holds its one default here and is checked here, so a
+    config file loaded as GenConfig(**doc) is checked on its own.
+    `enabled_rules` is any list, tuple or set of rule ids and is stored as
+    a frozenset.
+    """
 
     seed: int = 0
     enabled_rules: frozenset[str] = frozenset(RULE_REGISTRY)
     per_sentence: int = 1
     combine_max: int = 1
     rule_weights: dict[str, float] = field(default_factory=dict)
+    pretagged: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        _check_seed(self.seed)
+        if not isinstance(self.enabled_rules, (list, tuple, set, frozenset)) or not all(
+            type(rule) is str for rule in self.enabled_rules
+        ):
+            raise ConfigError(
+                f"'enabled_rules' must be a list of rule id strings, got {self.enabled_rules!r}"
+            )
+        if type(self.pretagged) is not bool:
+            raise ConfigError(f"'pretagged' must be true or false, got {self.pretagged!r}")
         unknown = set(self.enabled_rules) - set(RULE_REGISTRY)
         if unknown:
             raise ConfigError(f"unknown rule ids: {sorted(unknown)}")
@@ -114,8 +134,7 @@ class AugmentConfig:
             raise ConfigError(f"augment probabilities must sum to 1.0, got {sum(probs)!r}")
         if not self.word_pool and (self.p_insert > 0 or self.p_replace > 0):
             raise ConfigError("word_pool must be non-empty when insert/replace can fire")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        _check_seed(self.seed)
         object.__setattr__(self, "word_pool", tuple(self.word_pool))
 
 
@@ -232,11 +251,11 @@ class GenerationReport:
 
 
 def _generate_job(
-    state: tuple[GenConfig, RuleResources, bool], item: tuple[int, str]
+    state: tuple[GenConfig, RuleResources], item: tuple[int, str]
 ) -> list[CorpusPair]:
-    config, resources, pretagged = state
+    config, resources = state
     index, line = item
-    sentence = parse_pretagged(line) if pretagged else segment_and_tag(line)
+    sentence = parse_pretagged(line) if config.pretagged else segment_and_tag(line)
     roles = identify_roles(sentence)
     pairs = []
     for attempt in range(config.per_sentence):
@@ -252,19 +271,18 @@ def stream_generate(
     resources: RuleResources,
     report: GenerationReport,
     workers: int = 1,
-    pretagged: bool = False,
 ) -> Iterator[CorpusPair]:
     """Yield the pairs of a sentence stream in input order, counting each
     sentence into `report` as its pairs are yielded.
 
-    With pretagged=True input lines are `surface/TAG ...` items;
+    With config.pretagged input lines are `surface/TAG ...` items;
     intermediate re-tagging after a rule fires still uses the builtin
     segmenter either way. Consumes the corpus lazily so arbitrarily large
     files process in bounded memory. Output is a pure function of
     (corpus, config): worker count only changes wall-clock time, never
     bytes.
     """
-    state = (config, resources, pretagged)
+    state = (config, resources)
     for pairs in ordered_map(_generate_job, state, enumerate(corpus), workers):
         report.add(pairs, config.per_sentence)
         yield from pairs
@@ -275,11 +293,10 @@ def generate_corpus(
     config: GenConfig,
     resources: RuleResources,
     workers: int = 1,
-    pretagged: bool = False,
 ) -> tuple[list[CorpusPair], GenerationReport]:
     """The pairs and report of `stream_generate`, as a list."""
     report = GenerationReport()
-    return list(stream_generate(corpus, config, resources, report, workers, pretagged)), report
+    return list(stream_generate(corpus, config, resources, report, workers)), report
 
 
 # --- random-augmentation baseline ---------------------------------------

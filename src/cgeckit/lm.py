@@ -223,7 +223,8 @@ def load_lm(path: str) -> NGramModel:
 
     Raises:
         ConfigError: unreadable file.
-        ParseError: malformed document or unsupported version.
+        ParseError: malformed document, unsupported version, or counts
+            whose context total no float can hold.
     """
     try:
         with open_input(path) as fh:
@@ -271,6 +272,9 @@ def load_lm(path: str) -> NGramModel:
         ngrams[tuple(entry[:-1])] = entry[-1]
     if len(ngrams) != len(entries):
         raise ParseError(f"{path}: an n-gram is listed more than once")
-    return NGramModel(
-        n=config.n, alpha=config.alpha, chars=chars, ngrams=ngrams, contexts=_contexts(ngrams)
-    )
+    contexts = _contexts(ngrams)
+    try:
+        float(max(contexts.values(), default=0))
+    except OverflowError:
+        raise ParseError(f"{path}: a context's n-gram counts sum beyond float range") from None
+    return NGramModel(n=config.n, alpha=config.alpha, chars=chars, ngrams=ngrams, contexts=contexts)

@@ -92,8 +92,10 @@ class ScoreParams:
     def __post_init__(self) -> None:
         if finite_number("beta", self.beta) <= 0:
             raise ConfigError(f"beta must be > 0, got {self.beta!r}")
-        if self.max_unchanged < 0:
-            raise ConfigError(f"max_unchanged must be >= 0, got {self.max_unchanged!r}")
+        if type(self.max_unchanged) is not int or self.max_unchanged < 0:
+            raise ConfigError(f"max_unchanged must be an integer >= 0, got {self.max_unchanged!r}")
+        if type(self.char_tokenize) is not bool:
+            raise ConfigError(f"char_tokenize must be true or false, got {self.char_tokenize!r}")
 
 
 _NOOP = "-NONE-"
@@ -570,20 +572,19 @@ class StatsReport:
 
     number_of_sentences: int = 0
     erroneous_sentences: int = 0
-    number_of_references: int = 0
     average_length_chars: float = 0.0
     average_edit_distance_chars: float = 0.0
-    references_per_sentence: float = 0.0
     per_type: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "Number of Sentences": self.number_of_sentences,
             "Erroneous Sentences": self.erroneous_sentences,
-            "Number of References": self.number_of_references,
+            # one correct text per pair
+            "Number of References": self.number_of_sentences,
             "Average Length (Char.)": self.average_length_chars,
             "Edit Distance (Char.)": self.average_edit_distance_chars,
-            "References / Sentence": self.references_per_sentence,
+            "References / Sentence": 1.0 if self.number_of_sentences else 0.0,
         }
 
 
@@ -626,10 +627,8 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
     return StatsReport(
         number_of_sentences=sentences,
         erroneous_sentences=erroneous,
-        number_of_references=sentences,  # one correct text per pair
         average_length_chars=length_sum / sentences,
         average_edit_distance_chars=distance_sum / sentences,
-        references_per_sentence=1.0,
         per_type=per_type,
     )
 

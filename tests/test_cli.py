@@ -935,6 +935,7 @@ def _assert_one_usage_error(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("cgeckit: usage error:") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])
@@ -961,6 +962,8 @@ def test_score_beta_must_be_finite(tmp_path, capsys, beta):
         ("generate", '{"rule_weights": {"LackSubject": true}}'),
         ("generate", '{"rule_weights": ["LackSubject"]}'),
         ("generate", '{"per_sentence": "2"}'),
+        ("generate", '{"seed": "1"}'),
+        ("generate", '{"seed": true}'),
         ("generate", '{"combine_max": 1.5}'),
         # Each weight is valid, but no rule is left to draw, or the weights'
         # sum overflows to inf.
@@ -1003,6 +1006,67 @@ def test_generate_config_values_of_the_wrong_type(tmp_path, corpus_file, capsys,
     assert err.startswith("cgeckit: usage error:") and err.count("\n") == 1, err
     assert f"'{key}' must be" in err
     assert not output.exists()
+
+
+# A flag that is given replaces the config file's value of its key: the run
+# writes the bytes of the flag alone, which differ from the file's alone.
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({"seed": 5}, ["--seed", "7"]),
+        ({"per_sentence": 2}, ["--per-sentence", "3"]),
+        ({"combine_max": 2}, ["--combine-max", "1"]),
+        ({"enabled_rules": ["LackSubject"]}, ["--rules", "MixedSentences"]),
+        ({"pretagged": False}, ["--pretagged"]),
+    ],
+    ids=["seed", "per_sentence", "combine_max", "enabled_rules", "pretagged"],
+)
+def test_generate_flags_win_over_the_config_file(tmp_path, corpus_file, doc, flags):
+    src = corpus_file
+    if "--pretagged" in flags:
+        src = tmp_path / "pretagged.txt"
+        lines = corpus_file.read_text(encoding="utf-8").splitlines()
+        src.write_text(
+            "".join(serialize_pretagged(segment_and_tag(line)) + "\n" for line in lines),
+            encoding="utf-8",
+        )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "pairs.jsonl"
+    base = ["generate", "--input", str(src), "--output", str(out), "--resources", RES_DIR]
+
+    def written(*extra):
+        assert run([*base, *extra]) == 0
+        return out.read_bytes(), (tmp_path / "pairs.jsonl.report.json").read_bytes()
+
+    flag_alone = written(*flags)
+    assert written("--config", str(config)) != flag_alone
+    assert written("--config", str(config), *flags) == flag_alone
+
+
+# The config file must be valid on its own: a value that a flag replaces
+# is still checked, and the error names the file.
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ('{"per_sentence": "2"}', ["--per-sentence", "3"]),
+        ('{"seed": -1}', ["--seed", "1"]),
+        ('{"enabled_rules": ["LackSubject"], "rule_weights": {"LackSubject": 0}}',
+         ["--rules", "LackObject"]),
+    ],
+    ids=["per_sentence", "seed", "all-weights-0"],
+)
+def test_generate_checks_config_values_that_flags_replace(
+    tmp_path, corpus_file, capsys, doc, flags
+):
+    config = tmp_path / "config.json"
+    config.write_text(doc, encoding="utf-8")
+    output = tmp_path / "pairs.jsonl"
+    base = ["generate", "--input", str(corpus_file), "--output", str(output), "--resources", RES_DIR]
+    err = _assert_one_usage_error(capsys, [*base, "--config", str(config), *flags])
+    assert f"config {config}:" in err
+    assert not output.exists()
+    assert run([*base, *flags]) == 0  # the flags alone are valid
 
 
 def _filter_argv(tmp_path, lines, *flags):
@@ -1080,10 +1144,12 @@ _BEYOND_FLOAT = "1" + "0" * 400  # an int that no float can hold
         ("pairs", _HUGE, 3),
         ("model-n", _HUGE, 3),
         ("model-alpha", _BEYOND_FLOAT, 3),
+        ("model-count", _BEYOND_FLOAT, 3),
     ],
     ids=[
         "augment-p_keep-digits", "augment-p_delete-overflow", "generate-weight-overflow",
         "stats-seed-digits", "filter-model-n-digits", "filter-model-alpha-overflow",
+        "filter-model-count-overflow",
     ],
 )
 def test_unconvertible_json_numbers_end_in_one_error_line(
@@ -1112,7 +1178,10 @@ def test_unconvertible_json_numbers_end_in_one_error_line(
         assert run([*argv, "--n", "1", "--save-model", str(model)]) == 0
         doc = model.read_text(encoding="utf-8")
         field = kind.split("-")[1]
-        changed = doc.replace(f'"{field}": {json.loads(doc)[field]}', f'"{field}": {text}')
+        if field == "count":  # of the first n-gram listed with count 1
+            changed = doc.replace(", 1]", f", {text}]", 1)
+        else:
+            changed = doc.replace(f'"{field}": {json.loads(doc)[field]}', f'"{field}": {text}')
         assert changed != doc
         model.write_text(changed, encoding="utf-8")
         os.remove(output)
@@ -1150,7 +1219,7 @@ def test_python_m_cgeckit_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
         [sys.executable, "-m", "cgeckit", "--help"],
-        capture_output=True, text=True, env=env, timeout=60, check=False,
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60, check=False,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: cgeckit")

@@ -53,6 +53,32 @@ def test_genconfig_defaults_enable_every_rule():
     assert config.per_sentence == 1
     assert config.combine_max == 1
     assert config.rule_weights == {}
+    assert config.pretagged is False
+
+
+def test_genconfig_takes_any_collection_of_rule_ids():
+    for rules in (["LackSubject"], ("LackSubject",), {"LackSubject"}):
+        assert GenConfig(enabled_rules=rules).enabled_rules == frozenset({"LackSubject"})
+
+
+# Wrong types that the value checks alone would miss or misread: a bare
+# string reads as its characters, and "no" would switch pretagged on.
+@pytest.mark.parametrize(
+    "cls, kwargs, message",
+    [
+        (GenConfig, {"enabled_rules": "LackSubject"}, "'enabled_rules' must be"),
+        (GenConfig, {"enabled_rules": ["LackSubject", 1]}, "'enabled_rules' must be"),
+        (GenConfig, {"enabled_rules": {"LackSubject": 1}}, "'enabled_rules' must be"),
+        (GenConfig, {"pretagged": "no"}, "'pretagged' must be"),
+        (GenConfig, {"pretagged": 1}, "'pretagged' must be"),
+        (GenConfig, {"seed": True}, "seed must be an integer"),
+        (GenConfig, {"seed": "1"}, "seed must be an integer"),
+        (AugmentConfig, {"seed": True, "word_pool": ("x",)}, "seed must be an integer"),
+    ],
+)
+def test_configs_reject_values_of_the_wrong_type(cls, kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        cls(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -383,9 +409,8 @@ def test_generate_corpus_byte_identical_across_runs_and_workers():
 def test_generate_corpus_pretagged_matches_builtin_tagging():
     raw = ["我非常喜欢苹果"]
     pretagged = ["我/PRON 非常/ADV 喜欢/VERB 苹果/NOUN"]
-    config = GenConfig(seed=9)
-    a, _ = generate_corpus(raw, config, RES)
-    b, _ = generate_corpus(pretagged, config, RES, pretagged=True)
+    a, _ = generate_corpus(raw, GenConfig(seed=9), RES)
+    b, _ = generate_corpus(pretagged, GenConfig(seed=9, pretagged=True), RES)
     assert a == b
 
 

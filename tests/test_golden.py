@@ -48,7 +48,7 @@ def test_bytes_do_not_depend_on_the_string_hash_seed(hash_seed):
     cases = ["--case", "generate-seed1-per2-combine2", "--case", "augment-seed7"]
     done = subprocess.run(
         [sys.executable, str(tests / "golden.py"), *cases],
-        capture_output=True, text=True, env=env, timeout=300, check=False,
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=300, check=False,
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.endswith("golden bytes: unchanged\n")

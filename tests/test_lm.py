@@ -209,10 +209,12 @@ def test_counts_and_perplexities_equal_the_event_oracle(corpus, queries, n, alph
         lambda doc: doc.__setitem__("alpha", "1"),
         lambda doc: doc.__setitem__("version", True),
         lambda doc: doc.pop("chars"),
+        # a valid int, but no float holds its context's total
+        lambda doc: doc["ngrams"][0].__setitem__(-1, 10**400),
     ],
     ids=[
         "chars-multichar", "list-symbol", "symbol-not-in-chars", "duplicate-gram",
-        "ngrams-object", "alpha-string", "bool-version", "no-chars",
+        "ngrams-object", "alpha-string", "bool-version", "no-chars", "count-beyond-float",
     ],
 )
 def test_load_rejects_malformed_fields(tmp_path, change):

@@ -668,6 +668,22 @@ def test_score_params_validation():
         ScoreParams(max_unchanged=-1)
 
 
+# 1.5 would act as a merge window of 2, True as 1, and "no" would turn
+# character mode on.
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_unchanged": 1.5}, "max_unchanged must be an integer"),
+        ({"max_unchanged": True}, "max_unchanged must be an integer"),
+        ({"char_tokenize": "no"}, "char_tokenize must be true or false"),
+        ({"char_tokenize": 1}, "char_tokenize must be true or false"),
+    ],
+)
+def test_score_params_reject_values_of_the_wrong_type(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        ScoreParams(**kwargs)
+
+
 # --- corpus statistics -----------------------------------------------------
 
 
