@@ -189,7 +189,7 @@ def _cmd_generate(args) -> int:
     if not resources_dir:
         raise ConfigError(f"generate needs --resources or ${RESOURCES_ENV}")
     resources = load_resources(resources_dir)
-    doc = _load_config(args.config, {field.name for field in dataclasses.fields(GenConfig)})
+    doc = _load_config(args.config, {f.name for f in dataclasses.fields(GenConfig)} - {"seed"})
     try:
         config = GenConfig(**doc)
     except ConfigError as exc:
@@ -197,7 +197,12 @@ def _cmd_generate(args) -> int:
     given = _given(args, "seed", "per_sentence", "combine_max", "pretagged")
     if args.rules:
         given["enabled_rules"] = args.rules.split(",")
-    config = dataclasses.replace(config, **given)
+    try:
+        config = dataclasses.replace(config, **given)
+    except ConfigError as exc:
+        if args.config is None:
+            raise
+        raise ConfigError(f"config {args.config} with the given flags: {exc}") from None
     report = GenerationReport()
     pairs = stream_generate(_read_lines(args.input), config, resources, report, args.workers)
     _write_pairs(args.output, report_path, pairs, report)
@@ -321,7 +326,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--per-sentence", type=int, dest="per_sentence", help=f"pairs to attempt per sentence (default {GenConfig.per_sentence})")
     p.add_argument("--combine-max", type=int, dest="combine_max", help=f"max rules stacked per pair (default {GenConfig.combine_max})")
     p.add_argument("--rules", help="comma-separated fine rule ids to enable")
-    p.add_argument("--config", help="JSON config of seed, enabled_rules, per_sentence, combine_max, rule_weights, pretagged; valid on its own, and given flags win over it")
+    p.add_argument("--config", help="JSON config of enabled_rules, per_sentence, combine_max, rule_weights, pretagged; valid on its own, and given flags win over it")
     p.add_argument("--report", help="report path (default: OUTPUT.report.json)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.add_argument("--pretagged", action="store_true", default=None, help="input lines are surface/TAG items")

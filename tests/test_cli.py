@@ -318,6 +318,9 @@ def test_generate_config_file_and_unknown_key(tmp_path, corpus_file):
     assert report["pairs_emitted"] + report["skipped"] == 20
     config.write_text('{"per_sentnce": 2}', encoding="utf-8")
     assert run(base) == 2
+    # The seed is set by --seed alone, as for augment.
+    config.write_text('{"seed": 1}', encoding="utf-8")
+    assert run(base) == 2
 
 
 def test_generate_unknown_rule_is_usage_error(tmp_path, corpus_file, capsys):
@@ -962,8 +965,6 @@ def test_score_beta_must_be_finite(tmp_path, capsys, beta):
         ("generate", '{"rule_weights": {"LackSubject": true}}'),
         ("generate", '{"rule_weights": ["LackSubject"]}'),
         ("generate", '{"per_sentence": "2"}'),
-        ("generate", '{"seed": "1"}'),
-        ("generate", '{"seed": true}'),
         ("generate", '{"combine_max": 1.5}'),
         # Each weight is valid, but no rule is left to draw, or the weights'
         # sum overflows to inf.
@@ -1013,13 +1014,12 @@ def test_generate_config_values_of_the_wrong_type(tmp_path, corpus_file, capsys,
 @pytest.mark.parametrize(
     "doc, flags",
     [
-        ({"seed": 5}, ["--seed", "7"]),
         ({"per_sentence": 2}, ["--per-sentence", "3"]),
         ({"combine_max": 2}, ["--combine-max", "1"]),
         ({"enabled_rules": ["LackSubject"]}, ["--rules", "MixedSentences"]),
         ({"pretagged": False}, ["--pretagged"]),
     ],
-    ids=["seed", "per_sentence", "combine_max", "enabled_rules", "pretagged"],
+    ids=["per_sentence", "combine_max", "enabled_rules", "pretagged"],
 )
 def test_generate_flags_win_over_the_config_file(tmp_path, corpus_file, doc, flags):
     src = corpus_file
@@ -1045,16 +1045,17 @@ def test_generate_flags_win_over_the_config_file(tmp_path, corpus_file, doc, fla
 
 
 # The config file must be valid on its own: a value that a flag replaces
-# is still checked, and the error names the file.
+# is still checked, and the error names the file. So does the error of a
+# file and flags that are each valid alone but not together.
 @pytest.mark.parametrize(
     "doc, flags",
     [
         ('{"per_sentence": "2"}', ["--per-sentence", "3"]),
-        ('{"seed": -1}', ["--seed", "1"]),
         ('{"enabled_rules": ["LackSubject"], "rule_weights": {"LackSubject": 0}}',
          ["--rules", "LackObject"]),
+        ('{"rule_weights": {"LackObject": 0}}', ["--rules", "LackObject"]),
     ],
-    ids=["per_sentence", "seed", "all-weights-0"],
+    ids=["per_sentence", "all-weights-0", "file-and-flags"],
 )
 def test_generate_checks_config_values_that_flags_replace(
     tmp_path, corpus_file, capsys, doc, flags
@@ -1064,7 +1065,7 @@ def test_generate_checks_config_values_that_flags_replace(
     output = tmp_path / "pairs.jsonl"
     base = ["generate", "--input", str(corpus_file), "--output", str(output), "--resources", RES_DIR]
     err = _assert_one_usage_error(capsys, [*base, "--config", str(config), *flags])
-    assert f"config {config}:" in err
+    assert f"config {config}" in err
     assert not output.exists()
     assert run([*base, *flags]) == 0  # the flags alone are valid
 
