@@ -5,13 +5,7 @@ the same operations through the command-line interface.
 import tempfile
 from pathlib import Path
 
-from cgeckit import (
-    AugmentConfig,
-    augment_corpus,
-    build_word_pool,
-    fleiss_kappa,
-    segment_and_tag,
-)
+from cgeckit import AugmentConfig, augment_corpus, fleiss_kappa
 from cgeckit.cli import run
 
 # Step 1: Fleiss' kappa over an acceptability study. Rows are items,
@@ -24,16 +18,14 @@ split = [[4, 1], [2, 3], [3, 2], [5, 0]]
 print(f"disagreeing raters: {fleiss_kappa(split):.4f}")
 
 # Step 2: random augmentation. Each word is kept, duplicated-by-insert,
-# replaced, or deleted; replacement words come from a pool built from
-# the corpus itself.
+# replaced, or deleted; inserted and replacing words come from a pool of
+# the corpus's own words, which augment_corpus collects as it reads it.
 lines = [
     "食用水果前应该洗净削皮",
     "学校采取措施防止事故发生",
     "学生对这个问题很感兴趣",
 ]
-pool = build_word_pool(segment_and_tag(line) for line in lines)
-config = AugmentConfig(word_pool=pool, seed=9)
-pairs, report = augment_corpus(lines, config)
+pairs, report = augment_corpus(lines, AugmentConfig(seed=9))
 print("\naugmented pairs:")
 for pair in pairs:
     print(f"  {pair.correct}  ->  {pair.incorrect}")

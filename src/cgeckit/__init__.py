@@ -27,7 +27,6 @@ from cgeckit.generator import (
     GenConfig,
     GenerationReport,
     augment_corpus,
-    build_word_pool,
     derive_seed,
     generate_corpus,
     generate_pair,

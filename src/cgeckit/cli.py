@@ -33,7 +33,6 @@ from cgeckit.generator import (
     AugmentReport,
     GenConfig,
     GenerationReport,
-    build_word_pool,
     stream_augment_lines,
     stream_generate,
 )
@@ -46,7 +45,7 @@ from cgeckit.metrics import (
     score_corpus,
 )
 from cgeckit.resources import load_resources
-from cgeckit.tagging import segment_and_tag
+from cgeckit.tagging import segment_and_tag  # unused; bench/spans.py patches this name
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -119,11 +118,13 @@ def _report_path(args) -> str:
     return report
 
 
-def _load_config(path: str | None, allowed_keys: set[str]) -> dict:
-    """The JSON object of a --config file (empty without one), holding
-    only allowed keys."""
+def _config(cls, path: str | None, given: dict):
+    """A cls config from the JSON object of a --config file, which may
+    hold every field of cls but seed (no file: the class defaults), with
+    the given flags laid over it. The file is checked on its own first,
+    and its errors name it."""
     if path is None:
-        return {}
+        return cls(**given)
     with open_input(path) as fh:
         text = fh.read()
     try:
@@ -132,10 +133,17 @@ def _load_config(path: str | None, allowed_keys: set[str]) -> dict:
         raise ConfigError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
-    unknown = set(doc) - allowed_keys
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls) if f.name != "seed"}
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    return doc
+    try:
+        config = cls(**doc)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
+    try:
+        return dataclasses.replace(config, **given)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path} with the given flags: {exc}") from None
 
 
 def _write_pairs(
@@ -189,42 +197,19 @@ def _cmd_generate(args) -> int:
     if not resources_dir:
         raise ConfigError(f"generate needs --resources or ${RESOURCES_ENV}")
     resources = load_resources(resources_dir)
-    doc = _load_config(args.config, {f.name for f in dataclasses.fields(GenConfig)} - {"seed"})
-    try:
-        config = GenConfig(**doc)
-    except ConfigError as exc:
-        raise ConfigError(f"config {args.config}: {exc}") from None
     given = _given(args, "seed", "per_sentence", "combine_max", "pretagged")
-    if args.rules:
+    if args.rules is not None:
         given["enabled_rules"] = args.rules.split(",")
-    try:
-        config = dataclasses.replace(config, **given)
-    except ConfigError as exc:
-        if args.config is None:
-            raise
-        raise ConfigError(f"config {args.config} with the given flags: {exc}") from None
+    config = _config(GenConfig, args.config, given)
     report = GenerationReport()
     pairs = stream_generate(_read_lines(args.input), config, resources, report, args.workers)
     _write_pairs(args.output, report_path, pairs, report)
     return EXIT_OK
 
 
-_AUG_CONFIG_KEYS = {"p_keep", "p_insert", "p_replace", "p_delete"}
-
-
 def _cmd_augment(args) -> int:
     report_path = _report_path(args)
-    if os.path.exists(args.input) and not os.path.isfile(args.input):
-        # a pipe or device would be used up by the word-pool pass
-        raise ConfigError(
-            f"augment reads its input twice (word pool, then pairs), so --input "
-            f"must be a regular file: {args.input}"
-        )
-    overrides = _load_config(args.config, _AUG_CONFIG_KEYS)
-    word_pool = build_word_pool(segment_and_tag(line) for line in _read_lines(args.input))
-    # An input with no words draws no word; the stand-in pool lets the
-    # config be checked all the same.
-    config = AugmentConfig(**overrides, word_pool=word_pool or ("",), **_given(args, "seed"))
+    config = _config(AugmentConfig, args.config, _given(args, "seed"))
     report = AugmentReport()
     pairs = stream_augment_lines(_read_lines(args.input), config, report, args.workers)
     _write_pairs(args.output, report_path, pairs, report)
@@ -262,19 +247,21 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    rows: list[list[int]] = []
-    with open_input(args.input) as fh:
+    def rows(fh: TextIO) -> Iterator[list[int]]:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                rows.append([int(token) for token in line.split()])
+                row = [int(token) for token in line.split()]
             except ValueError:
                 raise ParseError(
                     f"{args.input}:{lineno}: rating counts must be integers"
                 ) from None
-    value = fleiss_kappa(rows, args.raters)
+            yield row
+
+    with open_input(args.input) as fh:
+        value = fleiss_kappa(rows(fh), args.raters)
     print(f"Fleiss_kappa : {value:.4f}")
     return EXIT_OK
 

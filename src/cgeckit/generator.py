@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import pickle
 import random
+import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -122,7 +124,6 @@ class AugmentConfig:
     p_insert: float = 0.10
     p_replace: float = 0.10
     p_delete: float = 0.10
-    word_pool: tuple[str, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -132,10 +133,7 @@ class AugmentConfig:
             raise ConfigError("augment probabilities must be >= 0")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError(f"augment probabilities must sum to 1.0, got {sum(probs)!r}")
-        if not self.word_pool and (self.p_insert > 0 or self.p_replace > 0):
-            raise ConfigError("word_pool must be non-empty when insert/replace can fire")
         _check_seed(self.seed)
-        object.__setattr__(self, "word_pool", tuple(self.word_pool))
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -305,7 +303,7 @@ _OPS = ("keep", "insert", "replace", "delete")
 
 
 def _augment_ops(
-    sentence: TaggedSentence, config: AugmentConfig, rng: random.Random
+    words: tuple[str, ...], config: AugmentConfig, pool: tuple[str, ...], rng: random.Random
 ) -> tuple[str, dict[str, int]]:
     counts = dict.fromkeys(_OPS, 0)
     thresholds = (
@@ -314,7 +312,7 @@ def _augment_ops(
         config.p_keep + config.p_insert + config.p_replace,
     )
     pieces: list[str] = []
-    for token in sentence.tokens:
+    for surface in words:
         r = rng.random()
         if r < thresholds[0]:
             op = "keep"
@@ -326,16 +324,10 @@ def _augment_ops(
             op = "delete"
         counts[op] += 1
         if op in ("insert", "replace"):
-            # config validation guarantees the pool is non-empty here
-            word = _choice(rng, config.word_pool)
-            if op == "insert":
-                pieces.append(word)
-                pieces.append(token.surface)
-            else:
-                pieces.append(word)
-        elif op == "keep":
-            pieces.append(token.surface)
-        # delete contributes nothing
+            # the pool holds this line's words, so it is not empty
+            pieces.append(_choice(rng, pool))
+        if op in ("insert", "keep"):
+            pieces.append(surface)
     return "".join(pieces), counts
 
 
@@ -360,30 +352,27 @@ class AugmentReport:
         }
 
 
-def build_word_pool(sentences: Iterable[TaggedSentence]) -> tuple[str, ...]:
-    """Sorted unique token surfaces: the insert/replace vocabulary."""
-    return tuple(sorted({t.surface for s in sentences for t in s.tokens}))
-
-
 def _augment_job(
-    config: AugmentConfig, item: tuple[int, str]
+    state: tuple[AugmentConfig, tuple[str, ...]], item: tuple[int, tuple[str, ...]]
 ) -> tuple[CorpusPair, dict[str, int]]:
-    """Per-word keep/insert/replace/delete corruption of one raw line (the
-    naive baseline), with its per-op draw counts.
+    """Per-word keep/insert/replace/delete corruption of one line's words
+    (the naive baseline), drawing inserted and replacing words from the
+    pool, with its per-op draw counts.
 
     Unlike the rules, this may return an identity pair (all words kept) and
     may produce an empty incorrect text (everything deleted); error_types
     is empty and rule_id is "random-augment".
     """
-    index, line = item
-    sentence = segment_and_tag(line)
+    config, pool = state
+    index, words = item
+    correct = "".join(words)
     pair_seed = derive_seed(config.seed, index)
-    incorrect, counts = _augment_ops(sentence, config, random.Random(pair_seed))
+    incorrect, counts = _augment_ops(words, config, pool, random.Random(pair_seed))
     pair = CorpusPair(
         id=f"aug-{index:06d}",
         incorrect=incorrect,
-        correct=sentence.text,
-        edits=diff_edits(incorrect, sentence.text),
+        correct=correct,
+        edits=diff_edits(incorrect, correct),
         error_types=(),
         rule_id="random-augment",
         seed=pair_seed,
@@ -394,12 +383,29 @@ def _augment_job(
 def stream_augment_lines(
     lines: Iterable[str], config: AugmentConfig, report: AugmentReport, workers: int = 1
 ) -> Iterator[CorpusPair]:
-    """Yield the pair of each raw text line, in input order, segmenting
-    with the builtin tagger, and count each line into `report` as its pair
-    is yielded."""
-    for pair, counts in ordered_map(_augment_job, config, enumerate(lines), workers):
-        report.add(counts)
-        yield pair
+    """Yield the pair of each raw text line, in input order, and count each
+    line into `report` as its pair is yielded.
+
+    The lines are read and segmented with the builtin tagger once, before
+    the first pair: that pass collects the word pool (the sorted unique
+    token surfaces of the whole input) and spools each line's words to an
+    unlinked temporary file, which the pairs are then made from. So memory
+    holds the pool, not the lines, and `lines` may be a one-shot stream.
+    """
+    with tempfile.TemporaryFile() as spool:
+        pool: set[str] = set()
+        count = 0
+        for line in lines:
+            words = tuple(token.surface for token in segment_and_tag(line).tokens)
+            pool.update(words)
+            pickle.dump(words, spool, pickle.HIGHEST_PROTOCOL)
+            count += 1
+        spool.seek(0)
+        state = (config, tuple(sorted(pool)))
+        spooled = (pickle.load(spool) for _ in range(count))
+        for pair, counts in ordered_map(_augment_job, state, enumerate(spooled), workers):
+            report.add(counts)
+            yield pair
 
 
 def augment_corpus(

@@ -636,39 +636,41 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
 # --- inter-annotator agreement ----------------------------------------------
 
 
-def fleiss_kappa(counts: Sequence[Sequence[int]], n: int | None = None) -> float:
-    """Fleiss' kappa over an items x categories rating-count matrix.
+def fleiss_kappa(counts: Iterable[Sequence[int]], n: int | None = None) -> float:
+    """Fleiss' kappa over an items x categories rating-count matrix, given
+    as any iterable of rows and read in one pass.
 
-    Every row must sum to the same number of raters n >= 2. Exact 1.0 when
-    observed agreement is perfect; undefined (error) when chance agreement
-    is 1 while observed agreement is not.
+    Every row must sum to the same number of raters n >= 2 (by default the
+    first row's sum). Exact 1.0 when observed agreement is perfect;
+    undefined (error) when chance agreement is 1 while observed agreement
+    is not. Of several faults, the first bad row's first is reported.
     """
-    if not counts:
-        raise ValidationError("kappa needs at least one item")
-    width = len(counts[0])
-    rows: list[list[int]] = []
+    items = agreement = 0
+    totals: list[int] = []
     for index, row in enumerate(counts):
-        row = list(row)
-        if len(row) != width:
-            raise ValidationError(f"item {index}: expected {width} categories, got {len(row)}")
+        if index == 0:
+            totals = [0] * len(row)
+            n = sum(row) if n is None else n
+        if len(row) != len(totals):
+            raise ValidationError(
+                f"item {index}: expected {len(totals)} categories, got {len(row)}"
+            )
         if any(c < 0 for c in row):
             raise ValidationError(f"item {index}: negative rating count")
-        rows.append(row)
-    if n is None:
-        n = sum(rows[0])
-    if n < 2:
-        raise ValidationError(f"kappa needs at least 2 raters per item, got {n}")
-    for index, row in enumerate(rows):
+        if n < 2:
+            raise ValidationError(f"kappa needs at least 2 raters per item, got {n}")
         if sum(row) != n:
             raise ValidationError(f"item {index}: row sums to {sum(row)}, expected {n}")
-    big_n = len(rows)
-    p_bar = Fraction(
-        sum(sum(c * c for c in row) - n for row in rows), big_n * n * (n - 1)
-    )
+        items += 1
+        agreement += sum(c * c for c in row) - n
+        for j, c in enumerate(row):
+            totals[j] += c
+    if not items:
+        raise ValidationError("kappa needs at least one item")
+    p_bar = Fraction(agreement, items * n * (n - 1))
     if p_bar == 1:
         return 1.0
-    column_totals = [sum(row[j] for row in rows) for j in range(width)]
-    p_e = sum(Fraction(t, big_n * n) ** 2 for t in column_totals)
+    p_e = sum(Fraction(t, items * n) ** 2 for t in totals)
     if p_e == 1:
         raise ValidationError("chance agreement is 1 with imperfect observed agreement")
     return float((p_bar - p_e) / (1 - p_e))

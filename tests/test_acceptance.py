@@ -200,8 +200,7 @@ def test_acceptance_07_lm_normalization_and_filter():
 
 def test_acceptance_08_augment_frequencies():
     corpus = ["字" * 200] * 500
-    config = AugmentConfig(word_pool=("的", "我", "很"), seed=12345)
-    _, report = augment_corpus(corpus, config)
+    _, report = augment_corpus(corpus, AugmentConfig(seed=12345))
     ok = report.words_seen >= 100_000
     for op, expected in [("keep", 0.70), ("insert", 0.10), ("replace", 0.10), ("delete", 0.10)]:
         ok = ok and abs(report.op_counts[op] / report.words_seen - expected) <= 0.01

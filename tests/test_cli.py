@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, determinism, file formats."""
 
+import errno
 import io
 import json
 import math
@@ -8,18 +9,18 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
 
-from cgeckit import generator, metrics, rules
+from cgeckit import cli, generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
 from cgeckit.core import apply_edits, pair_to_json, read_pairs, report_json
 from cgeckit.generator import (
     AugmentConfig,
     GenConfig,
     augment_corpus,
-    build_word_pool,
     generate_corpus,
 )
 from cgeckit.lm import keep_indices
@@ -341,6 +342,15 @@ def test_generate_unknown_rule_is_usage_error(tmp_path, corpus_file, capsys):
     assert "NoSuchRule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rules", ["", "LackSubject,"])
+def test_generate_empty_rule_id_is_usage_error(tmp_path, corpus_file, capsys, rules):
+    output = tmp_path / "p.jsonl"
+    argv = ["generate", "--input", str(corpus_file), "--output", str(output),
+            "--resources", RES_DIR, "--rules", rules]
+    assert "unknown rule ids: ['']" in _assert_one_usage_error(capsys, argv)
+    assert not output.exists()
+
+
 def test_generate_missing_input_is_io_error(tmp_path, capsys):
     code = run(
         [
@@ -520,28 +530,100 @@ def test_augment_corpus_equals_the_cli_in_two_workers(tmp_path):
     src.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["augment", "--input", str(src), "--output", str(out),
                 "--seed", "4", "--workers", "2"]) == 0
-    pool = build_word_pool(segment_and_tag(line) for line in lines)
-    pairs, report = augment_corpus(lines, AugmentConfig(word_pool=pool, seed=4))
+    pairs, report = augment_corpus(lines, AugmentConfig(seed=4))
     assert "".join(pair_to_json(pair) + "\n" for pair in pairs) == out.read_text(encoding="utf-8")
     assert report_json(report.to_dict()) == (tmp_path / "out.jsonl.report.json").read_text(
         encoding="utf-8"
     )
 
 
-def test_augment_input_that_is_not_a_regular_file_is_usage_error(tmp_path, capsys):
-    # The word-pool pass would use up a pipe, leaving no line for the pairs.
-    out = tmp_path / "o.jsonl"
-    out.write_text("kept\n", encoding="utf-8")
+def test_augment_reads_a_pipe_like_a_regular_file(tmp_path):
+    # The input is read once, so a pipe gives the bytes and report of a file.
+    text = _fixture_text() * 3
+    src = tmp_path / "in.txt"
+    src.write_text(text, encoding="utf-8")
+    assert run(["augment", "--input", str(src), "--output", str(tmp_path / "file.jsonl")]) == 0
     read, write = os.pipe()
+    writer = threading.Thread(target=_write_and_close, args=(write, text.encode()))
+    writer.start()
     try:
-        os.write(write, "他喜欢苹果\n".encode())
-        os.close(write)
-        argv = ["augment", "--input", f"/dev/fd/{read}", "--output", str(out)]
-        _assert_one_usage_error(capsys, argv)
+        argv = ["augment", "--input", f"/dev/fd/{read}", "--output", str(tmp_path / "pipe.jsonl")]
+        assert run(argv) == 0
     finally:
         os.close(read)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.jsonl"]
-    assert out.read_text(encoding="utf-8") == "kept\n"
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    for name in ("{}.jsonl", "{}.jsonl.report.json"):
+        piped = (tmp_path / name.format("pipe")).read_bytes()
+        assert piped == (tmp_path / name.format("file")).read_bytes()
+
+
+def _write_and_close(fd, data):
+    with open(fd, "wb") as fh:
+        fh.write(data)
+
+
+def test_augment_tags_each_input_line_once(tmp_path, corpus_file, monkeypatch):
+    calls = []
+
+    def counted(line):
+        calls.append(line)
+        return segment_and_tag(line)
+
+    # Both names the benchmark's tracer patches.
+    monkeypatch.setattr(cli, "segment_and_tag", counted)
+    monkeypatch.setattr(generator, "segment_and_tag", counted)
+    assert run(["augment", "--input", str(corpus_file), "--output", str(tmp_path / "o.jsonl")]) == 0
+    assert calls == corpus_file.read_text(encoding="utf-8").splitlines()
+
+
+def test_augment_heap_does_not_grow_with_the_input(tmp_path):
+    # The words wait in a temporary file, not in memory: eight times the
+    # input peaks under 1.5 times the heap of one (1.23 at most on Python
+    # 3.10-3.13; 2.1 or more with the words kept in memory). Lines of ten
+    # sentences hold more than 20 words, so their tuples skip the free
+    # lists, which keep up to 2,000 spent tuples of each shorter length.
+    sentences = _fixture_text().split()
+    text = "".join("".join(sentences[i:i + 10]) + "\n" for i in range(0, len(sentences), 10))
+
+    def augment(copies):
+        src = tmp_path / f"in{copies}.txt"
+        src.write_text(text * copies, encoding="utf-8")
+        out = str(tmp_path / f"out{copies}.jsonl")
+        assert run(["augment", "--input", str(src), "--output", out]) == 0
+
+    augment(1)  # loads the lexicon, which stays cached
+    one, eight = _heap_peak(augment, 1), _heap_peak(augment, 8)
+    assert eight < 1.5 * one, (one, eight)
+
+
+@pytest.mark.parametrize("command", ["generate", "augment"])
+@pytest.mark.parametrize("source", ["missing.txt", "adir"])
+def test_unreadable_input_is_io_error_and_writes_nothing(tmp_path, capsys, command, source):
+    (tmp_path / "adir").mkdir()
+    argv = [command, "--input", str(tmp_path / source), "--output", str(tmp_path / "o.jsonl")]
+    if command == "generate":
+        argv += ["--resources", RES_DIR]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: io error:") and err.count("\n") == 1, err
+    assert repr(str(tmp_path / source)) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_augment_spool_error_is_io_error_and_writes_nothing(
+    tmp_path, corpus_file, monkeypatch, capsys
+):
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(generator.tempfile, "TemporaryFile", full)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(["augment", "--input", str(corpus_file), "--output", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cgeckit: io error:") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("content", ["", "\n \n\u3000\t\n"], ids=["empty", "blank-only"])
@@ -979,8 +1061,19 @@ def test_bad_config_numbers_are_usage_errors(tmp_path, corpus_file, capsys, comm
     argv = [command, "--input", str(corpus_file), "--output", str(output), "--config", str(path)]
     if command == "generate":
         argv += ["--resources", RES_DIR]
-    _assert_one_usage_error(capsys, argv)
+    assert f"config {path}: " in _assert_one_usage_error(capsys, argv)
     assert not output.exists()
+
+
+def test_augment_config_is_checked_before_the_input_is_read(tmp_path, capsys):
+    path = tmp_path / "aug.json"
+    path.write_text('{"p_insert": NaN}', encoding="utf-8")
+    missing = str(tmp_path / "missing.txt")
+    argv = ["augment", "--input", missing, "--output", str(tmp_path / "o.jsonl"),
+            "--config", str(path)]
+    assert _assert_one_usage_error(capsys, argv) == (
+        f"cgeckit: usage error: config {path}: p_insert must be a finite number, got nan\n"
+    )
 
 
 # A config value of the wrong JSON type is a usage error that names its key:

@@ -13,6 +13,7 @@ from cgeckit.core import (
     CoarseType,
     ConfigError,
     apply_edits,
+    ordered_map,
     pair_to_json,
     report_json,
 )
@@ -20,7 +21,6 @@ from cgeckit.generator import (
     AugmentConfig,
     GenConfig,
     augment_corpus,
-    build_word_pool,
     derive_seed,
     generate_corpus,
     generate_pair,
@@ -73,7 +73,7 @@ def test_genconfig_takes_any_collection_of_rule_ids():
         (GenConfig, {"pretagged": 1}, "'pretagged' must be"),
         (GenConfig, {"seed": True}, "seed must be an integer"),
         (GenConfig, {"seed": "1"}, "seed must be an integer"),
-        (AugmentConfig, {"seed": True, "word_pool": ("x",)}, "seed must be an integer"),
+        (AugmentConfig, {"seed": True}, "seed must be an integer"),
     ],
 )
 def test_configs_reject_values_of_the_wrong_type(cls, kwargs, message):
@@ -128,20 +128,15 @@ def test_genconfig_rejects_weights_whose_sum_is_not_finite():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {},  # default insert/replace > 0 but pool empty
-        {"word_pool": ("x",), "p_keep": 0.5, "p_insert": 0.5, "p_replace": 0.5, "p_delete": 0.5},
-        {"word_pool": ("x",), "p_keep": -0.1, "p_insert": 0.5, "p_replace": 0.3, "p_delete": 0.3},
-        {"word_pool": ("x",), "seed": -3},
+        {"p_keep": 0.5, "p_insert": 0.5, "p_replace": 0.5, "p_delete": 0.5},
+        {"p_keep": -0.1, "p_insert": 0.5, "p_replace": 0.3, "p_delete": 0.3},
+        {"seed": -3},
+        {"p_keep": 0.8, "p_insert": float("nan"), "p_replace": 0.1, "p_delete": 0.1},
     ],
 )
 def test_augmentconfig_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         AugmentConfig(**kwargs)
-
-
-def test_augmentconfig_allows_empty_pool_when_pool_unused():
-    config = AugmentConfig(p_keep=0.8, p_insert=0.0, p_replace=0.0, p_delete=0.2)
-    assert config.word_pool == ()
 
 
 def test_derive_seed_is_stable_and_index_sensitive():
@@ -434,9 +429,10 @@ def test_uniform_selection_among_applicable_rules():
 # --- random augmentation -------------------------------------------------
 
 
-def augment_line(text, config, index):
-    """The pair of the augment job for line `index`."""
-    return _augment_job(config, (index, text))[0]
+def augment_line(text, config, index, pool=()):
+    """The pair of the augment job for line `index`, drawing from pool."""
+    words = tuple(token.surface for token in segment_and_tag(text).tokens)
+    return _augment_job((config, pool), (index, words))[0]
 
 
 def test_random_augment_all_keep_is_identity():
@@ -460,23 +456,22 @@ def test_random_augment_delete_only_empties_single_word():
 
 def test_random_augment_is_deterministic():
     text = "学校采取措施防止事故发生"
-    config = AugmentConfig(word_pool=("的", "了", "很"), seed=77)
-    assert augment_line(text, config, 3) == augment_line(text, config, 3)
+    config, pool = AugmentConfig(seed=77), ("的", "了", "很")
+    assert augment_line(text, config, 3, pool) == augment_line(text, config, 3, pool)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32), index=st.integers(min_value=0, max_value=999))
 def test_random_augment_edits_always_restore_correct(seed, index):
-    config = AugmentConfig(word_pool=("水果", "了"), seed=seed)
-    pair = augment_line("学生对这个问题很感兴趣", config, index)
+    config = AugmentConfig(seed=seed)
+    pair = augment_line("学生对这个问题很感兴趣", config, index, ("水果", "了"))
     assert apply_edits(pair.incorrect, pair.edits) == pair.correct
 
 
 def test_augment_corpus_reports_op_frequencies_within_one_percent():
     # 500 copies of a 200-word sentence = 100,000 single-char words.
     corpus = ["字" * 200] * 500
-    config = AugmentConfig(word_pool=("的", "我", "很"), seed=12345)
-    pairs, report = augment_corpus(corpus, config)
+    pairs, report = augment_corpus(corpus, AugmentConfig(seed=12345))
     assert report.sentences_read == 500
     assert report.words_seen == 100_000
     assert sum(report.op_counts.values()) == report.words_seen
@@ -486,8 +481,17 @@ def test_augment_corpus_reports_op_frequencies_within_one_percent():
     assert all(p.rule_id == "random-augment" and p.error_types == () for p in pairs)
 
 
-def test_build_word_pool_is_sorted_unique_surfaces():
-    sentences = [segment_and_tag("他喜欢苹果"), segment_and_tag("苹果很好")]
-    pool = build_word_pool(sentences)
-    assert pool == tuple(sorted(set(pool)))
-    assert "苹果" in pool and pool.count("苹果") == 1
+def test_augment_word_pool_is_sorted_unique_surfaces_of_the_input(monkeypatch):
+    states = []
+
+    def recording_map(fn, state, items, workers):
+        states.append(state)
+        return ordered_map(fn, state, items, workers)
+
+    monkeypatch.setattr(generator, "ordered_map", recording_map)
+    lines = ["他喜欢苹果", "苹果很好"]
+    augment_corpus(iter(lines), AugmentConfig())
+    [(_, pool)] = states
+    surfaces = {token.surface for line in lines for token in segment_and_tag(line).tokens}
+    assert pool == tuple(sorted(surfaces))
+    assert pool.count("苹果") == 1

@@ -775,3 +775,17 @@ def test_kappa_hand_computed_example():
 def test_kappa_rejects_bad_matrices(counts, n):
     with pytest.raises(ValidationError):
         fleiss_kappa(counts, n)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[2, 0], [1, 1]], [[5, 0], [0, 5], [5, 0]], [[4, 1], [2, 3], [3, 2], [5, 0]]]
+)
+def test_kappa_folds_any_iterable_of_rows(rows):
+    assert fleiss_kappa(iter(rows)) == fleiss_kappa(rows)
+    assert fleiss_kappa(tuple(row) for row in rows) == fleiss_kappa(rows)
+
+
+def test_kappa_reports_the_first_bad_rows_first_fault():
+    # Row 1's sum is checked before row 2's width is seen.
+    with pytest.raises(ValidationError, match="^item 1: row sums to 1, expected 2$"):
+        fleiss_kappa([[2, 0], [1, 0], [2, 0, 0]])
