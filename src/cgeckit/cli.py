@@ -182,9 +182,11 @@ def _cmd_filter(args) -> int:
         config = lm_mod.LMConfig(**_given(args, "n", "alpha"))
         sentences = list(_read_lines(args.input))
         model = lm_mod.train_lm(_read_lines(args.train) if args.train else sentences, config)
-        if args.save_model:
-            lm_mod.save_lm(model, args.save_model)
+    # Filter before saving, so a run that fails (bad --keep or --workers)
+    # leaves no model behind either.
     kept = lm_mod.filter_percentile(sentences, model, args.keep, args.workers)
+    if args.save_model:
+        lm_mod.save_lm(model, args.save_model)
     with _write_on_success(args.output) as (out,):
         for sentence in kept:
             out.write(sentence + "\n")
@@ -345,7 +347,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("kappa", help="Fleiss' kappa from a rating-count matrix")
     p.add_argument("--input", required=True, help="one item per line: per-category rating counts")
-    p.add_argument("--raters", type=int, help="raters per item (default: inferred from row sums)")
+    p.add_argument("--raters", type=int, help="raters per item, at least 2 (default: inferred from row sums)")
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("sample", help="reproducible random sample of lines")

@@ -13,7 +13,6 @@ import contextlib
 import itertools
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -569,19 +568,27 @@ def ordered_map(fn: Callable, state, items: Iterable, workers: int) -> Iterator:
 
     Calls run in chunks of 64 items. The first 64 * workers items are read
     up front, and at most one process starts per chunk they fill; with one
-    chunk or workers <= 1 everything runs in-process. Otherwise one
+    chunk or one worker everything runs in-process. Otherwise one
     spawn-context pool runs the calls; its initializer ships (fn, state)
-    to each worker once, so both must pickle.
+    to each worker once, so both must pickle. `multiprocessing` is
+    imported only when a pool starts, so a one-process run never loads it.
+
+    Raises:
+        ConfigError: `workers` is not an integer >= 1.
     """
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     items = iter(items)
     if workers > 1:
         head = list(itertools.islice(items, _CHUNK * workers))
         workers = min(workers, -(-len(head) // _CHUNK))
         items = itertools.chain(head, items)
-    if workers <= 1:
+    if workers <= 1:  # 0 when the input was empty
         for item in items:
             yield fn(state, item)
         return
+    import multiprocessing
+
     context = multiprocessing.get_context("spawn")
     with context.Pool(workers, initializer=_init_map_worker, initargs=(fn, state)) as pool:
         yield from pool.imap(_map_call, items, chunksize=_CHUNK)

@@ -1,8 +1,9 @@
 """Corpus-scale pair generation: rule policy, seeding, and random baseline.
 
-Reproducibility scheme: every sentence gets its own rng seeded by
-sha256(seed, sentence_index, attempt). Workers therefore never share rng
-state and the output is byte-identical for any worker count.
+Reproducibility scheme: every generate attempt gets its own rng seeded by
+sha256(seed, sentence_index, attempt), and every augment line one seeded
+by sha256(seed, line_index). Workers therefore never share rng state and
+the output is byte-identical for any worker count.
 
 `stream_generate` and `stream_augment_lines` are the one corpus driver of
 each: they yield pairs in input order and count every line into the

@@ -24,7 +24,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add, itemgetter, truediv
@@ -180,6 +179,8 @@ def keep_indices(perplexities: Sequence[float], keep_percent: float) -> list[int
         raise ConfigError(f"keep_percent must be in (0, 100], got {keep_percent!r}")
     if not perplexities:
         return []
+    from fractions import Fraction  # only here, to keep it off every run's start-up
+
     keep = math.ceil(Fraction(keep_percent) * len(perplexities) / 100)
     ranked = sorted(range(len(perplexities)), key=lambda i: (perplexities[i], i))
     return sorted(ranked[:keep])

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from cgeckit.core import (
@@ -505,6 +504,8 @@ def score_corpus(
         raise ValidationError(
             f"count mismatch: {len(hypotheses)} hypotheses, {len(gold)} gold sentences"
         )
+    from fractions import Fraction  # only here and in fleiss_kappa, off every run's start-up
+
     beta = Fraction(str(params.beta))
     p2, q2 = beta.numerator**2, beta.denominator**2
     tp_total = fp_total = fn_total = 0
@@ -644,7 +645,13 @@ def fleiss_kappa(counts: Iterable[Sequence[int]], n: int | None = None) -> float
     first row's sum). Exact 1.0 when observed agreement is perfect;
     undefined (error) when chance agreement is 1 while observed agreement
     is not. Of several faults, the first bad row's first is reported.
+
+    Raises:
+        ConfigError: a given `n` is below 2; checked before any row is read.
+        ValidationError: the matrix is malformed or kappa is undefined.
     """
+    if n is not None and n < 2:
+        raise ConfigError(f"kappa needs at least 2 raters per item, got {n}")
     items = agreement = 0
     totals: list[int] = []
     for index, row in enumerate(counts):
@@ -667,6 +674,8 @@ def fleiss_kappa(counts: Iterable[Sequence[int]], n: int | None = None) -> float
             totals[j] += c
     if not items:
         raise ValidationError("kappa needs at least one item")
+    from fractions import Fraction
+
     p_bar = Fraction(agreement, items * n * (n - 1))
     if p_bar == 1:
         return 1.0

@@ -33,8 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources as importlib_resources
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from cgeckit.core import ConfigError, ParseError, open_input
 
@@ -48,15 +47,15 @@ FILE_NAMES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class MixedPattern:
+# Table rows are named tuples: read-only records that, unlike frozen
+# dataclasses, cost next to nothing to define at import and to build per row.
+class MixedPattern(NamedTuple):
     kind: str  # "pattern" | "sentence"
     match: str
     splice: str
 
 
-@dataclass(frozen=True, slots=True)
-class Collocation:
+class Collocation(NamedTuple):
     kind: str  # subject_predicate | predicate_object | subject_object | modifier_head
     left: str
     right: str
@@ -64,8 +63,7 @@ class Collocation:
     side: str  # "left" | "right": which member gets replaced
 
 
-@dataclass(frozen=True, slots=True)
-class ConnectivePair:
+class ConnectivePair(NamedTuple):
     first: str
     second: str
     wrong: tuple[str, ...]
@@ -184,8 +182,11 @@ class RuleResources:
         return {category: tuple(words) for category, words in self.function_words.items()}
 
 
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
 def default_resources_dir() -> str:
-    return str(importlib_resources.files("cgeckit").joinpath("data", "resources"))
+    return os.path.join(DATA_DIR, "resources")
 
 
 def _rows(path: str) -> Iterator[tuple[int, list[str]]]:

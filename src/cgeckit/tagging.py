@@ -9,10 +9,10 @@ parser; it is validated against a hand-labeled fixture set.
 
 from __future__ import annotations
 
+import os
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources as importlib_resources
 from typing import Mapping
 
 from cgeckit.core import (
@@ -25,7 +25,7 @@ from cgeckit.core import (
     _tagged,
     _token,
 )
-from cgeckit.resources import _rows
+from cgeckit.resources import DATA_DIR, _rows
 
 # The tags that per-token loops here and in rules.py test, as module
 # names. A global read costs about 14 ns; `POSTag.VERB` costs about 160 ns
@@ -42,7 +42,7 @@ _ATTR_RUN_TAGS = frozenset({POSTag.ADJ, POSTag.NOUN, POSTag.PROPN, POSTag.NUM, P
 
 
 def _shipped(name: str) -> str:
-    return str(importlib_resources.files("cgeckit").joinpath("data", name))
+    return os.path.join(DATA_DIR, name)
 
 
 def load_tag_mapping(path: str | None = None) -> dict[str, str]:

@@ -440,6 +440,21 @@ def test_filter_workers_do_not_change_output(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["filter", "generate", "augment"])
+def test_workers_below_one_is_usage_error(tmp_path, corpus_file, capsys, command, workers):
+    out = tmp_path / "out.txt"
+    argv = [command, "--input", str(corpus_file), "--output", str(out), "--workers", workers]
+    if command == "filter":
+        argv += ["--keep", "50", "--save-model", str(tmp_path / "model.json")]
+    if command == "generate":
+        argv += ["--resources", RES_DIR]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"cgeckit: usage error: workers must be an integer >= 1, got {workers}\n"
+    assert sorted(os.listdir(tmp_path)) == ["corpus.txt"]
+
+
 def test_filter_bad_keep_is_usage_error(tmp_path, corpus_file):
     out = tmp_path / "out.txt"
     code = run(["filter", "--input", str(corpus_file), "--output", str(out), "--keep", "150"])
@@ -902,6 +917,19 @@ def test_kappa_bad_matrix_is_data_error(tmp_path, capsys):
     assert run(["kappa", "--input", str(matrix)]) == 3
     matrix.write_text("2 x\n", encoding="utf-8")
     assert run(["kappa", "--input", str(matrix)]) == 3
+    matrix.write_text("1 0\n0 1\n", encoding="utf-8")  # a row sum below 2 raters
+    assert run(["kappa", "--input", str(matrix)]) == 3
+
+
+def test_kappa_raters_below_two_is_usage_error(tmp_path, capsys):
+    # Checked before any row is read: the bad row never turns it into a data error.
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("1 x\n", encoding="utf-8")
+    for raters in ["1", "0", "-2"]:
+        assert run(["kappa", "--input", str(matrix), "--raters", raters]) == 2
+        assert capsys.readouterr().err == (
+            f"cgeckit: usage error: kappa needs at least 2 raters per item, got {raters}\n"
+        )
 
 
 # --- sample ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cgeckit import core
 from cgeckit.core import (
     CoarseType,
+    ConfigError,
     CorpusPair,
     EditSpan,
     ErrorType,
@@ -261,6 +262,14 @@ def _pid(state, item):
 
 def test_ordered_map_runs_a_single_chunk_in_the_calling_process():
     assert list(ordered_map(_pid, None, range(10), 8)) == [os.getpid()] * 10
+    assert list(ordered_map(_pid, None, [], 4)) == []  # no chunk: no pool either
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.0, True])
+def test_ordered_map_refuses_a_worker_count_below_one_or_not_an_int(workers):
+    # Refused on the first next(), even for no items, before any call runs.
+    with pytest.raises(ConfigError, match=r"^workers must be an integer >= 1, got "):
+        next(ordered_map(_pid, None, [], workers))
 
 
 def _sample_pair():
