@@ -33,6 +33,7 @@ from cgeckit.generator import (
     AugmentReport,
     GenConfig,
     GenerationReport,
+    check_seed,
     stream_augment_lines,
     stream_generate,
 )
@@ -271,6 +272,8 @@ def _cmd_kappa(args) -> int:
 def _cmd_sample(args) -> int:
     if args.size < 1:
         raise ConfigError(f"--size must be >= 1, got {args.size}")
+    # random.Random seeds an int by its absolute value, so -1 would draw as 1.
+    check_seed(args.seed)
     rng = random.Random(args.seed)
     reservoir: list[tuple[int, str]] = []
     for index, line in enumerate(_read_lines(args.input)):
@@ -288,13 +291,13 @@ def _cmd_sample(args) -> int:
 
 
 # --- parser -----------------------------------------------------------------
+#
+# One argparse parser costs a gettext catalog lookup, and each argument a
+# HelpFormatter that reads the terminal size. A run uses one subcommand, so
+# it builds only that one's parser (see _build_parser).
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cgeckit", description="Corpus synthesis and evaluation toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("filter", help="keep the lowest-perplexity percentile of a corpus")
+def _filter_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="corpus to filter, one sentence per line")
     p.add_argument("--output", required=True, help="kept sentences, original order")
     p.add_argument("--keep", required=True, type=float, help="percent to keep, in (0, 100]")
@@ -305,9 +308,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, help=f"n-gram order when training (default {lm_mod.LMConfig.n})")
     p.add_argument("--alpha", type=float, help=f"additive smoothing when training (default {lm_mod.LMConfig.alpha})")
     p.add_argument("--workers", type=int, default=1, help="parallel perplexity workers")
-    p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("generate", help="corrupt correct sentences into labeled pairs")
+
+def _generate_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="correct sentences, one per line")
     p.add_argument("--output", required=True, help="pairs as JSON lines")
     p.add_argument("--resources", help=f"rule resources directory (or ${RESOURCES_ENV})")
@@ -319,51 +322,77 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", help="report path (default: OUTPUT.report.json)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.add_argument("--pretagged", action="store_true", default=None, help="input lines are surface/TAG items")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("augment", help="random word-level corruption baseline")
+
+def _augment_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="correct sentences, one per line")
     p.add_argument("--output", required=True, help="pairs as JSON lines")
     p.add_argument("--seed", type=int, help=f"master seed (default {AugmentConfig.seed})")
     p.add_argument("--config", help="JSON config: p_keep/p_insert/p_replace/p_delete")
     p.add_argument("--report", help="report path (default: OUTPUT.report.json)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
-    p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("stats", help="corpus statistics tables from a pairs file")
+
+def _stats_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="pairs as JSON lines")
     p.add_argument("--per-type", action="store_true", dest="per_type", help="add per-error-type op counts")
     p.add_argument("--output", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("score", help="MaxMatch P/R/F against an M2 gold file")
+
+def _score_arguments(p: _Parser) -> None:
     p.add_argument("--hyp", required=True, help="hypotheses, one per line, aligned with the gold file")
     p.add_argument("--m2", required=True, help="gold annotations in M2 format")
     p.add_argument("--beta", type=float, help=f"F-measure beta (default {ScoreParams.beta})")
     p.add_argument("--max-unchanged", type=int, dest="max_unchanged", help=f"merge window (default {ScoreParams.max_unchanged})")
     p.add_argument("--char-tokenize", action="store_true", default=None, dest="char_tokenize", help="split hypotheses into characters")
     p.add_argument("--report", help="also write a JSON score report")
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("kappa", help="Fleiss' kappa from a rating-count matrix")
+
+def _kappa_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="one item per line: per-category rating counts")
     p.add_argument("--raters", type=int, help="raters per item, at least 2 (default: inferred from row sums)")
-    p.set_defaults(func=_cmd_kappa)
 
-    p = sub.add_parser("sample", help="reproducible random sample of lines")
+
+def _sample_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="file to sample from")
     p.add_argument("--output", required=True, help="sampled lines, original order")
     p.add_argument("--size", required=True, type=int, help="sample size")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.set_defaults(func=_cmd_sample)
+
+
+# name: (help line, function that adds its arguments, handler), in help order.
+COMMANDS = {
+    "filter": ("keep the lowest-perplexity percentile of a corpus", _filter_arguments, _cmd_filter),
+    "generate": ("corrupt correct sentences into labeled pairs", _generate_arguments, _cmd_generate),
+    "augment": ("random word-level corruption baseline", _augment_arguments, _cmd_augment),
+    "stats": ("corpus statistics tables from a pairs file", _stats_arguments, _cmd_stats),
+    "score": ("MaxMatch P/R/F against an M2 gold file", _score_arguments, _cmd_score),
+    "kappa": ("Fleiss' kappa from a rating-count matrix", _kappa_arguments, _cmd_kappa),
+    "sample": ("reproducible random sample of lines", _sample_arguments, _cmd_sample),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The top-level parser with the subparser that argv[0] names, or with
+    all of them when it names none (help, a typo, no argv). All of them get
+    their arguments too, since argparse may still reach one later in argv:
+    `cgeckit --wat filter` reports filter's missing flags."""
+    parser = _Parser(prog="cgeckit", description="Corpus synthesis and evaluation toolkit")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        help_line, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else 0

@@ -435,25 +435,29 @@ def diff_edits(incorrect: str, correct: str) -> tuple[EditSpan, ...]:
     return tuple(spans)
 
 
-# One compact encoder for every pair; json.dumps with these arguments would
-# build a new JSONEncoder per call.
-_PAIR_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# What json.dumps(..., ensure_ascii=False) writes a str and an int with.
+_str = json.encoder.encode_basestring
+_int = int.__repr__
 
 
 def pair_to_json(pair: CorpusPair) -> str:
-    """Serialize one pair as a compact JSON object with a fixed key order."""
-    obj = {
-        "id": pair.id,
-        "incorrect": pair.incorrect,
-        "correct": pair.correct,
-        "edits": [
-            {"start": e.start, "end": e.end, "replacement": e.replacement} for e in pair.edits
-        ],
-        "error_types": [{"coarse": t.coarse.value, "fine": t.fine} for t in pair.error_types],
-        "rule_id": pair.rule_id,
-        "seed": pair.seed,
-    }
-    return _PAIR_ENCODER.encode(obj)
+    """Serialize one pair as a compact JSON object with a fixed key order.
+
+    The text equals json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    of the pair's dict, built from one template: only the strings need
+    escaping, and ints are written as json writes them."""
+    edits = ",".join(
+        f'{{"start":{_int(e.start)},"end":{_int(e.end)},"replacement":{_str(e.replacement)}}}'
+        for e in pair.edits
+    )
+    types = ",".join(
+        f'{{"coarse":{_str(t.coarse.value)},"fine":{_str(t.fine)}}}' for t in pair.error_types
+    )
+    return (
+        f'{{"id":{_str(pair.id)},"incorrect":{_str(pair.incorrect)},'
+        f'"correct":{_str(pair.correct)},"edits":[{edits}],"error_types":[{types}],'
+        f'"rule_id":{_str(pair.rule_id)},"seed":{_int(pair.seed)}}}'
+    )
 
 
 def report_json(doc: dict) -> str:

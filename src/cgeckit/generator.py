@@ -41,7 +41,7 @@ from cgeckit.tagging import RoleSpans, identify_roles, parse_pretagged, segment_
 _MAX_DRAWS = 5  # weighted rule draws per pair before giving up
 
 
-def _check_seed(seed) -> None:
+def check_seed(seed) -> None:
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an integer that fits in 64 unsigned bits, got {seed!r}")
 
@@ -65,7 +65,7 @@ class GenConfig:
     pretagged: bool = False
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
+        check_seed(self.seed)
         if not isinstance(self.enabled_rules, (list, tuple, set, frozenset)) or not all(
             type(rule) is str for rule in self.enabled_rules
         ):
@@ -134,7 +134,7 @@ class AugmentConfig:
             raise ConfigError("augment probabilities must be >= 0")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError(f"augment probabilities must sum to 1.0, got {sum(probs)!r}")
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
 def derive_seed(seed: int, *parts: int) -> int:

@@ -46,11 +46,50 @@ def corpus_file(tmp_path):
     return path
 
 
+COMMANDS = ["filter", "generate", "augment", "stats", "score", "kappa", "sample"]
+
+# Each subcommand's required flags, with placeholder values.
+REQUIRED = {
+    "filter": ["--input", "a", "--output", "b", "--keep", "50"],
+    "generate": ["--input", "a", "--output", "b"],
+    "augment": ["--input", "a", "--output", "b"],
+    "stats": ["--input", "a"],
+    "score": ["--hyp", "a", "--m2", "b"],
+    "kappa": ["--input", "a"],
+    "sample": ["--input", "a", "--output", "b", "--size", "3"],
+}
+
+
 def test_help_exits_zero(capsys):
+    assert list(cli.COMMANDS) == COMMANDS
     assert run(["--help"]) == 0
-    for command in ["filter", "generate", "augment", "stats", "score", "kappa", "sample"]:
+    out = capsys.readouterr().out
+    assert out.startswith("usage: cgeckit ")
+    for command in COMMANDS:
+        assert f"    {command} " in out, command
+    for command in COMMANDS:
         assert run([command, "--help"]) == 0, command
-        assert "--" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: cgeckit {command} "), command
+        assert "--" in out
+
+
+def test_a_run_builds_only_its_own_subcommand_parser(tmp_path, corpus_file, monkeypatch, capsys):
+    pairs_file = make_pairs_file(tmp_path, corpus_file)
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert run(["stats", "--input", str(pairs_file)]) == 0
+    assert built == ["cgeckit", "cgeckit stats"]
+    for command in COMMANDS:
+        built.clear()
+        assert run([command, "--help"]) == 0
+        assert built == ["cgeckit", f"cgeckit {command}"]
 
 
 def test_missing_command_is_usage_error(capsys):
@@ -63,6 +102,36 @@ def test_missing_command_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["stats", "--input", "x.jsonl", "--wat"]) == 2
     assert "cgeckit: usage error:" in capsys.readouterr().err
+    for command in COMMANDS:
+        assert run([command, *REQUIRED[command], "--wat"]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("cgeckit: usage error: unrecognized") and err.endswith(" --wat\n")
+        assert err.count("\n") == 1
+
+
+# (argv, words its one-line error holds); the exact text varies across
+# Python versions, so only the words are pinned.
+USAGE_ERRORS = [
+    (["wat"], ["invalid choice", "'wat'", *(f"'{c}'" for c in COMMANDS)]),
+    (["--wat"], ["required", "COMMAND"]),
+    # argparse reaches a subcommand after an unknown top-level flag
+    (["--wat", "filter"], ["required", "--input", "--output", "--keep"]),
+    (["filter", *REQUIRED["filter"], "--train", "t", "--model", "m"], ["--model", "--train"]),
+    *[([c], ["required", *REQUIRED[c][::2]]) for c in COMMANDS],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, words", [pytest.param(argv, words, id=" ".join(argv)) for argv, words in USAGE_ERRORS]
+)
+def test_usage_errors_are_one_line(capsys, argv, words):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cgeckit: usage error:")
+    assert captured.err.count("\n") == 1
+    for word in words:
+        assert word in captured.err, word
 
 
 # --- generate ---------------------------------------------------------------
@@ -957,6 +1026,18 @@ def test_sample_size_must_be_positive(tmp_path, corpus_file):
         ["sample", "--input", str(corpus_file), "--output", str(tmp_path / "s.txt"), "--size", "0"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sample_seed_outside_64_unsigned_bits_is_usage_error(tmp_path, corpus_file, capsys, seed):
+    # random.Random seeds an int by its absolute value: -1 would sample as 1.
+    out = tmp_path / "s.txt"
+    argv = ["sample", "--input", str(corpus_file), "--output", str(out), "--size", "5"]
+    assert run(argv + ["--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cgeckit: usage error: seed must be an integer that fits in 64 unsigned bits, got {seed}\n"
+    assert not out.exists()
+    assert run(argv + ["--seed", str(2**64 - 1)]) == 0
 
 
 def test_sample_larger_than_input_returns_everything(tmp_path):

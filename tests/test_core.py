@@ -292,6 +292,39 @@ def test_pair_json_field_order_and_content():
     assert pair_from_json(line) == _sample_pair()
 
 
+# Characters json must escape or must pass through unescaped, plus any others.
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\n\x1f\x7f\u2028\u2029\ufeff他\U0001f600\U00020000'),
+              st.characters())
+)
+
+
+@given(
+    texts=st.tuples(*[_JSON_TEXT] * 4),
+    edits=st.lists(
+        st.builds(lambda start, width, piece: EditSpan(start, start + width, piece),
+                  st.integers(0, 2**40), st.integers(0, 10), _JSON_TEXT),
+        max_size=4,
+    ),
+    fines=st.lists(st.sampled_from(sorted(FINE_TO_COARSE)), max_size=3),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_pair_to_json_equals_compact_json_dumps(texts, edits, fines, seed):
+    pair_id, incorrect, correct, rule_id = texts
+    labels = tuple(ErrorType.from_fine(fine) for fine in fines)
+    pair = CorpusPair(pair_id, incorrect, correct, tuple(edits), labels, rule_id, seed)
+    obj = {
+        "id": pair_id,
+        "incorrect": incorrect,
+        "correct": correct,
+        "edits": [{"start": e.start, "end": e.end, "replacement": e.replacement} for e in edits],
+        "error_types": [{"coarse": t.coarse.value, "fine": t.fine} for t in labels],
+        "rule_id": rule_id,
+        "seed": seed,
+    }
+    assert pair_to_json(pair) == json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
 def test_pair_from_json_rejects_inconsistent_edits():
     obj = json.loads(pair_to_json(_sample_pair()))
     obj["correct"] = "完全不同的句子"

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from cgeckit.core import ConfigError, ParseError
+from cgeckit.core import ConfigError, ParseError, POSTag
 from cgeckit.resources import FILE_NAMES, default_resources_dir, load_resources
+from cgeckit.tagging import segment_and_tag
 
 # The smallest valid bundle: one row per table.
 MINIMAL = {
@@ -123,3 +124,36 @@ def test_byte_order_mark_is_not_part_of_the_first_field(tmp_path):
     # a table whose first line is a data row: 我们 must be filed under `subject`
     (tmp_path / "function_words.tsv").write_bytes("\ufeffsubject\t我们\n".encode())
     assert load_resources(directory).function_words == {"subject": ["我们"]}
+
+
+def _token_keys(res):
+    """(table, word, tag or None) for every word a rule finds by comparing
+    token surfaces, with the tag the rule also requires of that token."""
+    keys = []
+    for pair in res.connective_pairs:
+        keys += [("connectives", pair.first, None), ("connectives", pair.second, None)]
+    for category in ("exact_marker", "approx_pre", "negator", "implicit_negative",
+                     "essential_modifier"):
+        keys += [(f"function_words {category}", w, None) for w in res.function_words[category]]
+    keys += [("logic_patterns hostguest", w, POSTag.ADP) for w in res.hostguest_markers]
+    keys += [("logic_patterns subsume", superset, None) for superset, _ in res.subsume_pairs]
+    keys += [("synonyms", w, None) for w in [*res.synonyms, *res.meaning_pairs]]
+    for c in res.collocations:
+        # the predicate is the right member of subject_predicate, the left of predicate_object
+        left_tag = POSTag.VERB if c.kind == "predicate_object" else None
+        right_tag = POSTag.VERB if c.kind == "subject_predicate" else None
+        keys += [(f"collocations {c.kind}", c.left, left_tag),
+                 (f"collocations {c.kind}", c.right, right_tag)]
+    return keys
+
+
+def test_every_shipped_token_keyed_row_can_match():
+    # A rule compares token surfaces, so a key word the shipped tagger
+    # splits into several tokens, or tags otherwise, can never match.
+    keys = _token_keys(load_resources())
+    unreachable = []
+    for table, word, tag in keys:
+        tokens = segment_and_tag(word).tokens
+        if len(tokens) != 1 or (tag is not None and tokens[0].tag is not tag):
+            unreachable.append((table, word, [f"{t.surface}/{t.tag.name}" for t in tokens]))
+    assert unreachable == []

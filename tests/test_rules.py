@@ -91,6 +91,12 @@ def test_measure_word_exact_marker_gains_approximation():
         edits = diff_edits(text, "共有50人")
         assert apply_edits(text, edits) == "共有50人"
         assert len(edits) == 1 and edits[0].replacement == ""
+    # the lexicon keeps each shipped exact marker one token, so each can fire
+    for marker in ["整整", "恰好", "总共"]:
+        assert sweep(f"这里{marker}五十名学生。", "MeasureWord") == {
+            f"这里{marker}大约五十名学生。",
+            f"这里{marker}将近五十名学生。",
+        }
 
 
 def test_measure_word_double_approximation():
@@ -225,6 +231,7 @@ def test_connectives_replace_second_member():
         "只有努力学习，就能取得好成绩",
         "只有努力学习，都能取得好成绩",
     }
+    assert sweep("他不但学习好，而且很努力。", "Connectives") == {"他不但学习好，可是很努力。"}
 
 
 def test_multi_attributives_swap():
