@@ -63,5 +63,8 @@ print(format_score(score_corpus(half, io.StringIO(gold.getvalue()), params)))
 src = "the cat sit on mat".split()
 hyp = "the cat sat on the mat".split()
 p1 = ScoreParams(max_unchanged=1)
-print("gold annotated as one span :", extract_system_edits(src, hyp, [(2, 4, "sat on the")], p1))
-print("gold annotated as two edits:", extract_system_edits(src, hyp, [(2, 3, "sat"), (4, 4, "the")], p1))
+# One walk extracts against each gold set given; here, one set each.
+one_span = frozenset({(2, 4, "sat on the")})
+two_edits = frozenset({(2, 3, "sat"), (4, 4, "the")})
+print("gold annotated as one span :", extract_system_edits(src, hyp, [one_span], p1)[0])
+print("gold annotated as two edits:", extract_system_edits(src, hyp, [two_edits], p1)[0])

@@ -50,7 +50,6 @@ from cgeckit.metrics import (
     ScoreReport,
     StatsReport,
     corpus_stats,
-    edit_counts,
     extract_system_edits,
     fleiss_kappa,
     format_score,

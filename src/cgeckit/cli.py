@@ -234,14 +234,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    gold = parse_m2(args.m2)
     params = ScoreParams(**_given(args, "beta", "max_unchanged", "char_tokenize"))
     # One hypothesis per line, blank ones included. Lines end only at
     # "\n", as iterating a text file gives them; str.splitlines would also
-    # break at \x0c, \x85, U+2028 and other characters inside a line.
-    with open_input(args.hyp) as fh:
-        hypotheses = [line.rstrip("\n") for line in fh]
-    report = score_corpus(hypotheses, gold, params)
+    # break at \x0c, \x85, U+2028 and other characters inside a line. Each
+    # file is opened in its own generator, so a decode error names its file.
+    def hypotheses() -> Iterator[str]:
+        with open_input(args.hyp) as fh:
+            for line in fh:
+                yield line.rstrip("\n")
+
+    report = score_corpus(hypotheses(), parse_m2(args.m2), params)
     sys.stdout.write(format_score(report))
     if args.report:
         with _write_on_success(args.report) as (out,):

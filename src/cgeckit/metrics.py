@@ -15,7 +15,8 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from itertools import chain, islice, zip_longest
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from cgeckit.core import (
     CoarseType,
@@ -76,7 +77,8 @@ class GoldEdit:
 
 @dataclass(frozen=True)
 class M2Sentence:
-    """One source sentence with each annotator's gold edit set."""
+    """One source sentence with each annotator's gold edit set, in
+    ascending annotator id order."""
 
     tokens: tuple[str, ...]
     by_annotator: Mapping[int, tuple[GoldEdit, ...]]
@@ -100,42 +102,33 @@ class ScoreParams:
 _NOOP = "-NONE-"
 
 
-def parse_m2(source) -> list[M2Sentence]:
-    """Parse an M2 gold file: `S` token lines plus `A` annotation lines.
+def parse_m2(source) -> Iterator[M2Sentence]:
+    """Yield the sentences of an M2 gold file, `S` token lines plus `A`
+    annotation lines, each as the next `S` line or blank line closes it.
 
     A `-NONE-` correction is a no-op annotation: it registers the annotator
     with an empty edit set. Its span may be the standard `-1 -1`, which no
     other correction may have. A sentence without annotation lines gets one
-    implicit annotator 0 with an empty set. Accepts a path or an open file.
+    implicit annotator 0 with an empty set; annotators come in ascending
+    id order. Accepts a path, opened when the first sentence is asked for,
+    or an open file; either is read one line at a time.
     """
-    # Lines end only at "\n", as in iterating a text file; splitlines
-    # would also break an S line at a \x0c between tokens.
-    if hasattr(source, "read"):
-        lines = source.read().split("\n")
-    else:
+    if not hasattr(source, "read"):
         with open_input(source) as fh:
-            lines = fh.read().split("\n")
-
-    sentences: list[M2Sentence] = []
+            yield from parse_m2(fh)
+        return
     tokens: tuple[str, ...] | None = None
     edits: dict[int, list[GoldEdit]] = {}
-
-    def flush() -> None:
-        nonlocal tokens, edits
-        if tokens is None:
-            return
-        by_annotator = {a: tuple(v) for a, v in sorted(edits.items())} or {0: ()}
-        sentences.append(M2Sentence(tokens=tokens, by_annotator=by_annotator))
-        tokens, edits = None, {}
-
-    for num, line in enumerate(lines, 1):
+    # Lines end only at "\n", as in iterating a text file; splitlines
+    # would also break an S line at a \x0c between tokens. The blank line
+    # chained on at the end closes the last sentence.
+    for num, line in enumerate(chain(source, ("",)), 1):
         line = line.rstrip()
-        if not line:
-            flush()
-            continue
-        if line.startswith("S ") or line == "S":
-            flush()
-            tokens = tuple(line[2:].split())
+        if not line or line.startswith("S ") or line == "S":
+            if tokens is not None:
+                by_annotator = {a: tuple(v) for a, v in sorted(edits.items())} or {0: ()}
+                yield M2Sentence(tokens=tokens, by_annotator=by_annotator)
+            tokens, edits = (tuple(line[2:].split()) if line else None), {}
             continue
         if not line.startswith("A "):
             raise ParseError(f"line {num}: expected S/A/blank, got {line[:30]!r}")
@@ -161,8 +154,6 @@ def parse_m2(source) -> list[M2Sentence]:
         if not noop:
             correction = " ".join(fields[2].split())
             bucket.append(GoldEdit(start, end, correction, annotator))
-    flush()
-    return sentences
 
 
 def write_m2(pairs: Iterable[CorpusPair], fh: TextIO) -> int:
@@ -196,13 +187,6 @@ def write_m2(pairs: Iterable[CorpusPair], fh: TextIO) -> int:
 
 
 # --- MaxMatch edit extraction ----------------------------------------------
-
-
-def _as_triple(edit) -> tuple[int, int, str]:
-    if isinstance(edit, GoldEdit):
-        return edit.triple
-    start, end, correction = edit
-    return (int(start), int(end), correction)
 
 
 # The `used` set of a state that holds no credited insertion.
@@ -288,37 +272,25 @@ def _alignment_tables(src: Sequence[str], hyp: Sequence[str]) -> list[dict]:
 def extract_system_edits(
     source_tokens: Sequence[str],
     hypothesis_tokens: Sequence[str],
-    gold: Iterable,
+    gold_sets: Sequence[Iterable[tuple[int, int, str]]],
     params: ScoreParams = ScoreParams(),
-) -> tuple[tuple[int, int, str], ...]:
-    """System edits between source and hypothesis that best match gold.
+) -> list[tuple[tuple[int, int, str], ...]]:
+    """For each gold set, the system edits between source and hypothesis
+    that best match it, from one walk over the pair's alignments.
 
     Searches all minimal-cost alignments; adjacent changed regions may
     merge into one edit across runs of up to max_unchanged unchanged
     tokens (the merged correction keeps those tokens). Among all reachable
-    edit sets the result maximizes exact overlap with gold, then has the
-    fewest edits, then the lexicographically smallest spans. Corrections
-    are hypothesis tokens joined by single spaces. This is the one-gold-set
-    case of `extract_system_edit_sets`, which does the walk.
-    """
-    gold_set = frozenset(_as_triple(g) for g in gold)
-    return extract_system_edit_sets(source_tokens, hypothesis_tokens, [gold_set], params)[0]
+    edit sets each result maximizes exact overlap with its gold set, then
+    has the fewest edits, then the lexicographically smallest spans.
+    Corrections are hypothesis tokens joined by single spaces.
 
-
-def extract_system_edit_sets(
-    source_tokens: Sequence[str],
-    hypothesis_tokens: Sequence[str],
-    gold_sets: Sequence[frozenset[tuple[int, int, str]]],
-    params: ScoreParams = ScoreParams(),
-) -> list[tuple[tuple[int, int, str], ...]]:
-    """For each gold set, the `extract_system_edits` result against it,
-    from one walk over the pair's alignments.
-
-    gold_sets hold (start, end, correction) triples. The walk expands
-    each state once for all gold sets and keeps one best value per gold
-    set; only the gold credits differ between them. A value depends only
-    on its own gold set, so each equals what a walk against that set
-    alone finds, tie-breaking included.
+    gold_sets hold (start, end, correction) triples; a lone set of triples
+    in place of the list of sets is a TypeError. The walk expands each
+    state once for all gold sets and keeps one best value per gold set;
+    only the gold credits differ between them. A value depends only on its
+    own gold set, so each equals what a walk against that set alone finds,
+    tie-breaking included.
 
     No distance table is built: the pair's minimal-path lattice
     (`_alignment_tables`) comes from 3 bits per source x
@@ -335,8 +307,8 @@ def extract_system_edit_sets(
     # gold set holds are absent.
     gains: dict = {}
     for g, gold_set in enumerate(gold_sets):
-        for edit in gold_set:
-            gains.setdefault(edit, [0] * k)[g] = 1
+        for start, end, correction in gold_set:
+            gains.setdefault((start, end, correction), [0] * k)[g] = 1
     nothing = [0] * k
 
     # A state is (i, j, seg, used). seg is None between edits, else
@@ -433,15 +405,6 @@ def _counts(
     return tp, len(system) - tp, len(gold_set) - tp
 
 
-def edit_counts(
-    system: Iterable[tuple[int, int, str]], gold: Iterable
-) -> tuple[int, int, int]:
-    """(tp, fp, fn) of a system edit sequence against one gold edit set;
-    a gold edit matches once, so a repeated system edit is a false
-    positive."""
-    return _counts([_as_triple(e) for e in system], frozenset(_as_triple(g) for g in gold))
-
-
 # --- corpus scoring --------------------------------------------------------
 
 
@@ -481,54 +444,86 @@ def _f_beta_ratio(tp: int, fp: int, fn: int, p2: int, q2: int) -> tuple[int, int
     return weighted, weighted + p2 * fn + q2 * fp
 
 
+def _in_step(
+    hypotheses: Iterable[str], gold: Iterable[M2Sentence]
+) -> Iterator[tuple[int, tuple[str, M2Sentence]]]:
+    """(index, (hypothesis, gold sentence)) of each sentence, reading both
+    sides in step, eight sentences ahead: reading each one just before its
+    walk made scoring about 10% slower, short sentences or long, and eight
+    at a time was about as fast as 64. When one side runs out first, the rest of
+    the other is counted for the count mismatch error."""
+    pairs = enumerate(zip_longest(hypotheses, gold))
+    while block := list(islice(pairs, 8)):
+        for item in block:
+            index, (hypothesis, entry) = item
+            if hypothesis is None or entry is None:
+                longer = block[-1][0] + 1 + sum(1 for _ in pairs)
+                raise ValidationError(
+                    f"count mismatch: {longer if entry is None else index} hypotheses, "
+                    f"{longer if hypothesis is None else index} gold sentences"
+                )
+            yield item
+
+
+def _score_job(
+    params: ScoreParams, item: tuple[int, tuple[str, M2Sentence]]
+) -> list[tuple[int, tuple[int, int, int]]]:
+    """Each annotator's id and (tp, fp, fn) on one sentence, from one walk
+    over its alignments: the pure, per-sentence part of `score_corpus`.
+
+    Under char_tokenize every `S` token must be one character: a longer
+    one means the gold file was built with another tokenization, and
+    scoring would be meaningless.
+    """
+    index, (hypothesis, entry) = item
+    src_tokens = entry.tokens
+    # S tokens are never empty, so the lengths differ only if one is
+    # longer than a character.
+    if params.char_tokenize and len("".join(src_tokens)) != len(src_tokens):
+        token = next(t for t in src_tokens if len(t) > 1)
+        raise ValidationError(
+            f"sentence {index}: gold S token {token!r} is longer than one "
+            f"character, so it cannot be scored with character tokens"
+        )
+    hyp_tokens = list(hypothesis) if params.char_tokenize else hypothesis.split()
+    gold_sets = [frozenset(g.triple for g in edits) for edits in entry.by_annotator.values()]
+    systems = extract_system_edits(src_tokens, hyp_tokens, gold_sets, params)
+    return [
+        (annotator, _counts(system, gold_set))
+        for annotator, system, gold_set in zip(entry.by_annotator, systems, gold_sets)
+    ]
+
+
 def score_corpus(
-    hypotheses: Sequence[str],
+    hypotheses: Iterable[str],
     gold,
     params: ScoreParams = ScoreParams(),
 ) -> ScoreReport:
     """Score hypotheses against M2 gold with running-F annotator selection.
 
-    gold is a path, an open file or the list `parse_m2` returns; the
-    source of each sentence is its `S` line tokens, and hypotheses hold
-    one text per gold sentence, in order. For every sentence one walk over
-    its alignments finds the MaxMatch edits against each annotator's gold
-    set (`extract_system_edit_sets`); the annotator whose counts maximize
-    the corpus F-score so far (ties: lowest id) is accumulated. Under
-    char_tokenize every `S` token must be one character: a longer one
-    means the gold file was built with another tokenization, and scoring
-    would be meaningless.
+    gold is a path, an open file or an iterable of `M2Sentence`s, such as
+    `parse_m2` yields; the source of each sentence is its `S` line tokens,
+    and hypotheses hold one text per gold sentence, in order. Both are
+    read in step, a few sentences ahead (`_in_step`), so either may be a
+    one-shot stream, and data errors come in the order the files hold
+    them, up to that read-ahead. For every sentence `_score_job` counts
+    each annotator's edits; the annotator whose counts maximize the
+    corpus F-score so far (ties: the first, which is the lowest id) is
+    accumulated.
     """
     if isinstance(gold, (str, os.PathLike)) or hasattr(gold, "read"):
         gold = parse_m2(gold)
-    if len(hypotheses) != len(gold):
-        raise ValidationError(
-            f"count mismatch: {len(hypotheses)} hypotheses, {len(gold)} gold sentences"
-        )
     from fractions import Fraction  # only here and in fleiss_kappa, off every run's start-up
 
     beta = Fraction(str(params.beta))
     p2, q2 = beta.numerator**2, beta.denominator**2
     tp_total = fp_total = fn_total = 0
     chosen: list[int] = []
-    for index, (hypothesis, entry) in enumerate(zip(hypotheses, gold)):
-        src_tokens = entry.tokens
-        # S tokens are never empty, so the lengths differ only if one is
-        # longer than a character.
-        if params.char_tokenize and len("".join(src_tokens)) != len(src_tokens):
-            token = next(t for t in src_tokens if len(t) > 1)
-            raise ValidationError(
-                f"sentence {index}: gold S token {token!r} is longer than one "
-                f"character, so it cannot be scored with character tokens"
-            )
-        hyp_tokens = list(hypothesis) if params.char_tokenize else hypothesis.split()
-        annotators = sorted(entry.by_annotator)
-        gold_sets = [frozenset(g.triple for g in entry.by_annotator[a]) for a in annotators]
-        systems = extract_system_edit_sets(src_tokens, hyp_tokens, gold_sets, params)
+    for item in _in_step(hypotheses, gold):
         best_id = None
         best_f = (0, 1)
         best_counts = (0, 0, 0)
-        for annotator, gold_set, system in zip(annotators, gold_sets, systems):
-            tp, fp, fn = _counts(system, gold_set)
+        for annotator, (tp, fp, fn) in _score_job(params, item):
             f = _f_beta_ratio(tp_total + tp, fp_total + fp, fn_total + fn, p2, q2)
             # Exact comparison of the two ratios, by cross-multiplying.
             if best_id is None or f[0] * best_f[1] > best_f[0] * f[1]:

@@ -74,7 +74,7 @@ def test_acceptance_01_m2_oracle_equivalence():
         hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
         max_unchanged = rng.randint(0, 2)
         gold = random_gold(src, hyp, max_unchanged, 3)
-        got = extract_system_edits(src, hyp, gold, ScoreParams(max_unchanged=max_unchanged))
+        got = extract_system_edits(src, hyp, [frozenset(gold)], ScoreParams(max_unchanged=max_unchanged))[0]
         ok = ok and list(got) == best_edit_set(src, hyp, gold, max_unchanged)
 
     # Corpus scoring (annotator selection + conventions) equals the oracle.

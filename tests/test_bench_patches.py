@@ -21,11 +21,10 @@ from cgeckit.tagging import _shipped
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 # Targets that no subcommand calls any more: rules.py makes no diff since
-# rules return their edit, score walks with extract_system_edit_sets, and
-# augment tags its lines once, inside the generator's stream.
+# rules return their edit, and augment tags its lines once, inside the
+# generator's stream.
 UNCALLED = {
     ("cgeckit.rules", "diff_edits"),
-    ("cgeckit.metrics", "extract_system_edits"),
     ("cgeckit.cli", "segment_and_tag"),
 }
 

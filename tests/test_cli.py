@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, determinism, file formats."""
 
 import errno
+import gc
 import io
 import json
 import math
@@ -796,6 +797,35 @@ def test_stats_malformed_pairs_is_data_error(tmp_path, capsys):
     assert "cgeckit: data error:" in capsys.readouterr().err
 
 
+_EDIT_FAULTS = [
+    ([(-1, 1, "x")], "bad edit span (-1, 1, 'x')"),
+    ([(2, 1, "x")], "bad edit span (2, 1, 'x')"),
+    ([(1, 9, "x")], "edit (1, 9, 'x') exceeds text length 3"),
+    ([(0, 2, "a"), (1, 2, "x")], "edit (1, 2, 'x') overlaps previous edit (0, 2, 'a')"),
+    ([(1, 2, "y")], "pair record at line 2: edits do not reproduce the correct text"),
+]
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    _EDIT_FAULTS,
+    ids=["negative-start", "end-before-start", "end-past-text", "overlap", "not-reproducing"],
+)
+def test_stats_pair_record_edit_faults_are_data_errors(tmp_path, capsys, edits, message):
+    # The bad record follows a good one on line 2. Only the last message
+    # names its line; the span checks run outside the record's context.
+    record = {"id": "p0", "incorrect": "abc", "correct": "axc", "error_types": [],
+              "rule_id": "random-augment", "seed": 0}
+    good = dict(record, edits=[{"start": 1, "end": 2, "replacement": "x"}])
+    bad = dict(record, edits=[{"start": a, "end": b, "replacement": r} for a, b, r in edits])
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    assert run(["stats", "--input", str(pairs)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cgeckit: data error: {message}\n"
+
+
 # --- score ---------------------------------------------------------------------
 
 
@@ -894,10 +924,111 @@ def test_score_long_sentence_keeps_one_distance_table():
 
 
 def test_score_count_mismatch_is_data_error(tmp_path, capsys):
-    _, gold = score_fixture(tmp_path)
-    hyp = tmp_path / "hyp.txt"
-    hyp.write_text("只有一行\n", encoding="utf-8")
-    assert run(["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]) == 3
+    # Found when one file runs out first; the rest of the other is counted.
+    # Blank hypothesis lines count as hypotheses.
+    gold = tmp_path / "gold.m2"
+    gold.write_text(WORD_GOLD, encoding="utf-8")
+    hyp, report = tmp_path / "hyp.txt", tmp_path / "score.json"
+    for text, counts in [("a x c\n", "1 hypotheses, 2"), ("a x c\n\n\n", "3 hypotheses, 2")]:
+        hyp.write_text(text, encoding="utf-8")
+        argv = ["score", "--hyp", str(hyp), "--m2", str(gold), "--report", str(report)]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cgeckit: data error: count mismatch: {counts} gold sentences\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.m2", "hyp.txt"]
+
+
+@pytest.mark.parametrize("bad", ["--hyp", "--m2"])
+def test_score_decode_error_names_the_file_that_holds_it(tmp_path, capsys, bad):
+    # Each file is read by its own generator, so a decode error met while
+    # the other is open still names its own file.
+    files = {"--hyp": tmp_path / "hyp.txt", "--m2": tmp_path / "gold.m2"}
+    files["--hyp"].write_text("a x c\n\n", encoding="utf-8")
+    files["--m2"].write_text(WORD_GOLD, encoding="utf-8")
+    files[bad].write_bytes(b"\xff\xfe not utf-8\n")
+    report = tmp_path / "score.json"
+    argv = ["score", "--hyp", str(files["--hyp"]), "--m2", str(files["--m2"])]
+    assert run([*argv, "--report", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cgeckit: data error: {files[bad]}: ")
+    assert captured.err.count("\n") == 1
+    (good,) = set(files.values()) - {files[bad]}
+    assert str(good) not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.m2", "hyp.txt"]
+
+
+def _fixture_score_input():
+    """Character-tokenized M2 gold of 80 pairs generated from the fixture
+    sentences, and their correct texts as hypotheses."""
+    config = GenConfig(seed=1, per_sentence=2)
+    pairs, _ = generate_corpus(_fixture_text().splitlines(), config, load_resources())
+    gold = io.StringIO()
+    write_m2(pairs, gold)
+    return gold.getvalue(), "".join(pair.correct + "\n" for pair in pairs)
+
+
+def test_score_reads_pipes_like_regular_files(tmp_path, capsys):
+    # Both inputs are read once, in step, so pipes give the stdout and
+    # report of regular files.
+    gold_text, hyp_text = _fixture_score_input()
+    gold, hyp = tmp_path / "gold.m2", tmp_path / "hyp.txt"
+    gold.write_text(gold_text, encoding="utf-8")
+    hyp.write_text(hyp_text, encoding="utf-8")
+    argv = ["score", "--hyp", str(hyp), "--m2", str(gold), "--char-tokenize"]
+    assert run([*argv, "--report", str(tmp_path / "file.json")]) == 0
+    from_files = capsys.readouterr().out
+    (hyp_read, hyp_write), (gold_read, gold_write) = os.pipe(), os.pipe()
+    writers = [
+        threading.Thread(target=_write_and_close, args=(hyp_write, hyp_text.encode())),
+        threading.Thread(target=_write_and_close, args=(gold_write, gold_text.encode())),
+    ]
+    for writer in writers:
+        writer.start()
+    try:
+        argv = ["score", "--hyp", f"/dev/fd/{hyp_read}", "--m2", f"/dev/fd/{gold_read}",
+                "--char-tokenize", "--report", str(tmp_path / "pipe.json")]
+        assert run(argv) == 0
+    finally:
+        os.close(hyp_read)
+        os.close(gold_read)
+        for writer in writers:
+            writer.join(timeout=10)
+    assert not any(writer.is_alive() for writer in writers)
+    assert capsys.readouterr().out == from_files
+    assert from_files.startswith("Precision : ")
+    assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+
+def test_score_heap_does_not_grow_with_the_input(tmp_path, capsys):
+    # Hypotheses and gold are read in step, a few sentences at a time:
+    # eight times the input peaks under 1.5 times the heap of one (1.34 on
+    # Python 3.11; 7.4 with both files held in memory). What still grows is
+    # one chosen annotator per sentence, and the hypotheses' read chunk,
+    # which one copy does not fill. The warm-up imports fractions, and it
+    # runs eight copies so that the walk's spent tuples fill the free lists
+    # (up to 2,000 tuples of each short length, counted as traced heap)
+    # before either measured run. Cyclic collection is paused while they
+    # run: each run leaves its argparse parser as cyclic garbage, which a
+    # collection at a random point would free in one run and not another.
+    gold_text, hyp_text = _fixture_score_input()
+    for copies in (1, 8):
+        (tmp_path / f"gold{copies}.m2").write_text(gold_text * copies, encoding="utf-8")
+        (tmp_path / f"hyp{copies}.txt").write_text(hyp_text * copies, encoding="utf-8")
+
+    def score(copies):
+        argv = ["score", "--hyp", str(tmp_path / f"hyp{copies}.txt"),
+                "--m2", str(tmp_path / f"gold{copies}.m2"), "--char-tokenize"]
+        assert run(argv) == 0
+
+    score(8)
+    gc.disable()
+    try:
+        one, eight = _heap_peak(score, 1), _heap_peak(score, 8)
+    finally:
+        gc.enable()
+    assert eight < 1.5 * one, (one, eight)
 
 
 def test_score_char_tokenize_rejects_a_multi_character_gold_token(tmp_path, capsys):

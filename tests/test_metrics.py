@@ -21,9 +21,8 @@ from cgeckit import metrics
 from cgeckit.metrics import (
     GoldEdit,
     ScoreParams,
+    _counts,
     corpus_stats,
-    edit_counts,
-    extract_system_edit_sets,
     extract_system_edits,
     fleiss_kappa,
     format_score,
@@ -90,14 +89,14 @@ def test_levenshtein_matches_recursive_oracle(a, b):
 
 
 def test_parse_m2_sentence_without_annotations():
-    got = parse_m2(io.StringIO("S a b c\n"))
+    got = list(parse_m2(io.StringIO("S a b c\n")))
     assert len(got) == 1
     assert got[0].tokens == ("a", "b", "c")
     assert got[0].by_annotator == {0: ()}
 
 
 def test_parse_m2_single_edit():
-    got = parse_m2(io.StringIO("S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n"))
+    got = list(parse_m2(io.StringIO("S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n")))
     assert got[0].by_annotator[0] == (GoldEdit(1, 2, "x", 0),)
     assert got[0].by_annotator[0][0].triple == (1, 2, "x")
 
@@ -105,13 +104,13 @@ def test_parse_m2_single_edit():
 def test_parse_m2_noop_registers_empty_annotator():
     # CoNLL-2014 and BEA-2019 gold write a no-op as `A -1 -1|||noop|||-NONE-`.
     for span in ("-1 -1", "0 0"):
-        got = parse_m2(
+        got = list(parse_m2(
             io.StringIO(
                 "S a b\n"
                 "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
                 f"A {span}|||noop|||-NONE-|||REQUIRED|||-NONE-|||1\n"
             )
-        )
+        ))
         assert set(got[0].by_annotator) == {0, 1}, span
         assert got[0].by_annotator[1] == (), span
 
@@ -125,7 +124,7 @@ def test_parse_m2_groups_annotators_and_sentences():
         "S d e\n"
         "A 0 0|||M|||w|||REQUIRED|||-NONE-|||0\n"
     )
-    got = parse_m2(io.StringIO(text))
+    got = list(parse_m2(io.StringIO(text)))
     assert len(got) == 2
     assert [e.triple for e in got[0].by_annotator[0]] == [(1, 2, "y")]
     assert [e.triple for e in got[0].by_annotator[1]] == [(0, 1, "x")]
@@ -133,7 +132,7 @@ def test_parse_m2_groups_annotators_and_sentences():
 
 
 def test_parse_m2_empty_correction_is_deletion():
-    got = parse_m2(io.StringIO("S a b\nA 0 1|||D||||||REQUIRED|||-NONE-|||0\n"))
+    got = list(parse_m2(io.StringIO("S a b\nA 0 1|||D||||||REQUIRED|||-NONE-|||0\n")))
     assert got[0].by_annotator[0][0].triple == (0, 1, "")
 
 
@@ -154,7 +153,7 @@ def test_parse_m2_empty_correction_is_deletion():
 )
 def test_parse_m2_rejects_malformed_lines(text, fragment):
     with pytest.raises(ParseError, match=fragment):
-        parse_m2(io.StringIO(text))
+        list(parse_m2(io.StringIO(text)))
 
 
 def test_write_m2_round_trips_pairs():
@@ -164,7 +163,7 @@ def test_write_m2_round_trips_pairs():
     ]
     buffer = io.StringIO()
     assert write_m2(pairs, buffer) == 2
-    parsed = parse_m2(io.StringIO(buffer.getvalue()))
+    parsed = list(parse_m2(io.StringIO(buffer.getvalue())))
     assert parsed[0].tokens == tuple("他是教师优秀的")
     want = [(e.start, e.end, " ".join(e.replacement)) for e in pairs[0].edits]
     assert [g.triple for g in parsed[0].by_annotator[0]] == want
@@ -181,11 +180,11 @@ def test_write_m2_rejects_space_tokens():
 
 
 def test_extract_identical_sequences_is_empty():
-    assert extract_system_edits(list("abc"), list("abc"), [(0, 1, "z")]) == ()
+    assert extract_system_edits(list("abc"), list("abc"), [frozenset({(0, 1, "z")})])[0] == ()
 
 
 def test_extract_single_substitution_matches_gold():
-    got = extract_system_edits("a b c".split(), "a x c".split(), [(1, 2, "x")])
+    got = extract_system_edits("a b c".split(), "a x c".split(), [frozenset({(1, 2, "x")})])[0]
     assert got == ((1, 2, "x"),)
 
 
@@ -193,30 +192,37 @@ def test_extract_merges_across_unchanged_token_to_match_gold():
     got = extract_system_edits(
         "a b c d".split(),
         "a x c y".split(),
-        [(1, 4, "x c y")],
+        [frozenset({(1, 4, "x c y")})],
         ScoreParams(max_unchanged=1),
-    )
+    )[0]
     assert got == ((1, 4, "x c y"),)
 
 
 def test_extract_prefers_fewest_edits_without_gold():
-    got = extract_system_edits("a b".split(), "x y".split(), [])
+    got = extract_system_edits("a b".split(), "x y".split(), [frozenset()])[0]
     assert got == ((0, 2, "x y"),)
 
 
 def test_extract_max_unchanged_zero_blocks_merging():
-    gold = [(0, 3, "x b y")]
-    merged = extract_system_edits("a b c".split(), "x b y".split(), gold)
+    gold = [frozenset({(0, 3, "x b y")})]
+    merged = extract_system_edits("a b c".split(), "x b y".split(), gold)[0]
     assert merged == ((0, 3, "x b y"),)
     atomic = extract_system_edits(
         "a b c".split(), "x b y".split(), gold, ScoreParams(max_unchanged=0)
-    )
+    )[0]
     assert atomic == ((0, 1, "x"), (2, 3, "y"))
 
 
-def test_extract_accepts_gold_edit_objects():
-    gold = [GoldEdit(1, 2, "x", 0)]
-    assert extract_system_edits("a b".split(), "a x".split(), gold) == ((1, 2, "x"),)
+@pytest.mark.parametrize(
+    "gold",
+    [[(1, 2, "x")], [GoldEdit(1, 2, "x", 0)], [[GoldEdit(1, 2, "x", 0)]]],
+    ids=["triples", "gold-edits", "set-of-gold-edits"],
+)
+def test_extract_refuses_gold_that_is_not_a_list_of_triple_sets(gold):
+    # One set of triples or of GoldEdits, where a list of sets of triples
+    # belongs, is refused rather than read as something else.
+    with pytest.raises(TypeError):
+        extract_system_edits("a b".split(), "a x".split(), gold)
 
 
 def test_extract_matches_enumeration_oracle_on_random_cases():
@@ -234,7 +240,7 @@ def test_extract_matches_enumeration_oracle_on_random_cases():
                 (lo := rng.randint(0, len(src)), rng.randint(lo, len(src)), rng.choice(alphabet))
                 for _ in range(rng.randint(0, 2))
             }
-        got = extract_system_edits(src, hyp, gold, ScoreParams(max_unchanged=max_unchanged))
+        got = extract_system_edits(src, hyp, [frozenset(gold)], ScoreParams(max_unchanged=max_unchanged))[0]
         assert list(got) == best_edit_set(src, hyp, gold, max_unchanged), (
             case,
             src,
@@ -262,9 +268,9 @@ def test_extract_with_delta_column_lattice_matches_whole_tables(monkeypatch):
         }
         params = ScoreParams(max_unchanged=rng.randint(0, 2))
         monkeypatch.setattr(metrics, "_alignment_tables", real_tables)
-        expected = extract_system_edits(src, hyp, gold, params)
+        expected = extract_system_edits(src, hyp, [frozenset(gold)], params)[0]
         monkeypatch.setattr(metrics, "_alignment_tables", minimal_path_lattice)
-        got = extract_system_edits(src, hyp, gold, params)
+        got = extract_system_edits(src, hyp, [frozenset(gold)], params)[0]
         assert got == expected, (case, src, hyp, sorted(gold))
 
 
@@ -357,13 +363,13 @@ def test_score_builds_tables_once_per_sentence(monkeypatch):
     # annotators' gold sets.
     built = []
     walked = []
-    real_tables, real_walk = metrics._alignment_tables, metrics.extract_system_edit_sets
+    real_tables, real_walk = metrics._alignment_tables, metrics.extract_system_edits
     monkeypatch.setattr(
         metrics, "_alignment_tables", lambda *a: built.append(a) or real_tables(*a)
     )
     monkeypatch.setattr(
         metrics,
-        "extract_system_edit_sets",
+        "extract_system_edits",
         lambda *a, **k: walked.append(a[2]) or real_walk(*a, **k),
     )
     report = score_corpus(["a x c y", "g f"], text)
@@ -376,12 +382,12 @@ def test_score_builds_tables_once_per_sentence(monkeypatch):
 def test_edit_counts_basic():
     system = [(0, 1, "x"), (2, 3, "y")]
     gold = [(0, 1, "x"), (4, 5, "z")]
-    assert edit_counts(system, gold) == (1, 1, 1)
+    assert _counts(system, frozenset(gold)) == (1, 1, 1)
 
 
 def test_edit_counts_duplicate_system_edit_is_false_positive():
     # A gold edit matches once; the repeated occurrence stays unmatched.
-    assert edit_counts([(1, 1, "a"), (1, 1, "a")], [(1, 1, "a")]) == (1, 1, 0)
+    assert _counts([(1, 1, "a"), (1, 1, "a")], frozenset([(1, 1, "a")])) == (1, 1, 0)
 
 
 def test_duplicate_insertions_scored_against_oracle():
@@ -389,9 +395,9 @@ def test_duplicate_insertions_scored_against_oracle():
     # insertion (1, 1, "a") twice; the extra occurrence is a false positive.
     src, hyp = ["b"], ["a", "y", "a", "a", "y"]
     gold = [(0, 0, "a"), (0, 1, "y"), (1, 1, "a"), (1, 1, "y")]
-    system = extract_system_edits(src, hyp, gold)
+    system = extract_system_edits(src, hyp, [frozenset(gold)])[0]
     assert sorted(system) == [(0, 0, "a"), (0, 1, "y"), (1, 1, "a"), (1, 1, "a"), (1, 1, "y")]
-    assert edit_counts(system, gold) == (4, 1, 0)
+    assert _counts(system, frozenset(gold)) == (4, 1, 0)
 
 
 def test_shared_walk_matches_the_oracle_for_every_gold_set():
@@ -417,7 +423,7 @@ def test_shared_walk_matches_the_oracle_for_every_gold_set():
         gold_sets.append(rng.choice(gold_sets))
         rng.shuffle(gold_sets)
         params = ScoreParams(max_unchanged=max_unchanged)
-        got = extract_system_edit_sets(src, hyp, gold_sets, params)
+        got = extract_system_edits(src, hyp, gold_sets, params)
         expected = [best_edit_set(src, hyp, gold, max_unchanged) for gold in gold_sets]
         assert [list(edits) for edits in got] == expected, (case, src, hyp, gold_sets)
 
@@ -444,13 +450,13 @@ def test_shared_walk_keeps_each_gold_sets_credited_insertions_apart(max_unchange
     src, hyp = list(entry.tokens), "a y a a y".split()
     gold_sets = [frozenset(e.triple for e in entry.by_annotator[a]) for a in range(5)]
     params = ScoreParams(max_unchanged=max_unchanged)
-    got = extract_system_edit_sets(src, hyp, gold_sets, params)
+    got = extract_system_edits(src, hyp, gold_sets, params)
     expected = [best_edit_set(src, hyp, gold, max_unchanged) for gold in gold_sets]
     assert [list(edits) for edits in got] == expected
     assert got[0] == got[2] and got[0].count((1, 1, "a")) == 2
     assert got[1].count((1, 1, "a")) < 2
     for edits, gold in zip(got, gold_sets):
-        assert extract_system_edits(src, hyp, gold, params) == edits
+        assert extract_system_edits(src, hyp, [gold], params)[0] == edits
 
 
 # --- corpus scoring --------------------------------------------------------
@@ -629,6 +635,14 @@ def test_score_char_tokenize_mode():
 def test_score_rejects_count_and_token_mismatches():
     with pytest.raises(ValidationError, match="count mismatch: 2 hypotheses, 1 gold sentences"):
         score_corpus(["a b", "c"], gold_file("S a b\n"))
+    # Either side may run out first, in any read-ahead block; the rest of
+    # the other side is counted. Both may be one-shot iterators.
+    for hyps, golds in [(20, 11), (5, 19), (16, 8), (8, 17)]:
+        gold = gold_file("S a\n\n" * golds)
+        with pytest.raises(
+            ValidationError, match=f"count mismatch: {hyps} hypotheses, {golds} gold sentences"
+        ):
+            score_corpus(iter(["a"] * hyps), parse_m2(gold))
     # Under char_tokenize an S token longer than one character means the
     # gold was tokenized another way; in word mode the same gold scores.
     gold = "S a bc d\n"
