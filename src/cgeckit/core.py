@@ -256,21 +256,40 @@ class CorpusPair:
     seed: int
 
 
+def _edit_span(start: int, end: int, replacement: str) -> EditSpan:
+    """An EditSpan built without its checks, for a decoder that runs
+    `_check_edits` on the spans next. It equals the checked EditSpan."""
+    span = object.__new__(EditSpan)
+    fields = span.__dict__
+    fields["start"] = start
+    fields["end"] = end
+    fields["replacement"] = replacement
+    return span
+
+
+def _span_text(span: EditSpan) -> str:
+    return f"({span.start}, {span.end}, {span.replacement!r})"
+
+
 def _check_edits(text: str, edits: Sequence[EditSpan]) -> None:
+    """Raise ValidationError, naming the first bad span, unless every span
+    lies in text, ends at or after its start and starts at or after the
+    end of the span before it."""
     prev_end = 0
     prev: EditSpan | None = None
     for span in edits:
-        if span.end > len(text):
-            raise ValidationError(
-                f"edit ({span.start}, {span.end}, {span.replacement!r}) "
-                f"exceeds text length {len(text)}"
-            )
-        if prev is not None and span.start < prev_end:
-            raise ValidationError(
-                f"edit ({span.start}, {span.end}, {span.replacement!r}) "
-                f"overlaps previous edit ({prev.start}, {prev.end}, {prev.replacement!r})"
-            )
-        prev_end = span.end
+        start, end = span.start, span.end
+        if start < 0 or end < start or end > len(text) or start < prev_end:
+            if start < 0:
+                fault = "starts before the text"
+            elif end < start:
+                fault = "ends before it starts"
+            elif end > len(text):
+                fault = f"exceeds text length {len(text)}"
+            else:
+                fault = f"overlaps previous edit {_span_text(prev)}"
+            raise ValidationError(f"edit {_span_text(span)} {fault}")
+        prev_end = end
         prev = span
 
 
@@ -285,7 +304,8 @@ def apply_edits(incorrect: str, edits: Sequence[EditSpan]) -> str:
         The edited text.
 
     Raises:
-        ValidationError: on out-of-bounds or overlapping spans, naming the span.
+        ValidationError: on a span out of bounds, ending before its start or
+            overlapping the one before, naming the span.
     """
     _check_edits(incorrect, edits)
     result = incorrect
@@ -349,7 +369,101 @@ def _common_prefix_length(a: Sequence, b: Sequence) -> int:
     return low
 
 
-def _edit_ops(a: Sequence, b: Sequence) -> list[tuple[str, int, int]]:
+# The front walk is tried only on a core of at least this many items whose
+# bound squared is at most the core's length: below that the bit-vector
+# columns are as fast or faster (ROADMAP item 7 has the measured crossover).
+_FRONT_MIN_CORE = 16
+
+
+def _walk_fronts(
+    a: Sequence, b: Sequence, head: int, bound: int
+) -> tuple[list, int, int] | None:
+    """The changed steps, right to left, of the backtrace of `_edit_ops`
+    over the distance table D of a and b (a changed core, whose items
+    start at index `head` of the texts), with the row and column where it
+    leaves the core (i == head or j == head); or None when the distance
+    D[len(a)][len(b)] exceeds `bound`.
+
+    The forward pass finds, for e = 0, 1, ..., the furthest-reaching front
+    of each diagonal k = j - i: fronts[e][k] is the largest row i with
+    D[i][i + k] <= e, or a row past the diagonal's end when its last cell
+    qualifies (Ukkonen 1985; Myers 1986). Level e enters diagonal k
+    at the furthest of a replace from level e - 1 on k, an insert from
+    k - 1 and a delete from k + 1, then slides along the matches that
+    follow, compared in C; starts[e][k] is the row it entered at. It
+    stops at the level that reaches the corner, after (d + 1)^2 diagonals
+    at most for distance d, with memory O(d x bound).
+
+    D never decreases along a diagonal, so the cells of diagonal k with
+    D == e are the rows in (fronts[e - 1][k], fronts[e][k]], and those past
+    starts[e][k] match. So the backtrace reads D from the fronts: at a cell
+    with D == e, after the run of matches it jumps over, a replace needs
+    D[i-1][j-1] == e - 1, that is fronts[e - 1][k] >= i - 1; an insert
+    needs fronts[e - 1][k - 1] >= i; what is left is a delete. Ties resolve
+    as in the column walk, so the steps are the same.
+    """
+    m, n = len(a), len(b)
+    if abs(n - m) > bound:
+        return None
+    # Diagonal k of a level is entry k + width; -2 marks a diagonal with no
+    # cell at that level (rows are >= 0, so -2 + 1 < any row). Level -1
+    # reaches row -1 of diagonal 0, so that level 0 enters it at row 0.
+    # A front may pass the last row of its diagonal. It then compares with
+    # every row of the diagonal as that last row does, and so does what the
+    # next level builds from it, so it needs no clip.
+    width = bound + 1
+    size = 2 * width + 1
+    prev = [-2] * size
+    prev[width] = -1
+    fronts, starts = [], []
+    corner = n - m + width
+    for e in range(bound + 1):
+        front, start = [-2] * size, [-2] * size
+        for c in range(width + max(-e, -m), width + min(e, n) + 1):
+            x = prev[c] + 1  # replace
+            if prev[c - 1] > x:  # insert
+                x = prev[c - 1]
+            if prev[c + 1] >= x:  # delete
+                x = prev[c + 1] + 1
+            start[c] = x
+            y = x + c - width
+            if x < m and y < n and a[x] == b[y]:
+                x += _common_prefix_length(a[x:], b[y:])
+            front[c] = x
+        fronts.append(front)
+        starts.append(start)
+        if front[corner] >= m:
+            break
+        prev = front
+    else:
+        return None
+    ops: list[tuple[str, int, int]] = []
+    i, j = m, n
+    while i and j:
+        c = j - i + width
+        x = starts[e][c]
+        if i > x:
+            i, j = x, j - i + x
+        elif a[i - 1] == b[j - 1]:
+            i, j = i - 1, j - 1
+        else:
+            prev = fronts[e - 1]
+            e -= 1
+            if prev[c] >= i - 1:
+                i, j = i - 1, j - 1
+                ops.append(("replace", head + i, head + j))
+            elif prev[c - 1] >= i:
+                j -= 1
+                ops.append(("insert", head + i, head + j))
+            else:
+                i -= 1
+                ops.append(("delete", head + i, head + j))
+    return ops, head + i, head + j
+
+
+def _edit_ops(
+    a: Sequence, b: Sequence, bound: int | None = None
+) -> list[tuple[str, int, int]]:
     """The changed steps of the minimal unit-cost edit script turning a into b.
 
     Returns (op, i, j) steps in left-to-right order, where op is one of
@@ -362,39 +476,55 @@ def _edit_ops(a: Sequence, b: Sequence) -> list[tuple[str, int, int]]:
     backtrace takes the match first, so the common suffix is cut. Where
     a[:h] == b[:h], every cell with i <= h or j <= h has D[i][j] = |i - j|,
     and for i, j >= h the table is the table of a[h:] and b[h:]. So the
-    backtrace reads the delta columns of `_delta_columns` for the core
-    only, and once i or j reaches h it finishes by a fixed rule: equal
-    items match; otherwise the longer side gives up one item (an insert if
-    j > i, a delete if i > j); and it stops when i == j. It must not simply
-    drop the prefix: "aab" -> "ab" deletes index 0, not index 1.
+    backtrace walks the core only, and once i or j reaches h it finishes by
+    a fixed rule: equal items match; otherwise the longer side gives up one
+    item (an insert if j > i, a delete if i > j); and it stops when i == j.
+    It must not simply drop the prefix: "aab" -> "ab" deletes index 0, not
+    index 1.
 
     On the core, equal items always match, since with unit costs the
     diagonal is then minimal; a replace needs D[i][j] == D[i-1][j-1] + 1,
-    an insert D[i][j] == D[i][j-1] + 1, and what is left is a delete. Time
-    is the core's rows x columns / word size plus the steps walked, and
-    memory 3 bits per cell of the core: cost follows the changed core, not
-    the length of a and b. A periodic prefix ("ab" * k + "abX" -> "ab" * k
-    + "Y") can still be walked item by item, which is linear in its length.
+    an insert D[i][j] == D[i][j-1] + 1, and what is left is a delete. The
+    backtrace reads D one of two ways, with the same result:
+    - from diagonal fronts (`_walk_fronts`), in O(L + d^2) time and
+      O(d x bound) memory for a core of L items at distance d, when `bound`
+      is given, the core has at least `_FRONT_MIN_CORE` (16) items and
+      bound^2 <= L. `bound` is the caller's upper estimate of d; it is
+      never needed for correctness. If d exceeds it, the fronts are
+      dropped and the columns run, so a wrong bound costs time only;
+    - otherwise from the delta columns of `_delta_columns`, in L^2 / word
+      size time plus the steps walked, and 3 bits per cell of the core.
+    Cost follows the changed core, not the length of a and b. A periodic
+    prefix ("ab" * k + "abX" -> "ab" * k + "Y") can still be walked item by
+    item, which is linear in its length.
     """
     tail = _common_prefix_length(a[::-1], b[::-1])
     i, j = len(a) - tail, len(b) - tail
     head = _common_prefix_length(a[:i], b[:j])
-    columns = _delta_columns(a[head:i], b[head:j])
-    ops: list[tuple[str, int, int]] = []
-    while i > head and j > head:
-        bit = 1 << (i - head - 1)
-        diagonal, insert, _ = columns[j - head - 1]
-        if a[i - 1] == b[j - 1]:
-            i, j = i - 1, j - 1
-        elif not diagonal & bit:
-            i, j = i - 1, j - 1
-            ops.append(("replace", i, j))
-        elif insert & bit:
-            j -= 1
-            ops.append(("insert", i, j))
-        else:
-            i -= 1
-            ops.append(("delete", i, j))
+    walk = None
+    if bound is not None:
+        core = max(i, j) - head
+        if core >= _FRONT_MIN_CORE and bound * bound <= core:
+            walk = _walk_fronts(a[head:i], b[head:j], head, bound)
+    if walk is not None:
+        ops, i, j = walk
+    else:
+        columns = _delta_columns(a[head:i], b[head:j])
+        ops = []
+        while i > head and j > head:
+            bit = 1 << (i - head - 1)
+            diagonal, insert, _ = columns[j - head - 1]
+            if a[i - 1] == b[j - 1]:
+                i, j = i - 1, j - 1
+            elif not diagonal & bit:
+                i, j = i - 1, j - 1
+                ops.append(("replace", i, j))
+            elif insert & bit:
+                j -= 1
+                ops.append(("insert", i, j))
+            else:
+                i -= 1
+                ops.append(("delete", i, j))
     while i != j:
         if i and j and a[i - 1] == b[j - 1]:
             i, j = i - 1, j - 1
@@ -408,19 +538,41 @@ def _edit_ops(a: Sequence, b: Sequence) -> list[tuple[str, int, int]]:
     return ops
 
 
-def diff_edits(incorrect: str, correct: str) -> tuple[EditSpan, ...]:
+def _pair_bound(pair: CorpusPair) -> int | None:
+    """An upper bound on the edit distance of a pair whose edits turn its
+    incorrect text into its correct text (pair_from_json checks that): an
+    edit costs at most max(removed, inserted) characters. None, without
+    the sum, when the changed core is too short for `_edit_ops` to use a
+    bound: the texts agree outside the edits, so the core lies within the
+    edits' span of either text.
+    """
+    edits = pair.edits
+    if edits:
+        span = edits[-1].end - edits[0].start  # in the incorrect text
+        if (
+            span >= _FRONT_MIN_CORE
+            or span + len(pair.correct) - len(pair.incorrect) >= _FRONT_MIN_CORE
+        ):
+            return sum(max(e.end - e.start, len(e.replacement)) for e in edits)
+    return None
+
+
+def diff_edits(incorrect: str, correct: str, bound: int | None = None) -> tuple[EditSpan, ...]:
     """Minimal character edit script grouped into maximal touching spans.
 
     The changed steps of `_edit_ops` with no matched character between them
     collapse into a single span: a step touches the one before when it
     starts where that one ended in `incorrect`, since a match moves both
     texts on. Cost follows the changed core of the two texts, not their
-    length. Round trip: apply_edits(a, diff_edits(a, b)) == b.
+    length. `bound`, an upper estimate of the edit distance, lets a long
+    core with few edits be aligned in time and memory that follow the
+    distance (see `_edit_ops`); the spans are the same with or without it,
+    right or wrong. Round trip: apply_edits(a, diff_edits(a, b)) == b.
     """
     spans: list[EditSpan] = []
     start = end = -1
     pieces: list[str] = []
-    for op, i, j in _edit_ops(incorrect, correct):
+    for op, i, j in _edit_ops(incorrect, correct, bound):
         if i != end:
             if start >= 0:
                 spans.append(EditSpan(start, end, "".join(pieces)))
@@ -506,6 +658,12 @@ def _error_type_from_json(entry) -> ErrorType:
 
 
 def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
+    """Decode one JSON-lines pair record and check that its edits lie in
+    the incorrect text in order and reproduce the correct text.
+
+    Raises:
+        ParseError: on any fault of the record, naming `lineno` if given.
+    """
     where = "" if lineno is None else f" at line {lineno}"
     try:
         obj = json.loads(line)
@@ -517,16 +675,18 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
             id=pair_id,
             incorrect=incorrect,
             correct=correct,
-            edits=tuple(
-                EditSpan(*_fields(e, _EDIT_SPEC, where)) for e in obj["edits"]
-            ),
+            edits=tuple(_edit_span(*_fields(e, _EDIT_SPEC, where)) for e in obj["edits"]),
             error_types=tuple(map(_error_type_from_json, obj["error_types"])),
             rule_id=rule_id,
             seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pair record{where}: {exc}") from exc
-    if apply_edits(pair.incorrect, pair.edits) != pair.correct:
+    try:
+        correct = apply_edits(pair.incorrect, pair.edits)
+    except ValidationError as exc:
+        raise ParseError(f"pair record{where}: {exc}") from exc
+    if correct != pair.correct:
         raise ParseError(f"pair record{where}: edits do not reproduce the correct text")
     return pair
 

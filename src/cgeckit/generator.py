@@ -179,7 +179,9 @@ def generate_pair(
     rule is applied to is never re-tagged. A rule whose output is the
     original or an earlier intermediate text undid earlier rules and counts
     as not fired. Gold edits are the canonical character diff of the final
-    text against the original, so they always restore it exactly.
+    text against the original, so they always restore it exactly. The
+    fired edits' sizes (max of removed and inserted characters) sum to a
+    bound on its distance, which `diff_edits` gets.
     """
     if not sentence.tokens:
         return None
@@ -191,6 +193,7 @@ def generate_pair(
     incorrect = sentence.text
     seen = {incorrect}
     draws = 0
+    bound = 0  # each fired edit adds at most max(removed, inserted) to the distance
     while rules and len(fired) < config.combine_max and draws < _MAX_DRAWS:
         rule = _weighted_pop(rng, rules, weights)
         draws += 1
@@ -207,9 +210,10 @@ def generate_pair(
         incorrect = output
         seen.add(incorrect)
         fired.append(rule)
+        bound += max(end - start, len(piece))
     if not fired:
         return None
-    edits = diff_edits(incorrect, sentence.text)
+    edits = diff_edits(incorrect, sentence.text, bound)
     assert apply_edits(incorrect, edits) == sentence.text
     return CorpusPair(
         id=f"pair-{sentence_index:06d}-{attempt:02d}",

@@ -26,6 +26,7 @@ from cgeckit.core import (
     ValidationError,
     _delta_columns,
     _edit_ops,
+    _pair_bound,
     finite_number,
     open_input,
 )
@@ -40,15 +41,18 @@ class EditOps(NamedTuple):
     delete: int
 
 
-def levenshtein(a: str, b: str) -> EditOps:
+def levenshtein(a: str, b: str, bound: int | None = None) -> EditOps:
     """Unit-cost edit distance from a to b with canonical op counts.
 
     Counts are the changed steps of one backtrace with ties resolved match
     > replace > insert > delete, so they are reproducible; distance ==
     replace + insert + delete always holds. Cost follows the changed core
-    of a and b (see `_edit_ops`), not their length.
+    of a and b (see `_edit_ops`), not their length. `bound`, an upper
+    estimate of the distance, lets a long core at a short distance be
+    aligned in O(core + distance^2) time; the counts are the same with or
+    without it, and a bound below the distance costs time only.
     """
-    ops = [op for op, _, _ in _edit_ops(a, b)]
+    ops = [op for op, _, _ in _edit_ops(a, b, bound)]
     return EditOps(len(ops), ops.count("replace"), ops.count("insert"), ops.count("delete"))
 
 
@@ -593,7 +597,8 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
 
     per_type holds the average Replace/Insert/Delete/Total op counts per
     coarse type, for the edit direction incorrect -> correct. A pair
-    carrying several error types counts in each distinct type's row.
+    carrying several error types counts in each distinct type's row. Each
+    pair's edits bound its distance for `levenshtein` (`core._pair_bound`).
     """
     sentences = erroneous = 0
     length_sum = 0
@@ -602,7 +607,7 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
     for pair in pairs:
         sentences += 1
         length_sum += len(pair.incorrect)
-        ops = levenshtein(pair.incorrect, pair.correct)
+        ops = levenshtein(pair.incorrect, pair.correct, _pair_bound(pair))
         distance_sum += ops.distance
         if pair.incorrect != pair.correct:
             erroneous += 1

@@ -17,7 +17,15 @@ import pytest
 
 from cgeckit import cli, generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
-from cgeckit.core import apply_edits, pair_to_json, read_pairs, report_json
+from cgeckit.core import (
+    CorpusPair,
+    EditSpan,
+    apply_edits,
+    diff_edits,
+    pair_to_json,
+    read_pairs,
+    report_json,
+)
 from cgeckit.generator import (
     AugmentConfig,
     GenConfig,
@@ -777,17 +785,28 @@ def test_stats_per_type_table(tmp_path, corpus_file, capsys):
 
 def test_stats_per_type_diffs_each_pair_once(tmp_path, corpus_file, monkeypatch):
     pairs_file = make_pairs_file(tmp_path, corpus_file)
+    # One more pair whose two edits lie 20 characters apart: its core is
+    # long enough for the bound of its edits.
+    correct = "他是南方人，不习惯吃面食，也不喜欢北方的冬天"
+    incorrect = "我" + correct[:20] + "冷" + correct[21:]
+    edits = diff_edits(incorrect, correct)
+    pair = CorpusPair("long", incorrect, correct, edits, (), "random-augment", 0)
+    with open(pairs_file, "a", encoding="utf-8") as fh:
+        fh.write(pair_to_json(pair) + "\n")
     count = len(list(read_pairs(str(pairs_file))))
     calls = []
 
-    def counted(a, b):
-        calls.append((a, b))
-        return levenshtein(a, b)
+    def counted(a, b, bound=None):
+        ops = levenshtein(a, b, bound)
+        assert bound is None or bound >= ops.distance
+        calls.append(bound)
+        return ops
 
     monkeypatch.setattr(metrics, "levenshtein", counted)
     out = tmp_path / "stats.json"
     assert run(["stats", "--input", str(pairs_file), "--per-type", "--output", str(out)]) == 0
     assert len(calls) == count > 0
+    assert calls[-1] == 2
 
 
 def test_stats_malformed_pairs_is_data_error(tmp_path, capsys):
@@ -798,11 +817,11 @@ def test_stats_malformed_pairs_is_data_error(tmp_path, capsys):
 
 
 _EDIT_FAULTS = [
-    ([(-1, 1, "x")], "bad edit span (-1, 1, 'x')"),
-    ([(2, 1, "x")], "bad edit span (2, 1, 'x')"),
+    ([(-1, 1, "x")], "edit (-1, 1, 'x') starts before the text"),
+    ([(2, 1, "x")], "edit (2, 1, 'x') ends before it starts"),
     ([(1, 9, "x")], "edit (1, 9, 'x') exceeds text length 3"),
     ([(0, 2, "a"), (1, 2, "x")], "edit (1, 2, 'x') overlaps previous edit (0, 2, 'a')"),
-    ([(1, 2, "y")], "pair record at line 2: edits do not reproduce the correct text"),
+    ([(1, 2, "y")], "edits do not reproduce the correct text"),
 ]
 
 
@@ -812,8 +831,8 @@ _EDIT_FAULTS = [
     ids=["negative-start", "end-before-start", "end-past-text", "overlap", "not-reproducing"],
 )
 def test_stats_pair_record_edit_faults_are_data_errors(tmp_path, capsys, edits, message):
-    # The bad record follows a good one on line 2. Only the last message
-    # names its line; the span checks run outside the record's context.
+    # The bad record follows a good one, on line 2, and every message
+    # names that line.
     record = {"id": "p0", "incorrect": "abc", "correct": "axc", "error_types": [],
               "rule_id": "random-augment", "seed": 0}
     good = dict(record, edits=[{"start": 1, "end": 2, "replacement": "x"}])
@@ -823,7 +842,7 @@ def test_stats_pair_record_edit_faults_are_data_errors(tmp_path, capsys, edits, 
     assert run(["stats", "--input", str(pairs)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"cgeckit: data error: {message}\n"
+    assert captured.err == f"cgeckit: data error: pair record at line 2: {message}\n"
 
 
 # --- score ---------------------------------------------------------------------
@@ -921,6 +940,22 @@ def test_score_long_sentence_keeps_one_distance_table():
     params = ScoreParams(char_tokenize=True)
     score = _heap_peak(score_corpus, [hypothesis], io.StringIO(gold), params)
     assert score < 0.25 * table, (score, table)
+
+
+def test_diff_of_two_far_edits_with_a_bound_keeps_no_columns():
+    # Two 3,006-character texts whose two edits lie 3,000 characters apart:
+    # the changed core is 3,001 characters long at distance 2. The
+    # bit-vector columns of that core peak near 3.9 MiB (Python 3.11); with
+    # the bound the fronts peak near 36 KiB, mostly slices of the texts, and
+    # the limit is 128 KiB. A bound below the distance gives the same
+    # result by the columns.
+    text = "".join(chr(0x4E00 + k % 97) for k in range(3006))
+    edited = text[:3] + "X" + text[4:3003] + "Y" + text[3004:]
+    spans = (EditSpan(3, 4, "X"), EditSpan(3003, 3004, "Y"))
+    assert diff_edits(text, edited, 2) == diff_edits(text, edited, 1) == spans
+    assert levenshtein(text, edited, 2) == levenshtein(text, edited, 1) == (2, 2, 0, 0)
+    assert _heap_peak(diff_edits, text, edited, 2) < 128 * 1024
+    assert _heap_peak(levenshtein, text, edited, 2) < 128 * 1024
 
 
 def test_score_count_mismatch_is_data_error(tmp_path, capsys):

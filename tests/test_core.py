@@ -222,11 +222,66 @@ def _long_pairs(draw):
     return a, b
 
 
+def _steps_at_every_bound(a, b):
+    """The steps of _edit_ops(a, b), after checking that bounds 0, d - 1
+    (too small), d and d + 5 on the distance d give the same steps as no
+    bound: a bound chooses the walk, never the result."""
+    steps = _edit_ops(a, b)
+    d = len(steps)
+    for bound in (0, d - 1, d, d + 5):
+        assert _edit_ops(a, b, bound) == steps, bound
+    return steps
+
+
 @settings(max_examples=60, deadline=None)
 @given(_long_pairs())
 def test_edit_ops_on_long_inputs_match_full_table_reference(pair):
     a, b = pair
-    assert _edit_ops(a, b) == changed_steps_reference(a, b)
+    assert _steps_at_every_bound(a, b) == changed_steps_reference(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_pairs(), st.integers(0, 3))
+def test_front_walk_matches_full_table_reference_or_refuses_a_short_bound(pair, head):
+    # Any a and b, not only a trimmed core, and at any bound: the front
+    # walk gives the reference's steps, or None exactly when the bound is
+    # below the distance. It stops at row or column 0 of the table, where
+    # the reference goes on to delete or insert the items left.
+    a, b = pair
+    steps = changed_steps_reference(a, b)
+    d = len(steps)
+    for bound in (0, d - 1, d, d + 5):
+        walk = core._walk_fronts(a, b, head, bound)
+        if bound < d:
+            assert walk is None, bound
+            continue
+        ops, i, j = walk
+        rest = [("delete", k, 0) for k in range(i - head)]
+        rest += [("insert", 0, k) for k in range(j - head)]
+        assert rest + [(op, x - head, y - head) for op, x, y in reversed(ops)] == steps
+
+
+def test_edit_ops_with_a_short_bound_build_no_columns(monkeypatch):
+    # A 200-character core at distance 4: bound 4 (or 14, since
+    # 14 ** 2 <= 200) takes the front walk. Bound 3 is too small, so the
+    # fronts are dropped and the columns run, with the same steps; bound 15
+    # is too large against the core to try the fronts.
+    text = "".join(chr(0x4E00 + k % 97) for k in range(200))
+    edited = "X" + text[1:100] + text[101:199] + "YZ"
+    calls = []
+    real = core._delta_columns
+
+    def recorded(a, b):
+        calls.append(len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(core, "_delta_columns", recorded)
+    steps = [("replace", 0, 0), ("delete", 100, 100), ("insert", 199, 198), ("replace", 199, 199)]
+    assert changed_steps_reference(text, edited) == steps
+    assert _edit_ops(text, edited, 4) == _edit_ops(text, edited, 14) == steps
+    assert calls == []
+    assert _edit_ops(text, edited, 3) == _edit_ops(text, edited, 15) == steps
+    assert calls == [200, 200]
 
 
 def _distance_from_columns(a, b):
@@ -383,7 +438,8 @@ def test_pair_from_json_reports_line_number():
 )
 def test_edit_ops_with_a_shared_suffix_match_full_table_reference(a, b, tail):
     # _edit_ops matches the common suffix without a table
-    assert _edit_ops(a + tail, b + tail) == changed_steps_reference(a + tail, b + tail)
+    steps = _steps_at_every_bound(a + tail, b + tail)
+    assert steps == changed_steps_reference(a + tail, b + tail)
 
 
 def test_edit_ops_do_not_trim_the_common_prefix():
@@ -392,8 +448,14 @@ def test_edit_ops_do_not_trim_the_common_prefix():
     assert edit_ops_reference("aab", "ab") == [
         ("delete", 0, 0), ("match", 1, 0), ("match", 2, 1)
     ]
-    assert _edit_ops("aab", "ab") == changed_steps_reference("aab", "ab") == [("delete", 0, 0)]
+    assert _steps_at_every_bound("aab", "ab") == changed_steps_reference("aab", "ab") == [
+        ("delete", 0, 0)
+    ]
     assert diff_edits("aab", "ab") == (EditSpan(0, 1, ""),)
+    # The same with a core long enough for the front walk.
+    a, b = "aab" + "x" * 20 + "y", "ab" + "x" * 20 + "z"
+    steps = [("delete", 0, 0), ("replace", 23, 22)]
+    assert _steps_at_every_bound(a, b) == changed_steps_reference(a, b) == steps
 
 
 PERIODIC_UNITS = st.sampled_from(["a", "ab", "的的"])
@@ -429,7 +491,7 @@ def _periodic_pairs(draw):
 @given(_periodic_pairs())
 def test_edit_ops_over_periodic_prefixes_and_suffixes_match_full_table_reference(pair):
     a, b = pair
-    steps = _edit_ops(a, b)
+    steps = _steps_at_every_bound(a, b)
     assert steps == changed_steps_reference(a, b)
     if len(a) + len(b) <= 24:
         assert len(steps) == levenshtein_recursive(a, b)

@@ -12,7 +12,9 @@ from cgeckit.core import (
     FINE_TO_COARSE,
     CoarseType,
     ConfigError,
+    _pair_bound,
     apply_edits,
+    diff_edits,
     ordered_map,
     pair_to_json,
     report_json,
@@ -26,6 +28,7 @@ from cgeckit.generator import (
     generate_pair,
 )
 from cgeckit.generator import _augment_job, _weighted_pop
+from cgeckit.metrics import levenshtein
 from cgeckit.resources import load_resources
 from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
 from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
@@ -276,6 +279,31 @@ def test_stacked_pairs_always_hold_an_edit(combine_max):
         pairs, _ = generate_corpus(fixture_sentences(), config, RES)
         assert pairs
         assert [p.id for p in pairs if not p.edits] == []
+
+
+def test_diff_bounds_are_never_below_the_distance(monkeypatch):
+    # generate_pair gives diff_edits the sum of max(removed, inserted) over
+    # its fired edits, and stats gives levenshtein the same sum over a
+    # pair's edits (_pair_bound, None for a pair under 16 characters).
+    bounds = []
+
+    def checked(incorrect, correct, bound):
+        assert bound >= levenshtein(incorrect, correct).distance
+        bounds.append(bound)
+        return diff_edits(incorrect, correct, bound)
+
+    monkeypatch.setattr(generator, "diff_edits", checked)
+    pair_bounds = []
+    for seed in range(4):
+        config = GenConfig(seed=seed, per_sentence=2, combine_max=3)
+        pairs, _ = generate_corpus(fixture_sentences(), config, RES)
+        assert len(bounds) == len(pairs) > 0
+        bounds.clear()
+        for pair in pairs:
+            bound = _pair_bound(pair)
+            assert bound is None or bound >= levenshtein(pair.incorrect, pair.correct).distance
+            pair_bounds.append(bound)
+    assert None in pair_bounds and any(bound is not None for bound in pair_bounds)
 
 
 @pytest.fixture(scope="module")

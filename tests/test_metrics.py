@@ -345,7 +345,10 @@ def _token_list_pairs(draw):
 @given(_token_list_pairs())
 def test_token_list_alignments_match_whole_table_oracles(pair):
     src, hyp = pair
-    assert _edit_ops(src, hyp) == changed_steps_reference(src, hyp)
+    steps = _edit_ops(src, hyp)
+    assert steps == changed_steps_reference(src, hyp)
+    for bound in (0, len(steps) - 1, len(steps), len(steps) + 5):
+        assert _edit_ops(src, hyp, bound) == steps
     got = metrics._alignment_tables(src, hyp)
     assert [{j: cell[:2] for j, cell in row.items()} for row in got] == [
         {j: cell[:2] for j, cell in row.items()} for row in minimal_path_lattice(src, hyp)
