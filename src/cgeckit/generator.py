@@ -33,10 +33,18 @@ from cgeckit.core import (
     diff_edits,
     finite_number,
     ordered_map,
+    _FRONT_MIN_CORE,
+    _edit_ops,
 )
 from cgeckit.resources import RuleResources
 from cgeckit.rules import RULE_REGISTRY, _choice, apply_fine_rule
-from cgeckit.tagging import RoleSpans, identify_roles, parse_pretagged, segment_and_tag
+from cgeckit.tagging import (
+    RoleSpans,
+    get_tagger,
+    identify_roles,
+    parse_pretagged,
+    segment_and_tag,
+)
 
 _MAX_DRAWS = 5  # weighted rule draws per pair before giving up
 
@@ -174,14 +182,18 @@ def generate_pair(
 
     Up to combine_max distinct rules are drawn by weight without
     replacement (at most five draws total); each fired rule rewrites the
-    current text, which is re-segmented with the builtin tagger before the
-    next rule is applied, so that rule sees valid offsets. A text no further
-    rule is applied to is never re-tagged. A rule whose output is the
-    original or an earlier intermediate text undid earlier rules and counts
-    as not fired. Gold edits are the canonical character diff of the final
-    text against the original, so they always restore it exactly. The
-    fired edits' sizes (max of removed and inserted characters) sum to a
-    bound on its distance, which `diff_edits` gets.
+    current text. Before the next rule is applied, its edit is spliced
+    into the tagged sentence (`Tagger.splice`): only the window it can
+    change is re-tagged with the builtin tagger, so that rule sees valid
+    offsets, and the tags of pretagged input outside the window survive.
+    A text no further rule is applied to is never re-tagged. A rule whose
+    output is the original or an earlier intermediate text undid earlier
+    rules and counts as not fired. Gold edits are the canonical character diff of
+    the final text against the original, so they always restore it
+    exactly. Each fired edit adds to a bound on that distance, which
+    `diff_edits` gets: the exact distance of its window when the window
+    is long enough for the bound to be used, and otherwise max(removed,
+    inserted) characters, which costs nothing to compute.
     """
     if not sentence.tokens:
         return None
@@ -193,13 +205,15 @@ def generate_pair(
     incorrect = sentence.text
     seen = {incorrect}
     draws = 0
-    bound = 0  # each fired edit adds at most max(removed, inserted) to the distance
+    bound = 0  # each fired edit adds at most its window's distance
+    pending = None  # the fired edit that `current` does not hold yet
     while rules and len(fired) < config.combine_max and draws < _MAX_DRAWS:
         rule = _weighted_pop(rng, rules, weights)
         draws += 1
-        if current.text != incorrect:
-            current = segment_and_tag(incorrect)
+        if pending is not None:
+            current = get_tagger().splice(current, pending)
             current_roles = identify_roles(current)
+            pending = None
         edit = apply_fine_rule(current, current_roles, resources, rng, rule)
         if edit is None:
             continue
@@ -207,10 +221,15 @@ def generate_pair(
         output = incorrect[:start] + piece + incorrect[end:]
         if output in seen:
             continue
+        window = max(end - start, len(piece))
+        if window >= _FRONT_MIN_CORE:
+            # Exact either way; the bound lets a window with few changes take the fronts.
+            window = len(_edit_ops(incorrect[start:end], piece, math.isqrt(window)))
         incorrect = output
         seen.add(incorrect)
         fired.append(rule)
-        bound += max(end - start, len(piece))
+        bound += window
+        pending = edit
     if not fired:
         return None
     edits = diff_edits(incorrect, sentence.text, bound)
@@ -278,12 +297,12 @@ def stream_generate(
     """Yield the pairs of a sentence stream in input order, counting each
     sentence into `report` as its pairs are yielded.
 
-    With config.pretagged input lines are `surface/TAG ...` items;
-    intermediate re-tagging after a rule fires still uses the builtin
-    segmenter either way. Consumes the corpus lazily so arbitrarily large
-    files process in bounded memory. Output is a pure function of
-    (corpus, config): worker count only changes wall-clock time, never
-    bytes.
+    With config.pretagged input lines are `surface/TAG ...` items. After
+    a rule fires, only the window its edit can change is re-tagged with
+    the builtin tagger, so the external tags outside it reach the next
+    rule. Consumes the corpus lazily so arbitrarily large files process
+    in bounded memory. Output is a pure function of (corpus, config):
+    worker count only changes wall-clock time, never bytes.
     """
     state = (config, resources)
     for pairs in ordered_map(_generate_job, state, enumerate(corpus), workers):

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import os
 import unicodedata
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Mapping
+from operator import attrgetter
+from typing import Container, Mapping
 
 from cgeckit.core import (
     ConfigError,
@@ -35,6 +37,8 @@ _VERB, _NOUN, _ADJ, _ADV, _ADP, _PART, _PRON, _NUM, _CCONJ, _PUNCT, _X, _OTHER =
     POSTag.VERB, POSTag.NOUN, POSTag.ADJ, POSTag.ADV, POSTag.ADP, POSTag.PART, POSTag.PRON,
     POSTag.NUM, POSTag.CCONJ, POSTag.PUNCT, POSTag.X, POSTag.OTHER,
 )
+
+_START, _END = attrgetter("char_start"), attrgetter("char_end")
 
 NOMINAL_TAGS = frozenset({POSTag.NOUN, POSTag.PRON, POSTag.PROPN})
 # Tags allowed inside an attribute's modifier run (before 的).
@@ -99,6 +103,9 @@ class Tagger:
     the entries that start with it, longest first. A position then tries
     only lengths that some entry has, instead of every length up to the
     longest entry. Empty entries can never match and are left out.
+
+    One scan loop serves both entry points: a call tags a whole text from
+    position 0, and `splice` re-tags only the window around one edit.
     """
 
     def __init__(self, lexicon: Mapping[str, POSTag]):
@@ -110,13 +117,17 @@ class Tagger:
         self._lengths = {
             first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()
         }
+        # A step of the scan reads at most this many characters for a match.
+        self._longest = max(map(len, self.lexicon), default=0)
 
-    def __call__(self, raw: str) -> TaggedSentence:
+    def _scan(self, raw: str, pos: int, stops: Container[int]) -> tuple[list[Token], int]:
+        """The greedy tokens of raw from pos up to the first position in
+        `stops` that the scan lands on, and that position. `stops` holds
+        len(raw), where every scan lands."""
         lexicon, lengths = self.lexicon, self._lengths
         tokens: list[Token] = []
-        pos = 0
         n = len(raw)
-        while pos < n:
+        while pos not in stops:
             for length in lengths.get(raw[pos], ()):
                 end = pos + length
                 if end <= n:
@@ -137,7 +148,44 @@ class Tagger:
             # The tokens tile raw by construction, so they skip the checks.
             tokens.append(_token(surface, tag, pos, end))
             pos = end
+        return tokens, pos
+
+    def __call__(self, raw: str) -> TaggedSentence:
+        tokens, _ = self._scan(raw, 0, (len(raw),))
         return _tagged(raw, tuple(tokens))
+
+    def splice(self, sentence: TaggedSentence, edit: tuple[int, int, str]) -> TaggedSentence:
+        """`sentence` with text[start:end] replaced by piece, for the edit
+        (start, end, piece), re-tagging only the window the edit can change.
+
+        The scan restarts at the first token that may read the edit: one
+        that starts within the longest lexicon entry of `start`, or one that
+        reaches `start` (a digit run, or an external tagger's token). Up to
+        there the greedy scan takes the same steps on both texts. It stops
+        at the first position at or after the edit's end where an old token
+        at or after `end` starts, moved by the edit's change in length;
+        from a shared boundary the scan depends only on the text to its
+        right, so the old tokens from there on are kept, moved by that
+        change. For tokens this tagger made, the result equals tagging the
+        new text whole; tokens of an external tagger outside the window
+        keep their surfaces and tags.
+        """
+        start, end, piece = edit
+        old, text = sentence.tokens, sentence.text
+        raw = text[:start] + piece + text[end:]
+        shift = len(piece) - (end - start)
+        first = bisect_left(old, start, key=_END)
+        longest = self._longest
+        while first and old[first - 1].char_start + longest > start:
+            first -= 1
+        after = bisect_left(old, end, first, key=_START)
+        stops = {token.char_start + shift for token in old[after:]}
+        stops.add(len(raw))
+        window, stop = self._scan(raw, old[first - 1].char_end if first else 0, stops)
+        kept = old[bisect_left(old, stop - shift, after, key=_START):]
+        if shift:
+            kept = [_token(t.surface, t.tag, t.char_start + shift, t.char_end + shift) for t in kept]
+        return _tagged(raw, (*old[:first], *window, *kept))
 
 
 @cache

@@ -6,6 +6,10 @@ lines as canonical `surface/TAG` items, as `serialize_pretagged` writes them.
 The `--pretagged` THULAC case reads them tagged instead, for each canonical
 tag, with the first `tag_mapping.tsv` name that maps to it (n, np, m, v, vm,
 a, d, r, c, p, u, w, e), so its hashes equal the canonical case's.
+The stacked `--pretagged` ADV-as-ADJ case reads the canonical items with
+every ADV tagged ADJ, tags that differ from the lexicon's: only the
+window of each fired edit is re-tagged, so the ADJ tags outside it reach
+the next rule.
 A `score` case scores against the M2 gold that `write_m2` writes for the
 pairs of `generate --seed 1 --per-sentence 2 --combine-max 2`; its
 hypotheses are each pair's correct text on even (0-based) lines and its
@@ -37,7 +41,7 @@ import tempfile
 from pathlib import Path
 
 from cgeckit.cli import run
-from cgeckit.core import apply_edits, read_pairs
+from cgeckit.core import POSTag, apply_edits, read_pairs
 from cgeckit.metrics import write_m2
 from cgeckit.resources import default_resources_dir
 from cgeckit.rules import RULE_REGISTRY
@@ -58,6 +62,9 @@ PAIR_CASES = {
     "generate-pretagged-thulac-seed1-per2-combine2": [
         "generate", "--pretagged", "--seed", "1", "--per-sentence", "2", "--combine-max", "2"
     ],
+    "generate-pretagged-adv-as-adj-seed1-per2-combine3": [
+        "generate", "--pretagged", "--seed", "1", "--per-sentence", "2", "--combine-max", "3"
+    ],
     "augment-seed7": ["augment", "--seed", "7"],
     # One case per rule: the mixed cases draw some rules only a few times,
     # so a one-character change to such a rule's output could slip past them.
@@ -70,6 +77,7 @@ PAIR_CASES = {
 PAIR_INPUTS = {
     "generate-pretagged-seed1-per2-combine2": "pretagged",
     "generate-pretagged-thulac-seed1-per2-combine2": "thulac",
+    "generate-pretagged-adv-as-adj-seed1-per2-combine3": "adv-as-adj",
 }
 # case name -> `filter` arguments after --input and --output.
 FILTER_CASES = {f"filter-keep50-n{n}": ["--keep", "50", "--n", str(n)] for n in (1, 2, 3, 4)}
@@ -200,6 +208,10 @@ def compute(names: list[str] | None = None, extra: list[str] = ()) -> dict[str, 
         "pretagged": [serialize_pretagged(s) for s in sentences],
         "thulac": [
             " ".join(f"{t.surface}/{thulac_name[t.tag.value]}" for t in s.tokens)
+            for s in sentences
+        ],
+        "adv-as-adj": [
+            " ".join(f"{t.surface}/{'ADJ' if t.tag is POSTag.ADV else t.tag.value}" for t in s.tokens)
             for s in sentences
         ],
     }

@@ -12,6 +12,8 @@ from cgeckit.core import (
     FINE_TO_COARSE,
     CoarseType,
     ConfigError,
+    POSTag,
+    SyntacticRole,
     _pair_bound,
     apply_edits,
     diff_edits,
@@ -31,7 +33,7 @@ from cgeckit.generator import _augment_job, _weighted_pop
 from cgeckit.metrics import levenshtein
 from cgeckit.resources import load_resources
 from cgeckit.rules import RULE_REGISTRY, apply_fine_rule
-from cgeckit.tagging import _shipped, identify_roles, segment_and_tag
+from cgeckit.tagging import Tagger, _shipped, identify_roles, parse_pretagged, segment_and_tag
 from tests.oracles import weighted_pop_reference
 
 RES = load_resources()
@@ -306,6 +308,40 @@ def test_diff_bounds_are_never_below_the_distance(monkeypatch):
     assert None in pair_bounds and any(bound is not None for bound in pair_bounds)
 
 
+def test_retags_of_long_sentences_scan_at_most_a_fifth_of_the_text(monkeypatch):
+    # Work, not time: the characters the tagger scans after a rule fires,
+    # against the length of the texts that a whole-text re-tag would scan,
+    # on fixture sentences joined into lines of 150 characters or more.
+    lines, line = [], ""
+    for sentence in fixture_sentences():
+        line += sentence
+        if len(line) >= 150:
+            lines.append(line)
+            line = ""
+    counts = Counter()
+    scan, splice = Tagger._scan, Tagger.splice
+
+    def counting_scan(self, raw, pos, stops):
+        tokens, stop = scan(self, raw, pos, stops)
+        counts["scanned"] += stop - pos
+        return tokens, stop
+
+    def counting_splice(self, sentence, edit):
+        spliced = splice(self, sentence, edit)
+        counts["retags"] += 1
+        counts["whole"] += len(spliced.text)
+        return spliced
+
+    monkeypatch.setattr(Tagger, "_scan", counting_scan)
+    monkeypatch.setattr(Tagger, "splice", counting_splice)
+    seeds = range(4)
+    for seed in seeds:
+        generate_corpus(lines, GenConfig(seed=seed, per_sentence=2, combine_max=3), RES)
+    retag_scanned = counts["scanned"] - len(seeds) * sum(map(len, lines))  # less the first tags
+    assert counts["retags"] >= 40
+    assert retag_scanned * 5 <= counts["whole"]
+
+
 @pytest.fixture(scope="module")
 def recorded_runs():
     """(source, pair or None, steps) for every generate_pair attempt on the
@@ -435,6 +471,38 @@ def test_generate_corpus_pretagged_matches_builtin_tagging():
     a, _ = generate_corpus(raw, GenConfig(seed=9), RES)
     b, _ = generate_corpus(pretagged, GenConfig(seed=9, pretagged=True), RES)
     assert a == b
+
+
+def test_external_tags_outside_the_first_edit_reach_the_second_rule(monkeypatch):
+    # The lexicon tags 苹果 NOUN, which makes it the object; the external
+    # tagger says VERB. The first edit (LackSubject deleting 我, or
+    # MultiWords inserting an adverb) does not reach 苹果, so the second
+    # rule still sees its external tag and no object in its RoleSpans.
+    sentence = parse_pretagged("我/PRON 非常/ADV 喜欢/VERB 苹果/VERB")
+    roles = identify_roles(sentence)
+    assert identify_roles(segment_and_tag(sentence.text)).first(SyntacticRole.OBJECT) == (3, 4)
+    assert roles.first(SyntacticRole.OBJECT) is None
+    seen = []
+
+    def recording(sentence, roles, resources, rng, rule):
+        seen.append((sentence, roles))
+        return apply_fine_rule(sentence, roles, resources, rng, rule)
+
+    monkeypatch.setattr(generator, "apply_fine_rule", recording)
+    later = 0
+    for seed in range(8):
+        config = GenConfig(
+            seed=seed, enabled_rules={"LackSubject", "MultiWords"}, combine_max=2, pretagged=True
+        )
+        seen.clear()
+        pair = generate_pair(sentence, roles, RES, config, 0)
+        assert pair is not None
+        for text, spans in seen[1:]:
+            (apple,) = [token for token in text.tokens if token.surface == "苹果"]
+            assert apple.tag is POSTag.VERB
+            assert spans.first(SyntacticRole.OBJECT) is None
+            later += 1
+    assert later >= 4
 
 
 def test_uniform_selection_among_applicable_rules():

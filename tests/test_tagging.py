@@ -282,3 +282,74 @@ def test_compiled_shipped_lexicon_matches_longest_match_oracle():
         lines = [line.strip() for line in fh if line.strip()]
     for raw in lines + ["学校共有50名学生", "１２３个Q"]:
         assert _as_tuples(tagger(raw)) == longest_match_tag(tagger.lexicon, raw)
+
+
+# --- re-tagging only the window of an edit -----------------------------------
+
+# Digits start entries too, and texts hold digit runs that an edit can
+# join, split or extend.
+_SPLICE_CHARS = _CHARS + "12５"
+_SPLICE_TEXT = _SPLICE_CHARS + "0３Q，"
+_splice_entries = st.text(alphabet=_SPLICE_CHARS, min_size=1, max_size=6)
+# Runs of digits longer than most entries, among other characters.
+_splice_chunk = st.one_of(
+    st.text(alphabet=_SPLICE_TEXT, min_size=1, max_size=6),
+    st.text(alphabet="012３５", min_size=2, max_size=9),
+)
+
+
+@st.composite
+def _edits(draw):
+    """(text, (start, end, piece)): inserts, deletes and replaces, with
+    offset 0 and the end of the text drawn often."""
+    raw = "".join(draw(st.lists(_splice_chunk, max_size=8)))
+    start = draw(st.one_of(st.just(0), st.just(len(raw)), st.integers(0, len(raw))))
+    end = draw(st.one_of(st.just(start), st.just(len(raw)), st.integers(start, len(raw))))
+    piece = "".join(draw(st.lists(_splice_chunk, max_size=2)))
+    return raw, (start, end, piece)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_edits(), data=st.data())
+def test_splice_equals_tagging_the_edited_text_whole(case, data):
+    raw, (start, end, piece) = case
+    edited = raw[:start] + piece + raw[end:]
+    lexicon = data.draw(st.dictionaries(_splice_entries, st.sampled_from(list(POSTag)), max_size=20))
+    # Entries of the edited text that straddle the edit's start or its end,
+    # so that a token can grow into the edit from either side.
+    for anchor in (start, start + len(piece)):
+        first = data.draw(st.integers(max(0, anchor - 5), anchor))
+        entry = edited[first : data.draw(st.integers(anchor + 1, first + 6))]
+        if entry:
+            lexicon.setdefault(entry, data.draw(st.sampled_from(list(POSTag))))
+    tagger = Tagger(lexicon)
+    spliced = tagger.splice(tagger(raw), (start, end, piece))
+    assert spliced.text == edited
+    assert _as_tuples(spliced) == longest_match_tag(lexicon, edited)
+    # It tiles the text as the checked constructors require.
+    assert TaggedSentence(edited, tuple(Token(*fields) for fields in _as_tuples(spliced))) == spliced
+
+
+def test_splice_keeps_external_tags_outside_the_window():
+    # The lexicon tags 他 PRON, 喜欢 VERB and 苹果 NOUN. 他 lies within the
+    # longest lexicon entry of the edit, so it is re-tagged; the scan then
+    # lands on 喜欢's moved boundary, and the tokens from there on keep
+    # their external tags.
+    sentence = parse_pretagged("他/NOUN 很/ADV 喜欢/ADJ 这个/NUM 苹果/ADJ")
+    spliced = get_tagger().splice(sentence, (1, 2, "非常"))
+    assert _as_tuples(spliced) == [
+        ("他", POSTag.PRON, 0, 1),
+        ("非常", POSTag.ADV, 1, 3),
+        ("喜欢", POSTag.ADJ, 3, 5),
+        ("这个", POSTag.NUM, 5, 7),
+        ("苹果", POSTag.ADJ, 7, 9),
+    ]
+    # An external token that holds the edit is re-tagged with the builtin
+    # tagger, with the text around it up to a shared boundary.
+    spliced = get_tagger().splice(parse_pretagged("他很喜欢/X 苹果/ADJ"), (1, 2, "不"))
+    assert _as_tuples(spliced) == [
+        ("他", POSTag.PRON, 0, 1),
+        ("不", POSTag.ADV, 1, 2),
+        ("喜欢", POSTag.VERB, 2, 4),
+        ("苹果", POSTag.ADJ, 4, 6),
+    ]
