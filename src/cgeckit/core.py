@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 
 class CgecError(Exception):
@@ -165,23 +165,14 @@ _ERROR_TYPES: dict[str, ErrorType] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: text[char_start:char_end] == surface. Unchecked; the
+    TaggedSentence that holds it checks its span."""
+
     surface: str
     tag: POSTag
     char_start: int
     char_end: int
-
-    def __post_init__(self) -> None:
-        if self.char_start >= self.char_end:
-            raise ValidationError(
-                f"token {self.surface!r} has empty span [{self.char_start}, {self.char_end})"
-            )
-        if len(self.surface) != self.char_end - self.char_start:
-            raise ValidationError(
-                f"token {self.surface!r} length does not match span "
-                f"[{self.char_start}, {self.char_end})"
-            )
 
 
 @dataclass(frozen=True)
@@ -194,7 +185,11 @@ class TaggedSentence:
     def __post_init__(self) -> None:
         pos = 0
         for tok in self.tokens:
-            if tok.char_start != pos or self.text[tok.char_start : tok.char_end] != tok.surface:
+            if (
+                not tok.surface
+                or tok.char_start != pos
+                or self.text[tok.char_start : tok.char_end] != tok.surface
+            ):
                 raise ValidationError(
                     f"token {tok.surface!r} at [{tok.char_start}, {tok.char_end}) "
                     f"does not tile the sentence text"
@@ -202,18 +197,6 @@ class TaggedSentence:
             pos = tok.char_end
         if pos != len(self.text):
             raise ValidationError("tokens do not cover the sentence text")
-
-
-def _token(surface: str, tag: POSTag, char_start: int, char_end: int) -> Token:
-    """A Token built without its checks, for a caller whose spans are right
-    by construction (the lexicon tagger). It equals the checked Token."""
-    token = object.__new__(Token)
-    fields = token.__dict__
-    fields["surface"] = surface
-    fields["tag"] = tag
-    fields["char_start"] = char_start
-    fields["char_end"] = char_end
-    return token
 
 
 def _tagged(text: str, tokens: tuple[Token, ...]) -> TaggedSentence:
@@ -226,17 +209,13 @@ def _tagged(text: str, tokens: tuple[Token, ...]) -> TaggedSentence:
     return sentence
 
 
-@dataclass(frozen=True, order=True)
-class EditSpan:
-    """Replace incorrect[start:end] with `replacement` (empty = deletion)."""
+class EditSpan(NamedTuple):
+    """Replace incorrect[start:end] with `replacement` (empty = deletion).
+    Unchecked; `apply_edits` and `pair_from_json` check the spans."""
 
     start: int
     end: int
     replacement: str
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValidationError(f"bad edit span ({self.start}, {self.end}, {self.replacement!r})")
 
 
 @dataclass(frozen=True)
@@ -254,17 +233,6 @@ class CorpusPair:
     error_types: tuple[ErrorType, ...]
     rule_id: str
     seed: int
-
-
-def _edit_span(start: int, end: int, replacement: str) -> EditSpan:
-    """An EditSpan built without its checks, for a decoder that runs
-    `_check_edits` on the spans next. It equals the checked EditSpan."""
-    span = object.__new__(EditSpan)
-    fields = span.__dict__
-    fields["start"] = start
-    fields["end"] = end
-    fields["replacement"] = replacement
-    return span
 
 
 def _span_text(span: EditSpan) -> str:
@@ -675,7 +643,7 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
             id=pair_id,
             incorrect=incorrect,
             correct=correct,
-            edits=tuple(_edit_span(*_fields(e, _EDIT_SPEC, where)) for e in obj["edits"]),
+            edits=tuple(EditSpan(*_fields(e, _EDIT_SPEC, where)) for e in obj["edits"]),
             error_types=tuple(map(_error_type_from_json, obj["error_types"])),
             rule_id=rule_id,
             seed=seed,

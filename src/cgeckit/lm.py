@@ -175,13 +175,15 @@ def keep_indices(perplexities: Sequence[float], keep_percent: float) -> list[int
     Ties at the threshold resolve in favor of earlier input, so the result
     is deterministic no matter how the perplexities were computed.
     """
-    if not 0 < keep_percent <= 100:
+    if not 0 < finite_number("keep_percent", keep_percent) <= 100:
         raise ConfigError(f"keep_percent must be in (0, 100], got {keep_percent!r}")
     if not perplexities:
         return []
     from fractions import Fraction  # only here, to keep it off every run's start-up
 
-    keep = math.ceil(Fraction(keep_percent) * len(perplexities) / 100)
+    # Read as the decimal the caller wrote: Fraction(10.3) is a little
+    # above 10.3 and would round 10.3% of 1,000 lines up to 104.
+    keep = math.ceil(Fraction(str(keep_percent)) * len(perplexities) / 100)
     ranked = sorted(range(len(perplexities)), key=lambda i: (perplexities[i], i))
     return sorted(ranked[:keep])
 

@@ -59,24 +59,14 @@ def levenshtein(a: str, b: str, bound: int | None = None) -> EditOps:
 # --- M2 gold files --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoldEdit:
-    """One annotated correction over word-token offsets of the source."""
+class GoldEdit(NamedTuple):
+    """One annotated correction over word-token offsets of the source, as
+    the (start, end, correction) triple that MaxMatch compares. Unchecked;
+    `parse_m2` checks the span of each one it reads."""
 
     start_token: int
     end_token: int
     correction: str
-    annotator_id: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start_token <= self.end_token:
-            raise ValidationError(
-                f"gold edit span ({self.start_token}, {self.end_token}) is invalid"
-            )
-
-    @property
-    def triple(self) -> tuple[int, int, str]:
-        return (self.start_token, self.end_token, self.correction)
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ def parse_m2(source) -> Iterator[M2Sentence]:
         bucket = edits.setdefault(annotator, [])
         if not noop:
             correction = " ".join(fields[2].split())
-            bucket.append(GoldEdit(start, end, correction, annotator))
+            bucket.append(GoldEdit(start, end, correction))
 
 
 def write_m2(pairs: Iterable[CorpusPair], fh: TextIO) -> int:
@@ -490,7 +480,7 @@ def _score_job(
             f"character, so it cannot be scored with character tokens"
         )
     hyp_tokens = list(hypothesis) if params.char_tokenize else hypothesis.split()
-    gold_sets = [frozenset(g.triple for g in edits) for edits in entry.by_annotator.values()]
+    gold_sets = [frozenset(edits) for edits in entry.by_annotator.values()]
     systems = extract_system_edits(src_tokens, hyp_tokens, gold_sets, params)
     return [
         (annotator, _counts(system, gold_set))

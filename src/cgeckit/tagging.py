@@ -25,7 +25,6 @@ from cgeckit.core import (
     TaggedSentence,
     Token,
     _tagged,
-    _token,
 )
 from cgeckit.resources import DATA_DIR, _rows
 
@@ -145,8 +144,7 @@ class Tagger:
                 else:
                     tag = _OTHER
                 surface = raw[pos:end]
-            # The tokens tile raw by construction, so they skip the checks.
-            tokens.append(_token(surface, tag, pos, end))
+            tokens.append(Token(surface, tag, pos, end))
             pos = end
         return tokens, pos
 
@@ -184,7 +182,7 @@ class Tagger:
         window, stop = self._scan(raw, old[first - 1].char_end if first else 0, stops)
         kept = old[bisect_left(old, stop - shift, after, key=_START):]
         if shift:
-            kept = [_token(t.surface, t.tag, t.char_start + shift, t.char_end + shift) for t in kept]
+            kept = [Token(t.surface, t.tag, t.char_start + shift, t.char_end + shift) for t in kept]
         return _tagged(raw, (*old[:first], *window, *kept))
 
 

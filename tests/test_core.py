@@ -13,7 +13,10 @@ from cgeckit.core import (
     EditSpan,
     ErrorType,
     FINE_TO_COARSE,
+    POSTag,
     ParseError,
+    TaggedSentence,
+    Token,
     ValidationError,
     _delta_columns,
     _edit_ops,
@@ -110,6 +113,30 @@ def test_apply_edits_rejects_bad_spans():
     with pytest.raises(ValidationError) as exc:
         apply_edits("abcdef", [EditSpan(0, 3, "x"), EditSpan(2, 4, "y")])
     assert "overlaps" in str(exc.value)
+    # EditSpan itself does not check; apply_edits refuses these.
+    for span, message in [
+        (EditSpan(-1, 1, "x"), "edit (-1, 1, 'x') starts before the text"),
+        (EditSpan(2, 1, "x"), "edit (2, 1, 'x') ends before it starts"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            apply_edits("abc", [span])
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,tokens",
+    [
+        ("ab", (Token("", POSTag.NOUN, 0, 0), Token("ab", POSTag.NOUN, 0, 2))),
+        ("ab", (Token("ab", POSTag.NOUN, 0, 1), Token("b", POSTag.NOUN, 1, 2))),
+        ("abc", (Token("a", POSTag.NOUN, 0, 1), Token("c", POSTag.NOUN, 2, 3))),
+        ("ab", (Token("ab", POSTag.NOUN, 0, 2), Token("b", POSTag.NOUN, 1, 2))),
+    ],
+    ids=["empty", "surface-off-span", "gap", "overlap"],
+)
+def test_tagged_sentence_is_the_check_of_a_token(text, tokens):
+    # Token itself does not check; the sentence that holds it refuses it.
+    with pytest.raises(ValidationError, match="does not tile"):
+        TaggedSentence(text, tokens)
 
 
 def test_apply_edits_allows_touching_and_repeated_insertion_points():

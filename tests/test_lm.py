@@ -15,6 +15,7 @@ from cgeckit.lm import (
     UNK,
     LMConfig,
     filter_percentile,
+    keep_indices,
     load_lm,
     perplexity,
     save_lm,
@@ -109,6 +110,9 @@ def test_filter_keep_counts():
         filter_percentile(corpus, model, 0)
     with pytest.raises(ConfigError):
         filter_percentile(corpus, model, 101)
+    # A bool is not a percent; it is refused before it is read as one.
+    with pytest.raises(ConfigError, match="keep_percent must be a finite number"):
+        filter_percentile(corpus, model, True)
 
 
 def test_filter_keeps_lowest_ppl_in_original_order():
@@ -131,14 +135,23 @@ def test_filter_ties_resolved_earlier_first():
 
 @given(
     st.lists(st.text(alphabet="ab他果", max_size=6), min_size=1, max_size=20),
-    st.integers(min_value=1, max_value=100),
+    st.integers(min_value=1, max_value=10000),
 )
-def test_filter_output_is_subsequence(corpus, keep):
+def test_filter_output_is_subsequence(corpus, hundredths):
+    # keep is a two-decimal percent, h / 100, so ceil(keep% * N) is
+    # ceil(h * N / 10000) in integers.
     model = train_lm(["ab他果ab"], LMConfig(n=2))
-    kept = filter_percentile(corpus, model, keep)
-    assert len(kept) == math.ceil(Fraction(keep) * len(corpus) / 100)
+    kept = filter_percentile(corpus, model, hundredths / 100)
+    assert len(kept) == -(-hundredths * len(corpus) // 10000)
     it = iter(corpus)
     assert all(any(s == c for c in it) for s in kept)
+
+
+def test_keep_indices_reads_a_decimal_keep_as_written():
+    # As binary floats 10.3 and 57.7 lie a little above the decimals, which
+    # must not round the count up past ceil(keep% * N).
+    assert len(keep_indices([1.0] * 1000, 10.3)) == 103
+    assert len(keep_indices([1.0] * 10000, 57.7)) == 5770
 
 
 def test_save_load_round_trip(tmp_path):

@@ -97,8 +97,8 @@ def test_parse_m2_sentence_without_annotations():
 
 def test_parse_m2_single_edit():
     got = list(parse_m2(io.StringIO("S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n")))
-    assert got[0].by_annotator[0] == (GoldEdit(1, 2, "x", 0),)
-    assert got[0].by_annotator[0][0].triple == (1, 2, "x")
+    assert got[0].by_annotator[0] == (GoldEdit(1, 2, "x"),)
+    assert got[0].by_annotator[0] == ((1, 2, "x"),)
 
 
 def test_parse_m2_noop_registers_empty_annotator():
@@ -126,14 +126,14 @@ def test_parse_m2_groups_annotators_and_sentences():
     )
     got = list(parse_m2(io.StringIO(text)))
     assert len(got) == 2
-    assert [e.triple for e in got[0].by_annotator[0]] == [(1, 2, "y")]
-    assert [e.triple for e in got[0].by_annotator[1]] == [(0, 1, "x")]
-    assert [e.triple for e in got[1].by_annotator[0]] == [(0, 0, "w")]
+    assert got[0].by_annotator[0] == ((1, 2, "y"),)
+    assert got[0].by_annotator[1] == ((0, 1, "x"),)
+    assert got[1].by_annotator[0] == ((0, 0, "w"),)
 
 
 def test_parse_m2_empty_correction_is_deletion():
     got = list(parse_m2(io.StringIO("S a b\nA 0 1|||D||||||REQUIRED|||-NONE-|||0\n")))
-    assert got[0].by_annotator[0][0].triple == (0, 1, "")
+    assert got[0].by_annotator[0] == ((0, 1, ""),)
 
 
 @pytest.mark.parametrize(
@@ -166,7 +166,7 @@ def test_write_m2_round_trips_pairs():
     parsed = list(parse_m2(io.StringIO(buffer.getvalue())))
     assert parsed[0].tokens == tuple("他是教师优秀的")
     want = [(e.start, e.end, " ".join(e.replacement)) for e in pairs[0].edits]
-    assert [g.triple for g in parsed[0].by_annotator[0]] == want
+    assert list(parsed[0].by_annotator[0]) == want
     assert parsed[1].by_annotator == {0: ()}
 
 
@@ -214,15 +214,23 @@ def test_extract_max_unchanged_zero_blocks_merging():
 
 
 @pytest.mark.parametrize(
-    "gold",
-    [[(1, 2, "x")], [GoldEdit(1, 2, "x", 0)], [[GoldEdit(1, 2, "x", 0)]]],
-    ids=["triples", "gold-edits", "set-of-gold-edits"],
+    "gold", [[(1, 2, "x")], [GoldEdit(1, 2, "x")]], ids=["triples", "gold-edits"]
 )
 def test_extract_refuses_gold_that_is_not_a_list_of_triple_sets(gold):
     # One set of triples or of GoldEdits, where a list of sets of triples
     # belongs, is refused rather than read as something else.
     with pytest.raises(TypeError):
         extract_system_edits("a b".split(), "a x".split(), gold)
+
+
+def test_extract_reads_gold_edits_as_the_triples_they_are():
+    # A GoldEdit is its (start, end, correction) triple, so a list of sets
+    # of them scores as the same sets of plain triples.
+    src, hyp = "a b c".split(), "a x c".split()
+    gold = [[GoldEdit(1, 2, "x"), GoldEdit(0, 0, "w")]]
+    plain = [[(1, 2, "x"), (0, 0, "w")]]
+    assert extract_system_edits(src, hyp, gold) == extract_system_edits(src, hyp, plain)
+    assert extract_system_edits(src, hyp, gold) == [((1, 2, "x"),)]
 
 
 def test_extract_matches_enumeration_oracle_on_random_cases():
@@ -451,7 +459,7 @@ def test_shared_walk_keeps_each_gold_sets_credited_insertions_apart(max_unchange
     (entry,) = parse_m2(io.StringIO(text))
     assert entry.by_annotator[3] == ()
     src, hyp = list(entry.tokens), "a y a a y".split()
-    gold_sets = [frozenset(e.triple for e in entry.by_annotator[a]) for a in range(5)]
+    gold_sets = [frozenset(entry.by_annotator[a]) for a in range(5)]
     params = ScoreParams(max_unchanged=max_unchanged)
     got = extract_system_edits(src, hyp, gold_sets, params)
     expected = [best_edit_set(src, hyp, gold, max_unchanged) for gold in gold_sets]

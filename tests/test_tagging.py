@@ -264,8 +264,8 @@ def test_compiled_tagger_ignores_an_empty_entry():
 
 @given(st.text(alphabet="他喜欢苹果学生五十名12５Qab的了，", max_size=40))
 def test_tagger_output_equals_its_checked_rebuild(raw):
-    # The tagger skips the Token and TaggedSentence checks; its output must
-    # be what the checked constructors build from the same fields.
+    # The tagger skips the TaggedSentence check; its output must be what
+    # the checked constructor builds from the same fields.
     sentence = segment_and_tag(raw)
     rebuilt = TaggedSentence(
         sentence.text,
