@@ -178,19 +178,19 @@ def _cmd_filter(args) -> int:
                 "a loaded model keeps its own n and alpha and is not saved again"
             )
         model = lm_mod.load_lm(args.model)
-        sentences = list(_read_lines(args.input))
     else:
         config = lm_mod.LMConfig(**_given(args, "n", "alpha"))
-        sentences = list(_read_lines(args.input))
+    sentences = list(_read_lines(args.input))
+    if not args.model:
         model = lm_mod.train_lm(_read_lines(args.train) if args.train else sentences, config)
-    # Filter before saving, so a run that fails (bad --keep or --workers)
-    # leaves no model behind either.
-    kept = lm_mod.filter_percentile(sentences, model, args.keep, args.workers)
-    if args.save_model:
-        lm_mod.save_lm(model, args.save_model)
-    with _write_on_success(args.output) as (out,):
-        for sentence in kept:
-            out.write(sentence + "\n")
+    # Filter first, then write the model and the kept lines (last, so they
+    # win on a shared path) together: a failed run leaves neither behind.
+    kept = lm_mod.filter_percentile(sentences, model, args.keep)
+    models = [args.save_model] if args.save_model else []
+    with _write_on_success(*models, args.output) as (*model_out, out):
+        for fh in model_out:
+            lm_mod.dump_lm(model, fh)
+        out.writelines(sentence + "\n" for sentence in kept)
     return EXIT_OK
 
 
@@ -310,7 +310,6 @@ def _filter_arguments(p: _Parser) -> None:
     p.add_argument("--save-model", help="save the trained model as JSON")
     p.add_argument("--n", type=int, help=f"n-gram order when training (default {lm_mod.LMConfig.n})")
     p.add_argument("--alpha", type=float, help=f"additive smoothing when training (default {lm_mod.LMConfig.alpha})")
-    p.add_argument("--workers", type=int, default=1, help="parallel perplexity workers")
 
 
 def _generate_arguments(p: _Parser) -> None:

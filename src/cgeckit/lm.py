@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add, itemgetter, truediv
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
-from cgeckit.core import ConfigError, ParseError, finite_number, open_input, ordered_map
+from cgeckit.core import ConfigError, ParseError, finite_number, open_input
 
 BOUNDARY = "<b>"
 UNK = "<unk>"
@@ -188,23 +188,18 @@ def keep_indices(perplexities: Sequence[float], keep_percent: float) -> list[int
     return sorted(ranked[:keep])
 
 
-def filter_percentile(
-    corpus: Iterable[str], model: NGramModel, keep_percent: float, workers: int = 1
-) -> list[str]:
-    """Keep the ceil(keep_percent% * N) lowest-perplexity sentences.
-
-    Output preserves the original corpus order; ties at the threshold are
-    resolved in favor of earlier input. An empty corpus yields an empty
-    list (not an error). `workers` > 1 scores the sentences in parallel
-    processes without changing the result.
-    """
+def filter_percentile(corpus: Iterable[str], model: NGramModel, keep_percent: float) -> list[str]:
+    """Keep the ceil(keep_percent% * N) lowest-perplexity sentences, in
+    corpus order; ties at the threshold go to earlier input. An empty
+    corpus yields an empty list (not an error)."""
     sentences = list(corpus)
-    model.log_probabilities  # built and checked once here, then shipped to the workers
-    ppls = list(ordered_map(perplexity, model, sentences, workers))
+    model.log_probabilities  # checked even when there is no sentence to score
+    ppls = [perplexity(model, sentence) for sentence in sentences]
     return [sentences[i] for i in keep_indices(ppls, keep_percent)]
 
 
-def save_lm(model: NGramModel, path: str) -> None:
+def dump_lm(model: NGramModel, fh: TextIO) -> None:
+    """Write the model's document and a newline to an open text file."""
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -213,10 +208,14 @@ def save_lm(model: NGramModel, path: str) -> None:
         "chars": sorted(model.chars),
         "ngrams": [[*gram, count] for gram, count in sorted(model.ngrams.items())],
     }
+    json.dump(doc, fh, ensure_ascii=False)
+    fh.write("\n")
+
+
+def save_lm(model: NGramModel, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, ensure_ascii=False)
-            fh.write("\n")
+            dump_lm(model, fh)
     except OSError as exc:
         raise ConfigError(f"cannot write model {path}: {exc}") from exc
 

@@ -505,32 +505,53 @@ def test_filter_model_save_and_reload_match(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_filter_workers_do_not_change_output(tmp_path):
-    sentences = [f"数字{i}号句子" for i in range(200)]  # several 64-line chunks
-    src = tmp_path / "in.txt"
-    src.write_text("\n".join(sentences) + "\n", encoding="utf-8")
-    out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert run(["filter", "--input", str(src), "--output", str(out_a), "--keep", "40"]) == 0
-    assert (
-        run(["filter", "--input", str(src), "--output", str(out_b), "--keep", "40", "--workers", "2"])
-        == 0
-    )
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
 @pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("command", ["filter", "generate", "augment"])
+@pytest.mark.parametrize("command", ["generate", "augment"])
 def test_workers_below_one_is_usage_error(tmp_path, corpus_file, capsys, command, workers):
     out = tmp_path / "out.txt"
     argv = [command, "--input", str(corpus_file), "--output", str(out), "--workers", workers]
-    if command == "filter":
-        argv += ["--keep", "50", "--save-model", str(tmp_path / "model.json")]
     if command == "generate":
         argv += ["--resources", RES_DIR]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err == f"cgeckit: usage error: workers must be an integer >= 1, got {workers}\n"
     assert sorted(os.listdir(tmp_path)) == ["corpus.txt"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_filter_has_no_workers_flag(tmp_path, corpus_file, capsys, workers):
+    # filter scores in one process: a pool of spawned workers never beat it.
+    argv = ["filter", "--input", str(corpus_file), "--output", str(tmp_path / "out.txt"),
+            "--keep", "50", "--save-model", str(tmp_path / "model.json"), "--workers", workers]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"cgeckit: usage error: unrecognized arguments: --workers {workers}\n"
+    assert sorted(os.listdir(tmp_path)) == ["corpus.txt"]
+
+
+@pytest.mark.parametrize("directory", ["output", "model"])
+def test_a_failed_filter_writes_neither_output_nor_model(tmp_path, corpus_file, capsys, directory):
+    # The model and the kept lines are written together, so a path that
+    # cannot be written fails the run as an io error and leaves neither.
+    paths = {"output": tmp_path / "out.txt", "model": tmp_path / "model.json"}
+    paths[directory].mkdir()
+    argv = ["filter", "--input", str(corpus_file), "--output", str(paths["output"]),
+            "--keep", "50", "--save-model", str(paths["model"])]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"cgeckit: io error: [Errno {errno.EISDIR}] Is a directory: '{paths[directory]}'\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(["corpus.txt", paths[directory].name])
+
+
+def test_filter_kept_lines_win_over_a_model_saved_to_the_same_path(tmp_path, corpus_file):
+    out = tmp_path / "out.txt"
+    argv = ["filter", "--input", str(corpus_file), "--output", str(out), "--keep", "50"]
+    assert run(argv) == 0
+    kept = out.read_bytes()
+    os.remove(out)
+    assert run([*argv, "--save-model", str(out)]) == 0
+    assert out.read_bytes() == kept
+    assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "out.txt"]
 
 
 def test_filter_bad_keep_is_usage_error(tmp_path, corpus_file):
@@ -914,7 +935,15 @@ def test_score_long_char_tokenized_sentence(tmp_path, capsys):
 
 
 def _heap_peak(fn, *args):
-    """Bytes the traced heap grows by at its peak while fn(*args) runs."""
+    """Bytes the traced heap grows by at its peak while fn(*args) runs.
+
+    Cyclic collection is paused during the call. Each CLI run leaves its
+    argparse parser as cyclic garbage (each HelpFormatter and its _Section
+    refer to each other), which a collection at a random point would free
+    in one measured run and not in another. Nothing is collected first: a
+    full collection also empties the interpreter's free lists, which a
+    caller may have filled on purpose."""
+    gc.disable()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -922,6 +951,7 @@ def _heap_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+        gc.enable()
 
 
 def _table_bytes(table):
@@ -1044,9 +1074,7 @@ def test_score_heap_does_not_grow_with_the_input(tmp_path, capsys):
     # which one copy does not fill. The warm-up imports fractions, and it
     # runs eight copies so that the walk's spent tuples fill the free lists
     # (up to 2,000 tuples of each short length, counted as traced heap)
-    # before either measured run. Cyclic collection is paused while they
-    # run: each run leaves its argparse parser as cyclic garbage, which a
-    # collection at a random point would free in one run and not another.
+    # before either measured run.
     gold_text, hyp_text = _fixture_score_input()
     for copies in (1, 8):
         (tmp_path / f"gold{copies}.m2").write_text(gold_text * copies, encoding="utf-8")
@@ -1058,11 +1086,7 @@ def test_score_heap_does_not_grow_with_the_input(tmp_path, capsys):
         assert run(argv) == 0
 
     score(8)
-    gc.disable()
-    try:
-        one, eight = _heap_peak(score, 1), _heap_peak(score, 8)
-    finally:
-        gc.enable()
+    one, eight = _heap_peak(score, 1), _heap_peak(score, 8)
     assert eight < 1.5 * one, (one, eight)
 
 
@@ -1563,24 +1587,20 @@ def test_unconvertible_json_numbers_end_in_one_error_line(
     assert not output.exists()
 
 
-def test_filter_trained_on_other_text_in_two_workers(tmp_path):
-    """Characters and n-grams the training text lacks are scored in pool
-    workers through the table's fallback, with the oracle's perplexities."""
+def test_filter_trained_on_other_text_matches_the_oracle(tmp_path):
+    """Characters and n-grams the training text lacks are scored through
+    the table's fallback, with the oracle's perplexities."""
     rng = random.Random(9)
     lines = ["".join(rng.choice("他她喜欢苹果香蕉我们不好") for _ in range(rng.randint(1, 12)))
-             for _ in range(150)]  # three 64-line chunks: two workers start
+             for _ in range(150)]
     training = ["他喜欢苹果", "我们喜欢香蕉"]
     train = tmp_path / "train.txt"
     train.write_text("".join(line + "\n" for line in training), encoding="utf-8")
-    argv = _filter_argv(tmp_path, lines, "--keep", "30", "--train", str(train))
-    assert run([*argv, "--workers", "2"]) == 0
-    two = (tmp_path / "out.txt").read_bytes()
-    assert run([*argv, "--workers", "1"]) == 0
-    assert (tmp_path / "out.txt").read_bytes() == two
+    assert run(_filter_argv(tmp_path, lines, "--keep", "30", "--train", str(train))) == 0
     chars, ngrams, contexts = train_lm_events(training, 3)
     ppls = [perplexity_events(3, 1.0, chars, ngrams, contexts, line) for line in lines]
     want = "".join(lines[i] + "\n" for i in keep_indices(ppls, 30))
-    assert two.decode("utf-8") == want
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == want
 
 
 def test_python_m_cgeckit_runs_the_cli():
