@@ -400,7 +400,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     except ConfigError as exc:
         return _fail(EXIT_USAGE, "usage", exc)
-    except (ValidationError, ParseError, UnicodeDecodeError) as exc:
+    except ValidationError as exc:
         return _fail(EXIT_DATA, "data", exc)
     except OSError as exc:
         return _fail(EXIT_IO, "io", exc)

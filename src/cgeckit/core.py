@@ -597,7 +597,7 @@ _PAIR_SPEC = _spec(id=str, incorrect=str, correct=str, rule_id=str, seed=int)
 _EDIT_SPEC = _spec(start=int, end=int, replacement=str)
 
 
-def _fields(obj: dict, spec: tuple, where: str) -> tuple:
+def _fields(obj: dict, spec: tuple) -> tuple:
     """obj's values for the fields of a spec, each of exactly its type."""
     names, get, types = spec
     values = get(obj)
@@ -605,9 +605,8 @@ def _fields(obj: dict, spec: tuple, where: str) -> tuple:
         for name, value, kind in zip(names, values, types):
             if type(value) is not kind:
                 expected = "a string" if kind is str else "an integer"
-                raise ParseError(
-                    f"bad pair record{where}: {name!r} must be {expected}, "
-                    f"got {json.dumps(value, ensure_ascii=False)}"
+                raise ValidationError(
+                    f"{name!r} must be {expected}, got {json.dumps(value, ensure_ascii=False)}"
                 )
     return values
 
@@ -638,17 +637,17 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
     except ValueError as exc:  # bad JSON, or an int of more digits than int() takes
         raise ParseError(f"bad JSON{where}: {exc}") from exc
     try:
-        pair_id, incorrect, correct, rule_id, seed = _fields(obj, _PAIR_SPEC, where)
+        pair_id, incorrect, correct, rule_id, seed = _fields(obj, _PAIR_SPEC)
         pair = CorpusPair(
             id=pair_id,
             incorrect=incorrect,
             correct=correct,
-            edits=tuple(EditSpan(*_fields(e, _EDIT_SPEC, where)) for e in obj["edits"]),
+            edits=tuple(EditSpan(*_fields(e, _EDIT_SPEC)) for e in obj["edits"]),
             error_types=tuple(map(_error_type_from_json, obj["error_types"])),
             rule_id=rule_id,
             seed=seed,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ParseError(f"bad pair record{where}: {exc}") from exc
     try:
         correct = apply_edits(pair.incorrect, pair.edits)

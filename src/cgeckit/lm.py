@@ -213,26 +213,21 @@ def dump_lm(model: NGramModel, fh: TextIO) -> None:
 
 
 def save_lm(model: NGramModel, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            dump_lm(model, fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot write model {path}: {exc}") from exc
+    """Write the model to path; a path that cannot be written raises OSError."""
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_lm(model, fh)
 
 
 def load_lm(path: str) -> NGramModel:
     """Load a persisted model, recomputing context totals.
 
     Raises:
-        ConfigError: unreadable file.
+        OSError: the file cannot be opened or read.
         ParseError: malformed document, unsupported version, or counts
             whose context total no float can hold.
     """
-    try:
-        with open_input(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read model {path}: {exc}") from exc
+    with open_input(path) as fh:
+        raw = fh.read()
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # bad JSON, or an int of more digits than int() takes

@@ -23,7 +23,7 @@ blank lines ignored. Column layouts:
 - function_words.tsv: category<TAB>word (one word per line; categories are
     open, see the shipped bundle for the ones the rules consume).
 
-Missing files raise ConfigError naming the file; malformed lines raise
+A file that cannot be opened raises OSError naming it; malformed lines raise
 ParseError with the file name and line number. Duplicate keys merge their
 candidate lists in file order, keeping each word's first occurrence.
 """
@@ -305,19 +305,14 @@ def load_resources(directory: str | None = None) -> RuleResources:
     """Load and validate the six resource tables from a directory.
 
     Raises:
-        ConfigError: missing/unreadable file, naming it.
+        OSError: a table file cannot be opened or read; it names the file.
         ParseError: malformed line, naming file and line number.
+        ConfigError: a table is empty after loading.
     """
     directory = directory or default_resources_dir()
     res = RuleResources()
     for name in FILE_NAMES:
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            raise ConfigError(f"missing resource file: {path}")
-        try:
-            _PARSERS[name](path, res)
-        except OSError as exc:
-            raise ConfigError(f"cannot read resource file {path}: {exc}") from exc
+        _PARSERS[name](os.path.join(directory, name), res)
     _dedupe(res)
     for label, table in (
         ("mixed_patterns", res.mixed_patterns),

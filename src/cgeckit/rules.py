@@ -58,11 +58,8 @@ def _span(sentence: TaggedSentence, i: int, j: int) -> tuple[int, int]:
 
 
 def _swap(text: str, r1: tuple[int, int], r2: tuple[int, int]) -> Candidate:
-    """The one edit that swaps two character ranges; overlapping ranges give
-    a no-op, which stays a candidate so that the list's indices are kept."""
+    """The one edit that swaps two disjoint character ranges."""
     (a1, b1), (a2, b2) = sorted([r1, r2])
-    if b1 > a2:
-        return (a1, a1, "")
     return (a1, b2, text[a2:b2] + text[b1:a2] + text[a1:b1])
 
 

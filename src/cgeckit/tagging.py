@@ -49,16 +49,18 @@ def _shipped(name: str) -> str:
 
 
 def load_tag_mapping(path: str | None = None) -> dict[str, str]:
-    """Load a TSV mapping external tag names to the canonical tag set."""
+    """Load a TSV mapping external tag names to the canonical tag set.
+
+    Raises:
+        OSError: the file cannot be opened or read.
+        ConfigError: a line is not `tag<TAB>canonical`.
+    """
     path = path or _shipped("tag_mapping.tsv")
     mapping: dict[str, str] = {}
-    try:
-        for lineno, parts in _rows(path):
-            if len(parts) != 2 or not parts[0]:
-                raise ConfigError(f"{path}:{lineno}: expected `tag<TAB>canonical`")
-            mapping.setdefault(parts[0], parts[1])
-    except OSError as exc:
-        raise ConfigError(f"cannot read tag mapping {path}: {exc}") from exc
+    for lineno, parts in _rows(path):
+        if len(parts) != 2 or not parts[0]:
+            raise ConfigError(f"{path}:{lineno}: expected `tag<TAB>canonical`")
+        mapping.setdefault(parts[0], parts[1])
     return mapping
 
 
@@ -76,18 +78,20 @@ def map_tag(raw: str, mapping: Mapping[str, str] | None = None) -> POSTag:
 def load_lexicon(
     path: str | None = None, mapping: Mapping[str, str] | None = None
 ) -> dict[str, POSTag]:
-    """Load a `surface<TAB>tag` lexicon; the first entry wins on duplicates."""
+    """Load a `surface<TAB>tag` lexicon; the first entry wins on duplicates.
+
+    Raises:
+        OSError: the file cannot be opened or read.
+        ConfigError: a line is not `surface<TAB>tag`.
+    """
     path = path or _shipped("lexicon.tsv")
     lexicon: dict[str, POSTag] = {}
-    try:
-        for lineno, parts in _rows(path):
-            if len(parts) != 2 or not parts[0]:
-                raise ConfigError(f"{path}:{lineno}: expected `surface<TAB>tag`")
-            surface, tag = parts
-            if surface not in lexicon:
-                lexicon[surface] = map_tag(tag, mapping)
-    except OSError as exc:
-        raise ConfigError(f"cannot read lexicon {path}: {exc}") from exc
+    for lineno, parts in _rows(path):
+        if len(parts) != 2 or not parts[0]:
+            raise ConfigError(f"{path}:{lineno}: expected `surface<TAB>tag`")
+        surface, tag = parts
+        if surface not in lexicon:
+            lexicon[surface] = map_tag(tag, mapping)
     return lexicon
 
 

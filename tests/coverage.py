@@ -46,13 +46,10 @@ ALLOWED = {
     ("rules", "_delete_candidate", "return []"),
     ("rules", "_find_after", "return None"),
     ("rules", "_mixed_candidates", "return out"),
-    ("rules", "_swap", 'return (a1, a1, "")'),
     ("rules", "apply_fine_rule", 'raise KeyError(f"unknown rule id: {fine_id}")'),
     ("tagging", "_clause_of", "return 0, len(tokens)"),
     ("tagging", "identify_roles", "continue"),
-    ("tagging", "load_lexicon", 'raise ConfigError(f"cannot read lexicon {path}: {exc}") from exc'),
     ("tagging", "load_lexicon", 'raise ConfigError(f"{path}:{lineno}: expected `surface<TAB>tag`")'),
-    ("tagging", "load_tag_mapping", 'raise ConfigError(f"cannot read tag mapping {path}: {exc}") from exc'),
     ("tagging", "load_tag_mapping", 'raise ConfigError(f"{path}:{lineno}: expected `tag<TAB>canonical`")'),
     ("tagging", "map_tag", "return POSTag.OTHER"),
     ("tagging", "parse_pretagged", 'raise ParseError(f"item {index} ({item!r}): empty surface")'),

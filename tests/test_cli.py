@@ -711,18 +711,39 @@ def test_augment_heap_does_not_grow_with_the_input(tmp_path):
     assert eight < 1.5 * one, (one, eight)
 
 
-@pytest.mark.parametrize("command", ["generate", "augment"])
-@pytest.mark.parametrize("source", ["missing.txt", "adir"])
-def test_unreadable_input_is_io_error_and_writes_nothing(tmp_path, capsys, command, source):
+# A file that cannot be opened is an io error whichever flag names it: an
+# input, a saved model, or a table of a resource directory (here an empty one).
+@pytest.mark.parametrize(
+    "command, flag, source, named",
+    [
+        pytest.param(command, "--input", source, source, id=f"{source}-{command}")
+        for source in ["missing.txt", "adir"]
+        for command in ["augment", "generate"]
+    ]
+    + [
+        pytest.param("filter", "--model", "missing.json", "missing.json", id="model-filter"),
+        pytest.param(
+            "generate", "--resources", "adir", os.path.join("adir", "mixed_patterns.tsv"),
+            id="resources-generate",
+        ),
+    ],
+)
+def test_unreadable_input_is_io_error_and_writes_nothing(
+    tmp_path, capsys, command, flag, source, named
+):
     (tmp_path / "adir").mkdir()
-    argv = [command, "--input", str(tmp_path / source), "--output", str(tmp_path / "o.jsonl")]
+    (tmp_path / "in.txt").write_text("他喜欢苹果。\n", encoding="utf-8")
+    options = {"--input": str(tmp_path / "in.txt"), "--output": str(tmp_path / "o.jsonl")}
     if command == "generate":
-        argv += ["--resources", RES_DIR]
+        options["--resources"] = RES_DIR
+    if command == "filter":
+        options["--keep"] = "50"
+    options[flag] = str(tmp_path / source)
     before = sorted(p.name for p in tmp_path.iterdir())
-    assert run(argv) == 1
+    assert run([command, *(item for option in options.items() for item in option)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cgeckit: io error:") and err.count("\n") == 1, err
-    assert repr(str(tmp_path / source)) in err
+    assert repr(str(tmp_path / named)) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
@@ -864,6 +885,30 @@ def test_stats_pair_record_edit_faults_are_data_errors(tmp_path, capsys, edits, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cgeckit: data error: pair record at line 2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ({"coarse": "MissingComponent", "fine": "Bogus"}, "unknown fine error type: 'Bogus'"),
+        (
+            {"coarse": "MissingComponent", "fine": "MultiWords"},
+            "fine type 'MultiWords' belongs to RedundantComponent, not MissingComponent",
+        ),
+    ],
+    ids=["unknown-fine", "wrong-coarse"],
+)
+def test_stats_pair_record_error_type_faults_name_their_line(tmp_path, capsys, label, message):
+    record = {"id": "p0", "incorrect": "abc", "correct": "abc", "edits": [],
+              "rule_id": "MultiWords", "seed": 0}
+    good = dict(record, error_types=[{"coarse": "RedundantComponent", "fine": "MultiWords"}])
+    bad = dict(record, error_types=[label])
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    assert run(["stats", "--input", str(pairs)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cgeckit: data error: bad pair record at line 2: {message}\n"
 
 
 # --- score ---------------------------------------------------------------------

@@ -77,17 +77,18 @@ def test_labels_are_shared_and_misses_keep_their_errors():
         ErrorType.from_fine("NoSuchRule")
     with pytest.raises(TypeError, match="unhashable"):
         ErrorType.from_fine(["MultiWords"])
-    for entry, error, message in [
-        ({"coarse": "MissingComponent", "fine": "MultiMeanings"}, ValidationError, "belongs to"),
-        ({"coarse": "RedundantComponent", "fine": "NoSuchRule"}, ValidationError, "unknown fine"),
-        ({"coarse": "Redundant", "fine": "MultiMeanings"}, ParseError, "not a valid CoarseType"),
-        ({"coarse": "RedundantComponent", "fine": ["MultiMeanings"]}, ParseError, "unhashable"),
-        ({"fine": "MultiMeanings"}, ParseError, "'coarse'"),
-        ("MultiMeanings", ParseError, "string indices"),
+    # In a record, each fails as a ParseError naming the record's line.
+    for entry, message in [
+        ({"coarse": "MissingComponent", "fine": "MultiMeanings"}, "belongs to"),
+        ({"coarse": "RedundantComponent", "fine": "NoSuchRule"}, "unknown fine"),
+        ({"coarse": "Redundant", "fine": "MultiMeanings"}, "not a valid CoarseType"),
+        ({"coarse": "RedundantComponent", "fine": ["MultiMeanings"]}, "unhashable"),
+        ({"fine": "MultiMeanings"}, "'coarse'"),
+        ("MultiMeanings", "string indices"),
     ]:
         obj["error_types"] = [entry]
-        with pytest.raises(error, match=message):
-            pair_from_json(json.dumps(obj, ensure_ascii=False))
+        with pytest.raises(ParseError, match=f"^bad pair record at line 7: .*{message}"):
+            pair_from_json(json.dumps(obj, ensure_ascii=False), 7)
 
 
 def test_apply_edits_empty_is_identity():

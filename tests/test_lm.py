@@ -177,8 +177,10 @@ def test_load_rejects_bad_documents(tmp_path):
     )
     with pytest.raises(ParseError):
         load_lm(str(bad))
-    with pytest.raises(ConfigError):
-        load_lm(str(tmp_path / "missing.json"))
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(FileNotFoundError) as info:
+        load_lm(missing)
+    assert info.value.filename == missing and repr(missing) in str(info.value)
 
 
 def test_unigram_model_works():

@@ -66,11 +66,16 @@ def test_tokens_always_tile_the_input(raw):
     assert "".join(t.surface for t in sent.tokens) == raw
 
 
-def test_missing_lexicon_is_config_error():
-    from cgeckit.tagging import load_lexicon
+def test_missing_lexicon_is_config_error(tmp_path):
+    # Despite the test's name, a missing lexicon or tag mapping is an
+    # OSError naming its path.
+    from cgeckit.tagging import load_lexicon, load_tag_mapping
 
-    with pytest.raises(ConfigError):
-        load_lexicon("/nonexistent/lexicon.tsv")
+    path = str(tmp_path / "missing.tsv")
+    for loader in (load_lexicon, load_tag_mapping):
+        with pytest.raises(FileNotFoundError) as info:
+            loader(path)
+        assert info.value.filename == path and repr(path) in str(info.value)
 
 
 def test_lexicon_and_tag_mapping_drop_a_byte_order_mark(tmp_path):
