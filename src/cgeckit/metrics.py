@@ -632,13 +632,12 @@ def fleiss_kappa(counts: Iterable[Sequence[int]], n: int | None = None) -> float
     as any iterable of rows and read in one pass.
 
     Every row must sum to the same number of raters n >= 2 (by default the
-    first row's sum). Exact 1.0 when observed agreement is perfect;
-    undefined (error) when chance agreement is 1 while observed agreement
-    is not. Of several faults, the first bad row's first is reported.
+    first row's sum). Exact 1.0 when observed agreement is perfect. Of
+    several faults, the first bad row's first is reported.
 
     Raises:
         ConfigError: a given `n` is below 2; checked before any row is read.
-        ValidationError: the matrix is malformed or kappa is undefined.
+        ValidationError: the matrix is malformed.
     """
     if n is not None and n < 2:
         raise ConfigError(f"kappa needs at least 2 raters per item, got {n}")
@@ -654,7 +653,7 @@ def fleiss_kappa(counts: Iterable[Sequence[int]], n: int | None = None) -> float
             )
         if any(c < 0 for c in row):
             raise ValidationError(f"item {index}: negative rating count")
-        if n < 2:
+        if index == 0 and n < 2:
             raise ValidationError(f"kappa needs at least 2 raters per item, got {n}")
         if sum(row) != n:
             raise ValidationError(f"item {index}: row sums to {sum(row)}, expected {n}")
@@ -669,7 +668,7 @@ def fleiss_kappa(counts: Iterable[Sequence[int]], n: int | None = None) -> float
     p_bar = Fraction(agreement, items * n * (n - 1))
     if p_bar == 1:
         return 1.0
+    # p_e is 1 only when one category holds every rating; then every row
+    # agrees fully and p_bar is 1, so here 1 - p_e > 0.
     p_e = sum(Fraction(t, items * n) ** 2 for t in totals)
-    if p_e == 1:
-        raise ValidationError("chance agreement is 1 with imperfect observed agreement")
     return float((p_bar - p_e) / (1 - p_e))

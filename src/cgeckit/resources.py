@@ -37,16 +37,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from cgeckit.core import ConfigError, ParseError, open_input
 
-FILE_NAMES = (
-    "mixed_patterns.tsv",
-    "logic_patterns.tsv",
-    "collocations.tsv",
-    "synonyms.tsv",
-    "connectives.tsv",
-    "function_words.tsv",
-)
-
-
 # Table rows are named tuples: read-only records that, unlike frozen
 # dataclasses, cost next to nothing to define at import and to build per row.
 class MixedPattern(NamedTuple):
@@ -69,27 +59,15 @@ class ConnectivePair(NamedTuple):
     wrong: tuple[str, ...]
 
 
-# A lookup map takes a key to the table position of its one row, or to the
-# positions of its rows in table order. A bare int for a single-row key
-# keeps the map a fraction of the size of one list per key.
-_Positions = dict[str, int | list[int]]
-
-
-def _add_position(index: _Positions, key: str, pos: int) -> None:
-    hit = index.get(key)
-    if hit is None:
-        index[key] = pos
-    elif type(hit) is int:
-        index[key] = [hit, pos]
-    else:
-        hit.append(pos)
+# A lookup map takes a key to the table positions of its rows, in table order.
+_Positions = dict[str, list[int]]
 
 
 def _key_map(keys: Iterable[str]) -> _Positions:
-    """Map each key to its position(s) in `keys`."""
+    """Map each key to its positions in `keys`."""
     index: _Positions = {}
     for pos, key in enumerate(keys):
-        _add_position(index, key, pos)
+        index.setdefault(key, []).append(pos)
     return index
 
 
@@ -97,7 +75,7 @@ def _key_maps_by_kind(rows: list, key: Callable) -> dict[str, _Positions]:
     """One lookup map per row kind, keyed by `key(row)`."""
     maps: dict[str, _Positions] = {}
     for pos, row in enumerate(rows):
-        _add_position(maps.setdefault(row.kind, {}), key(row), pos)
+        maps.setdefault(row.kind, {}).setdefault(key(row), []).append(pos)
     return maps
 
 
@@ -107,11 +85,7 @@ def _matching_rows(table: list, index: _Positions, keys: Iterable[str]) -> list:
     scan (the rules' random pick indexes into that order)."""
     positions: list[int] = []
     for key in keys:
-        hit = index.get(key)
-        if type(hit) is int:
-            positions.append(hit)
-        elif hit is not None:
-            positions.extend(hit)
+        positions.extend(index.get(key, ()))
     positions.sort()
     return [table[pos] for pos in positions]
 
@@ -299,6 +273,7 @@ _PARSERS: dict[str, Callable[[str, RuleResources], None]] = {
     "connectives.tsv": _parse_connectives,
     "function_words.tsv": _parse_function_words,
 }
+FILE_NAMES = tuple(_PARSERS)
 
 
 def load_resources(directory: str | None = None) -> RuleResources:
@@ -311,8 +286,8 @@ def load_resources(directory: str | None = None) -> RuleResources:
     """
     directory = directory or default_resources_dir()
     res = RuleResources()
-    for name in FILE_NAMES:
-        _PARSERS[name](os.path.join(directory, name), res)
+    for name, parse in _PARSERS.items():
+        parse(os.path.join(directory, name), res)
     _dedupe(res)
     for label, table in (
         ("mixed_patterns", res.mixed_patterns),

@@ -1409,6 +1409,20 @@ def test_bad_config_numbers_are_usage_errors(tmp_path, corpus_file, capsys, comm
     assert not output.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "augment"])
+def test_config_file_that_is_not_a_json_object_is_usage_error(tmp_path, corpus_file, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text('[{"per_sentence": 2}]', encoding="utf-8")
+    output = tmp_path / "pairs.jsonl"
+    argv = [command, "--input", str(corpus_file), "--output", str(output), "--config", str(path)]
+    if command == "generate":
+        argv += ["--resources", RES_DIR]
+    assert _assert_one_usage_error(capsys, argv) == (
+        f"cgeckit: usage error: config {path}: expected a JSON object\n"
+    )
+    assert not output.exists()
+
+
 def test_augment_config_is_checked_before_the_input_is_read(tmp_path, capsys):
     path = tmp_path / "aug.json"
     path.write_text('{"p_insert": NaN}', encoding="utf-8")

@@ -125,18 +125,20 @@ def test_apply_edits_rejects_bad_spans():
 
 
 @pytest.mark.parametrize(
-    "text,tokens",
+    "text,tokens,message",
     [
-        ("ab", (Token("", POSTag.NOUN, 0, 0), Token("ab", POSTag.NOUN, 0, 2))),
-        ("ab", (Token("ab", POSTag.NOUN, 0, 1), Token("b", POSTag.NOUN, 1, 2))),
-        ("abc", (Token("a", POSTag.NOUN, 0, 1), Token("c", POSTag.NOUN, 2, 3))),
-        ("ab", (Token("ab", POSTag.NOUN, 0, 2), Token("b", POSTag.NOUN, 1, 2))),
+        ("ab", (Token("", POSTag.NOUN, 0, 0), Token("ab", POSTag.NOUN, 0, 2)), "does not tile"),
+        ("ab", (Token("ab", POSTag.NOUN, 0, 1), Token("b", POSTag.NOUN, 1, 2)), "does not tile"),
+        ("abc", (Token("a", POSTag.NOUN, 0, 1), Token("c", POSTag.NOUN, 2, 3)), "does not tile"),
+        ("ab", (Token("ab", POSTag.NOUN, 0, 2), Token("b", POSTag.NOUN, 1, 2)), "does not tile"),
+        ("ab", (), "^tokens do not cover the sentence text$"),
+        ("ab", (Token("a", POSTag.NOUN, 0, 1),), "^tokens do not cover the sentence text$"),
     ],
-    ids=["empty", "surface-off-span", "gap", "overlap"],
+    ids=["empty", "surface-off-span", "gap", "overlap", "none", "short"],
 )
-def test_tagged_sentence_is_the_check_of_a_token(text, tokens):
+def test_tagged_sentence_is_the_check_of_a_token(text, tokens, message):
     # Token itself does not check; the sentence that holds it refuses it.
-    with pytest.raises(ValidationError, match="does not tile"):
+    with pytest.raises(ValidationError, match=message):
         TaggedSentence(text, tokens)
 
 

@@ -176,6 +176,14 @@ def test_write_m2_rejects_space_tokens():
         write_m2([pair], io.StringIO())
 
 
+@pytest.mark.parametrize("correction", [" ", "|||"])
+def test_write_m2_rejects_a_correction_it_cannot_represent(correction):
+    pair = make_pair("p1", "ab", f"a{correction}b")
+    with pytest.raises(ValidationError) as info:
+        write_m2([make_pair("p0", "ab", "b"), pair], io.StringIO())
+    assert str(info.value) == f"pair p1: correction {correction!r} not representable in M2"
+
+
 # --- MaxMatch extraction ---------------------------------------------------
 
 
@@ -780,6 +788,7 @@ def test_kappa_perfect_agreement_is_exactly_one():
 def test_kappa_single_category_convention():
     # Observed and chance agreement are both 1; convention says 1.0.
     assert fleiss_kappa([[2, 0], [2, 0]]) == 1.0
+    assert fleiss_kappa([[0, 3, 0], [0, 3, 0], [0, 3, 0]], n=3) == 1.0
 
 
 def test_kappa_hand_computed_example():

@@ -46,22 +46,35 @@ def test_missing_file_is_config_error_naming_it(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "table, text, line",
+    "table, text, line, why",
     [
-        ("mixed_patterns", "pattern\t削皮\t较为安全\nblend\t削皮\t较为安全\n", 2),
-        ("logic_patterns", "# comment\n\nsubsume\t水果\n", 3),
-        ("logic_patterns", "subsume\t水果\t水果\n", 1),
-        ("collocations", "predicate_object\t提高\t水平\t\tleft\n", 1),
-        ("collocations", "predicate_object\t提高\t水平\t提高\tleft\n", 1),
-        ("synonyms", "提高\t增加\n提高\t增加\tcovers\n", 2),
-        ("synonyms", "提高\t提高,增加\n", 1),
-        ("connectives", "不但\t而且\n", 1),
-        ("function_words", "subject\t我们\tmore\n", 1),
+        ("mixed_patterns", "pattern\t削皮\t较为安全\nblend\t削皮\t较为安全\n", 2,
+         "expected `pattern|sentence<TAB>match<TAB>splice`"),
+        ("logic_patterns", "# comment\n\nsubsume\t水果\n", 3,
+         "unknown or malformed logic pattern row ['subsume', '水果']"),
+        ("logic_patterns", "subsume\t水果\t水果\n", 1, "subsumed concept equals the superset"),
+        ("collocations", "predicate_object\t提高\t水平\t\tleft\n", 1,
+         "empty collocation member or wrong-candidate list"),
+        ("collocations", "predicate_object\t提高\t水平\t提高\tleft\n", 1,
+         "wrong candidates contain the correct word '提高'"),
+        ("collocations", "predicate_object\t提高\t水平\t增加\n", 1,
+         "expected `kind<TAB>left<TAB>right<TAB>wrong,...<TAB>left|right`"),
+        ("synonyms", "提高\t增加\n提高\t增加\tcovers\n", 2, "unknown synonym kind 'covers'"),
+        ("synonyms", "提高\t提高,增加\n", 1, "synonym list for '提高' contains the word itself"),
+        ("synonyms", "提高\t增加\tsynonym\tmore\n", 1,
+         "expected `word<TAB>syn,...[<TAB>synonym|subsume]`"),
+        ("synonyms", "提高\t,\n", 1, "empty synonym list"),
+        ("connectives", "不但\t而且\n", 1, "expected `first<TAB>second<TAB>wrong,...`"),
+        ("connectives", "不但\t而且\t,\n", 1, "empty wrong-candidate list"),
+        ("connectives", "不但\t而且\t所以,而且\n", 1,
+         "wrong candidates contain the correct word '而且'"),
+        ("function_words", "subject\t我们\tmore\n", 1, "expected `category<TAB>word`"),
     ],
 )
-def test_malformed_row_is_parse_error_with_file_and_line(tmp_path, table, text, line):
-    with pytest.raises(ParseError, match=f"^{table}.tsv:{line}: "):
+def test_malformed_row_is_parse_error_with_file_and_line(tmp_path, table, text, line, why):
+    with pytest.raises(ParseError) as info:
         load_resources(write_bundle(tmp_path, **{table: text}))
+    assert str(info.value) == f"{table}.tsv:{line}: {why}"
 
 
 @pytest.mark.parametrize("table", [name[: -len(".tsv")] for name in FILE_NAMES])

@@ -78,6 +78,18 @@ def test_missing_lexicon_is_config_error(tmp_path):
         assert info.value.filename == path and repr(path) in str(info.value)
 
 
+@pytest.mark.parametrize("line", ["苹果 n", "苹果\tn\tmore", "\tn"])
+def test_lexicon_and_tag_mapping_lines_are_two_tab_separated_fields(tmp_path, line):
+    from cgeckit.tagging import load_lexicon
+
+    path = tmp_path / "table.tsv"
+    path.write_text(f"# comment\n苹果\tn\n{line}\n", encoding="utf-8")
+    for loader, layout in ((load_lexicon, "surface<TAB>tag"), (load_tag_mapping, "tag<TAB>canonical")):
+        with pytest.raises(ConfigError) as info:
+            loader(str(path))
+        assert str(info.value) == f"{path}:3: expected `{layout}`"
+
+
 def test_lexicon_and_tag_mapping_drop_a_byte_order_mark(tmp_path):
     from cgeckit.tagging import load_lexicon
 
