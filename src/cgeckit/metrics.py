@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, islice, zip_longest
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -187,80 +188,77 @@ def write_m2(pairs: Iterable[CorpusPair], fh: TextIO) -> int:
 _EMPTY: frozenset[str] = frozenset()
 
 
-def _alignment_tables(src: Sequence[str], hyp: Sequence[str]) -> list[dict]:
-    """The minimal-path lattice of a source/hypothesis pair, built once per
-    sentence and shared by all of its annotators.
+def _run_end(columns, src: Sequence[str], hyp: Sequence[str], i: int, j: int, stop: int) -> int:
+    """The row of the first cell after (i, j) down its diagonal with an arc
+    other than the match, or none, if it comes before row `stop`; else
+    `stop`. `columns` are the delta columns that `_minimal_arcs` reads."""
+    n, m, d = len(src), len(hyp), j - i
+    k = i + 1
+    while k < stop:
+        _, insert, delete = columns[m - k - d - 1]
+        if src[k] != hyp[k + d] or (insert | delete) >> (n - k - 1) & 1:
+            break
+        k += 1
+    return k
 
-    lattice[i] maps each j whose cell (i, j) lies on a minimal alignment
-    path to (match, arcs, jump):
-    - match: the match arc to (i + 1, j + 1) lies on a minimal path;
-    - arcs: the head cells of the changed arcs on a minimal path, in the
-      order replace, insert, delete;
+
+def _minimal_arcs(src: Sequence[str], hyp: Sequence[str]):
+    """The arc reader of the MaxMatch walk: cell(i, j) is (match, arcs,
+    jump) for a cell (i, j) on a minimal alignment of src to hyp.
+    - match: src[i] == hyp[j]; a match always stays on a minimal path;
+    - arcs: the heads of the changed arcs that stay on one, in the order
+      replace, insert, delete;
     - jump: for a cell whose only arc is the match, the state
-      (k, l, None, frozenset()) of the first cell down its diagonal that
-      has any other arc or none; else None, and the walk steps the match.
+      (k, l, None, frozenset()) of the first cell down its diagonal with
+      another arc or none; else None.
 
-    No distance table is kept: the delta columns of core._delta_columns
-    say which predecessors of a cell hold its value less the arc's cost.
-    Walking back from (n, m) through exactly those predecessors marks the
-    cells on minimal paths and the arcs between them. A cell's arcs are
-    all known once the row below it and the cell to its right are done,
-    so this walk finishes each cell as it reaches it. Memory is the
-    columns' 3 x n x m bits plus the lattice.
+    An arc stays on a minimal path iff R at its tail is the arc's cost plus
+    R at its head, where R[i][j], the distance from (i, j) to (n, m), is
+    cell (n - i, m - j) of the table of the reversed sequences. So bit
+    n - i - 1 of entry m - j - 1 of their delta columns (core._delta_columns)
+    tells each arc: a 0 diagonal bit between unequal tokens is a replace,
+    and the insert and delete bits are those arcs. Row n has only
+    insertions and column m only deletions. Memory is the columns'
+    3 x n x m bits and the runs scanned.
     """
-    m = len(hyp)
-    columns = _delta_columns(src, hyp)
-    rows: list[dict] = []
-    below: dict = {}
-    # Arc bits of the marked cells of row i: 1 match, 2 replace, 4 insert,
-    # 8 delete. Finishing row i marks cells of row i - 1 in `above`.
-    marked = {m: 0}
-    for i in range(len(src), -1, -1):
-        bit = 1 << (i - 1) if i else 0
-        x = src[i - 1] if i else None
-        above: dict = {}
-        cells: dict = {}
-        # Right to left, as a cell marks its insertion predecessor, the
-        # next cell left. Left of the cells the row below marked, a cell
-        # can only be marked by its right neighbour, so the first gap there
-        # ends the row.
-        lowest = min(marked)
-        for j in range(max(marked), -1, -1):
-            bits = marked.get(j)
-            if bits is None:
-                if j < lowest:
-                    break
-                continue
-            if bits == 1:
-                cells[j] = (True, (), below[j + 1][2] or (i + 1, j + 1, None, _EMPTY))
+    n, m = len(src), len(hyp)
+    columns = _delta_columns(src[::-1], hyp[::-1])
+    # Per diagonal j - i, the first and end rows of the runs scanned so far,
+    # in order down it, so that each cell is scanned once whichever cell the
+    # walk enters by. An empty run at the last row or column closes each.
+    runs: dict = {}
+
+    def cell(i: int, j: int) -> tuple:
+        if i == n:
+            return False, ((i, j + 1),) if j < m else (), None
+        if j == m:
+            return False, ((i + 1, j),), None
+        diagonal, insert, delete = columns[m - j - 1]
+        bit = 1 << (n - i - 1)
+        same = src[i] == hyp[j]
+        arcs = [] if same or diagonal & bit else [(i + 1, j + 1)]
+        if insert & bit:
+            arcs.append((i, j + 1))
+        if delete & bit:
+            arcs.append((i + 1, j))
+        if not same or arcs:
+            return same, tuple(arcs), None
+        d = j - i
+        if d not in runs:
+            runs[d] = ([min(n, m - d)], [min(n, m - d)])
+        firsts, ends = runs[d]
+        at = bisect_right(ends, i)
+        if firsts[at] > i:
+            # The scan stops at the next run down the diagonal and joins it.
+            k = _run_end(columns, src, hyp, i, j, firsts[at])
+            if k == firsts[at]:
+                firsts[at] = i
             else:
-                arcs = []
-                if bits & 2:
-                    arcs.append((i + 1, j + 1))
-                if bits & 4:
-                    arcs.append((i, j + 1))
-                if bits & 8:
-                    arcs.append((i + 1, j))
-                cells[j] = (bool(bits & 1), tuple(arcs), None)
-            if not i:  # row 0 is all insertions
-                if j:
-                    marked[j - 1] = marked.get(j - 1, 0) | 4
-            elif not j:  # column 0 is all deletions
-                above[0] = above.get(0, 0) | 8
-            else:
-                diagonal, insert, delete = columns[j - 1]
-                if insert & bit:
-                    marked[j - 1] = marked.get(j - 1, 0) | 4
-                if x == hyp[j - 1]:
-                    above[j - 1] = above.get(j - 1, 0) | 1
-                elif not diagonal & bit:
-                    above[j - 1] = above.get(j - 1, 0) | 2
-                if delete & bit:
-                    above[j] = above.get(j, 0) | 8
-        rows.append(cells)
-        below, marked = cells, above
-    rows.reverse()
-    return rows
+                firsts.insert(at, i)
+                ends.insert(at, k)
+        return True, (), (ends[at], ends[at] + d, None, _EMPTY)
+
+    return cell
 
 
 def extract_system_edits(
@@ -286,16 +284,14 @@ def extract_system_edits(
     own gold set, so each equals what a walk against that set alone finds,
     tie-breaking included.
 
-    No distance table is built: the pair's minimal-path lattice
-    (`_alignment_tables`) comes from 3 bits per source x
-    hypothesis token pair (core._delta_columns), and it holds, like the
-    walk's states, only the cells on minimal paths. Scoring a 3,000-token
-    sentence grows the heap by a few MiB.
+    The walk goes forward from (0, 0) and reads each cell's arcs as it
+    reaches it (`_minimal_arcs`), from 3 bits per source x hypothesis
+    token pair; a hypothesis equal to its source needs none. Scoring a
+    3,000-token sentence grows the heap by a few MiB.
     """
-    hyp = list(hypothesis_tokens)
-    n, m = len(source_tokens), len(hyp)
+    src, hyp = list(source_tokens), list(hypothesis_tokens)
+    n, m = len(src), len(hyp)
     max_unchanged = params.max_unchanged
-    lattice = _alignment_tables(list(source_tokens), hyp)
     k = len(gold_sets)
     # gains[edit][g] is 1 when gold set g holds the edit; edits that no
     # gold set holds are absent.
@@ -304,6 +300,9 @@ def extract_system_edits(
         for start, end, correction in gold_set:
             gains.setdefault((start, end, correction), [0] * k)[g] = 1
     nothing = [0] * k
+    if src == hyp:  # after the gold is read, so that bad gold still raises
+        return [()] * k
+    cell = _minimal_arcs(src, hyp)
 
     # A state is (i, j, seg, used). seg is None between edits, else
     # (start_i, start_j, trailing matches). Gold matching counts DISTINCT
@@ -317,7 +316,7 @@ def extract_system_edits(
     def moves(i: int, j: int, seg, used: frozenset[str]) -> list:
         """(next state, edit closed on the way or None, its gain per gold
         set or None for no gain)."""
-        match, arcs, jump = lattice[i][j]
+        match, arcs, jump = cell(i, j)
         if seg is None:
             # Between edits a cell whose only arc is the match leads, with
             # nothing closed, to the end of its run of matches.

@@ -98,6 +98,80 @@ def minimal_path_lattice(src, hyp) -> list[dict]:
     return lattice
 
 
+def lattice_walk_edits(src, hyp, gold_sets, max_unchanged: int) -> list[tuple]:
+    """MaxMatch's walk over `minimal_path_lattice`, one match at a time:
+    per gold set, the edits that maximize gold matches, then have the
+    fewest edits, then the smallest spans, over every minimal alignment
+    whose changed regions merge across at most max_unchanged matches.
+
+    The walk is depth-first over states (i, j, seg, used), each valued
+    once: seg is None between edits, else (start_i, start_j, trailing
+    matches); used holds the insertions already credited at source index
+    i, since only a pure insertion can repeat a span.
+    """
+    n, m = len(src), len(hyp)
+    lattice = minimal_path_lattice(src, hyp)
+    k = len(gold_sets)
+    gains: dict = {}
+    for g, gold_set in enumerate(gold_sets):
+        for edit in gold_set:
+            gains.setdefault(tuple(edit), [0] * k)[g] = 1
+
+    def moves(i, j, seg, used):
+        match, arcs, _ = lattice[i][j]
+        out = []
+        if seg is None:
+            if match:
+                out.append(((i + 1, j + 1, None, frozenset()), None, None))
+            nseg = (i, j, 0)
+        else:
+            if seg[2] == 0:
+                edit = (seg[0], i, " ".join(hyp[seg[1] : j]))
+                gain = gains.get(edit)
+                next_used = used
+                if gain is not None and seg[0] == i:
+                    if edit[2] in used:
+                        gain = None
+                    else:
+                        next_used = used | {edit[2]}
+                out.append(((i, j, None, next_used), edit, gain))
+            if match and seg[2] < max_unchanged:
+                out.append(((i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), frozenset()), None, None))
+            nseg = (seg[0], seg[1], 0)
+        for ni, nj in arcs:
+            out.append(((ni, nj, nseg, used if ni == i else frozenset()), None, None))
+        return out
+
+    start = (0, 0, None, frozenset())
+    memo: dict = {}
+    stack: list = [(start, None)]
+    while stack:
+        state, out = stack.pop()
+        if out is None:
+            if state in memo:
+                continue
+            if state[:3] == (n, m, None):
+                memo[state] = [(0, 0, ())] * k
+                continue
+            out = moves(*state)
+            stack.append((state, out))
+            stack.extend((nxt, None) for nxt, _, _ in out if nxt not in memo)
+            continue
+        best = None
+        for nxt, edit, gain in out:
+            sub = memo[nxt]
+            if sub is None:
+                continue
+            if edit is not None:
+                sub = [
+                    (tp - x, count + 1, (edit,) + edits)
+                    for (tp, count, edits), x in zip(sub, gain or [0] * k)
+                ]
+            best = sub if best is None else [min(a, b) for a, b in zip(best, sub)]
+        memo[state] = best
+    return [edits for _, _, edits in memo[start]]
+
+
 def edit_ops_reference(a, b) -> list[tuple[str, int, int]]:
     """The canonical minimal edit script, backtraced over the whole table.
 

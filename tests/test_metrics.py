@@ -39,6 +39,7 @@ from tests.oracles import (
     enumerate_edit_sets,
     f_beta,
     levenshtein_recursive,
+    lattice_walk_edits,
     minimal_path_lattice,
     score_oracle,
 )
@@ -226,9 +227,11 @@ def test_extract_max_unchanged_zero_blocks_merging():
 )
 def test_extract_refuses_gold_that_is_not_a_list_of_triple_sets(gold):
     # One set of triples or of GoldEdits, where a list of sets of triples
-    # belongs, is refused rather than read as something else.
-    with pytest.raises(TypeError):
-        extract_system_edits("a b".split(), "a x".split(), gold)
+    # belongs, is refused rather than read as something else, also for a
+    # hypothesis that needs no alignment.
+    for hyp in ("a x", "a b"):
+        with pytest.raises(TypeError):
+            extract_system_edits("a b".split(), hyp.split(), gold)
 
 
 def test_extract_reads_gold_edits_as_the_triples_they_are():
@@ -266,30 +269,6 @@ def test_extract_matches_enumeration_oracle_on_random_cases():
         )
 
 
-def test_extract_with_delta_column_lattice_matches_whole_tables(monkeypatch):
-    # The lattice built from the delta columns walks to the same edits as
-    # one built from whole forward and reversed tables.
-    rng = random.Random(41)
-    real_tables = metrics._alignment_tables
-    for case in range(40):
-        alphabet = "abxy" if case % 2 else "他喜欢苹果最后一天"
-        src = [rng.choice(alphabet) for _ in range(rng.randint(20, 90))]
-        hyp = list(src)
-        for _ in range(rng.randint(0, 6)):
-            at = rng.randint(0, len(hyp) - 1)
-            hyp[at : at + rng.randint(0, 2)] = rng.choice(alphabet) * rng.randint(0, 2)
-        gold = {
-            (lo := rng.randint(0, len(src)), min(len(src), lo + rng.randint(0, 2)), rng.choice(alphabet))
-            for _ in range(rng.randint(0, 3))
-        }
-        params = ScoreParams(max_unchanged=rng.randint(0, 2))
-        monkeypatch.setattr(metrics, "_alignment_tables", real_tables)
-        expected = extract_system_edits(src, hyp, [frozenset(gold)], params)[0]
-        monkeypatch.setattr(metrics, "_alignment_tables", minimal_path_lattice)
-        got = extract_system_edits(src, hyp, [frozenset(gold)], params)[0]
-        assert got == expected, (case, src, hyp, sorted(gold))
-
-
 @st.composite
 def _alignment_pairs(draw):
     """A source of up to 120 characters or tokens and a hypothesis of the
@@ -315,25 +294,6 @@ def _alignment_pairs(draw):
     else:
         hyp = draw(st.lists(other if kind == "disjoint" else same, max_size=120))
     return join(src), join(hyp)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_alignment_pairs())
-def test_lattice_marks_the_cells_and_arcs_of_whole_tables(pair):
-    src, hyp = pair
-    got = metrics._alignment_tables(src, hyp)
-    expected = minimal_path_lattice(src, hyp)
-    assert [{j: cell[:2] for j, cell in row.items()} for row in got] == [
-        {j: cell[:2] for j, cell in row.items()} for row in expected
-    ]
-    # A jump leads from a cell whose only arc is the match to the first
-    # cell down its diagonal with any other arc or none.
-    for i, row in enumerate(got):
-        for j, (match, arcs, jump) in row.items():
-            k, l = i + 1, j + 1
-            while match and not arcs and got[k][l][:2] == (True, ()):
-                k, l = k + 1, l + 1
-            assert jump == ((k, l, None, frozenset()) if match and not arcs else None)
 
 
 MULTI_CHAR_WORDS = st.sampled_from(["喜欢", "苹果", "他们", "ab", "abc", "最后一天"])
@@ -365,37 +325,117 @@ def test_token_list_alignments_match_whole_table_oracles(pair):
     assert steps == changed_steps_reference(src, hyp)
     for bound in (0, len(steps) - 1, len(steps), len(steps) + 5):
         assert _edit_ops(src, hyp, bound) == steps
-    got = metrics._alignment_tables(src, hyp)
-    assert [{j: cell[:2] for j, cell in row.items()} for row in got] == [
-        {j: cell[:2] for j, cell in row.items()} for row in minimal_path_lattice(src, hyp)
-    ]
 
 
-def test_score_builds_tables_once_per_sentence(monkeypatch):
+_PAIRS = st.one_of(_alignment_pairs(), _token_list_pairs())
+
+
+def _expected_jumps(lattice):
+    """Per cell of a minimal-path lattice, the state of the first cell down
+    its diagonal with an arc other than the match, or none, for a cell
+    whose only arc is the match; else None."""
+    jumps = {}
+    for i, row in enumerate(lattice):
+        for j in row:
+            k, l = i, j
+            while lattice[k][l][:2] == (True, ()):
+                k, l = k + 1, l + 1
+            jumps[i, j] = (k, l, None, frozenset()) if (k, l) != (i, j) else None
+    return jumps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAIRS)
+def test_minimal_arcs_read_the_cells_and_arcs_of_whole_tables(pair):
+    # Cell by cell of the whole-table lattice: the match flag, the arcs in
+    # replace, insert, delete order, and the run end. The cells are read
+    # in row order and then, from a fresh reader, in reverse, so that a
+    # scan both starts new runs and joins one found further down.
+    src, hyp = pair
+    lattice = minimal_path_lattice(src, hyp)
+    jumps = _expected_jumps(lattice)
+    cells = [(i, j) for i, row in enumerate(lattice) for j in row]
+    for order in (cells, cells[::-1]):
+        cell = metrics._minimal_arcs(list(src), list(hyp))
+        for i, j in order:
+            assert cell(i, j) == (*lattice[i][j][:2], jumps[i, j]), (i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PAIRS, st.integers(0, 3), st.data())
+def test_extract_matches_the_lattice_walk(pair, max_unchanged, data):
+    # The walk that reads its arcs from the reversed delta columns finds,
+    # for every gold set, the edits that a walk over the whole-table
+    # lattice finds. Gold sets hold some of the unmerged edits found
+    # against no gold, which every max_unchanged can reach, and random
+    # spans with hypothesis text.
+    src, hyp = pair
+    words = list(hyp)
+    n, m = len(src), len(words)
+    found = extract_system_edits(src, hyp, [frozenset()], ScoreParams(max_unchanged=0))[0]
+    gold_sets = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        edits = set(data.draw(st.lists(st.sampled_from(found), max_size=3))) if found else set()
+        for _ in range(data.draw(st.integers(0, 3))):
+            lo, at = data.draw(st.integers(0, n)), data.draw(st.integers(0, m))
+            hi, to = data.draw(st.integers(lo, min(n, lo + 2))), data.draw(st.integers(at, min(m, at + 2)))
+            edits.add((lo, hi, " ".join(words[at:to])))
+        gold_sets.append(frozenset(edits))
+    params = ScoreParams(max_unchanged=max_unchanged)
+    expected = lattice_walk_edits(src, hyp, gold_sets, max_unchanged)
+    assert extract_system_edits(src, hyp, gold_sets, params) == expected
+
+
+@pytest.mark.parametrize(
+    "src, hyp", [("a" * 400, "a" * 398), ("ab" * 150, "b" + "ab" * 149)], ids=["one-token", "periodic"]
+)
+def test_run_ends_are_scanned_in_linear_work(monkeypatch, src, hyp):
+    # Each run of matches is scanned once, whichever of its cells the walk
+    # enters by: the cells scanned for run ends are no more than the cells
+    # on minimal paths, at every max_unchanged.
+    real = metrics._run_end
+    scanned = []
+
+    def counted(columns, src, hyp, i, j, stop):
+        end = real(columns, src, hyp, i, j, stop)
+        scanned.append(end - i)
+        return end
+
+    monkeypatch.setattr(metrics, "_run_end", counted)
+    cells = sum(map(len, minimal_path_lattice(src, hyp)))
+    for max_unchanged in range(4):
+        scanned.clear()
+        extract_system_edits(list(src), list(hyp), [frozenset()], ScoreParams(max_unchanged=max_unchanged))
+        assert 0 < sum(scanned) <= cells, (max_unchanged, sum(scanned), cells)
+
+
+def test_score_reads_columns_once_per_changed_sentence(monkeypatch):
     text = io.StringIO(
         "S a b c d\nA 1 2|||X|||x|||REQUIRED|||-NONE-|||0\nA 3 4|||X|||y|||REQUIRED|||-NONE-|||0\n"
         "A 3 4|||X|||y|||REQUIRED|||-NONE-|||1\nA 0 0|||X|||-NONE-|||REQUIRED|||-NONE-|||2\n\n"
         "S e f\nA 0 1|||X|||g|||REQUIRED|||-NONE-|||0\n"
         "A 0 1|||X|||h|||REQUIRED|||-NONE-|||1\nA 1 2|||X||||||REQUIRED|||-NONE-|||2\n\n"
+        "S k l\nA 0 1|||X|||m|||REQUIRED|||-NONE-|||0\n"
+        "A 0 0|||X|||-NONE-|||REQUIRED|||-NONE-|||1\nA 1 2|||X|||n|||REQUIRED|||-NONE-|||2\n\n"
     )
-    # One lattice and one walk per sentence; the walk serves all three
-    # annotators' gold sets.
-    built = []
+    # One column pass per changed sentence and none for the unchanged
+    # third; one walk per sentence serves all three annotators' gold sets.
+    passes = []
     walked = []
-    real_tables, real_walk = metrics._alignment_tables, metrics.extract_system_edits
+    real_columns, real_walk = metrics._delta_columns, metrics.extract_system_edits
     monkeypatch.setattr(
-        metrics, "_alignment_tables", lambda *a: built.append(a) or real_tables(*a)
+        metrics, "_delta_columns", lambda *a: passes.append(a) or real_columns(*a)
     )
     monkeypatch.setattr(
         metrics,
         "extract_system_edits",
         lambda *a, **k: walked.append(a[2]) or real_walk(*a, **k),
     )
-    report = score_corpus(["a x c y", "g f"], text)
-    assert len(built) == 2
-    assert [len(gold_sets) for gold_sets in walked] == [3, 3]
+    report = score_corpus(["a x c y", "g f", "k l"], text)
+    assert passes == [(list("dcba"), list("ycxa")), (list("fe"), list("fg"))]
+    assert [len(gold_sets) for gold_sets in walked] == [3, 3, 3]
     assert (report.tp, report.fp, report.fn) == (3, 0, 0)
-    assert report.chosen_annotators == (0, 0)
+    assert report.chosen_annotators == (0, 0, 1)
 
 
 def test_edit_counts_basic():
