@@ -133,21 +133,13 @@ FINE_TO_COARSE: dict[str, CoarseType] = {
 }
 
 
-@dataclass(frozen=True)
-class ErrorType:
-    """A (coarse, fine) error label; fine ids determine the coarse category."""
+class ErrorType(NamedTuple):
+    """A (coarse, fine) error label; fine ids determine the coarse category.
+    Unchecked; `from_fine` gives the shared label of a fine id, and
+    `pair_from_json` checks the labels it reads."""
 
     coarse: CoarseType
     fine: str
-
-    def __post_init__(self) -> None:
-        expected = FINE_TO_COARSE.get(self.fine)
-        if expected is None:
-            raise ValidationError(f"unknown fine error type: {self.fine!r}")
-        if expected is not self.coarse:
-            raise ValidationError(
-                f"fine type {self.fine!r} belongs to {expected.value}, not {self.coarse.value}"
-            )
 
     @classmethod
     def from_fine(cls, fine: str) -> "ErrorType":
@@ -158,8 +150,8 @@ class ErrorType:
         return label
 
 
-# One frozen label per fine rule id, built once; every pair that a rule
-# fires shares it.
+# One label per fine rule id, built once; every pair that a rule fires
+# shares it.
 _ERROR_TYPES: dict[str, ErrorType] = {
     fine: ErrorType(coarse, fine) for fine, coarse in FINE_TO_COARSE.items()
 }
@@ -218,12 +210,12 @@ class EditSpan(NamedTuple):
     replacement: str
 
 
-@dataclass(frozen=True)
-class CorpusPair:
+class CorpusPair(NamedTuple):
     """One training sample: an ungrammatical text, its correction, and labels.
 
     Invariant: apply_edits(incorrect, edits) == correct. error_types has one
     entry per applied rule (empty for the random-augmentation baseline).
+    Unchecked; `pair_from_json` checks each record it reads.
     """
 
     id: str
@@ -612,16 +604,14 @@ def _fields(obj: dict, spec: tuple) -> tuple:
 
 
 def _error_type_from_json(entry) -> ErrorType:
-    """One `error_types` entry as a label: the shared instance when it names
-    a known (coarse, fine) pair as strings; anything else goes through the
-    checked constructor and fails there with its own error."""
-    if type(entry) is dict:
-        coarse, fine = entry.get("coarse"), entry.get("fine")
-        if type(fine) is str:
-            label = _ERROR_TYPES.get(fine)
-            if label is not None and label.coarse.value == coarse:
-                return label
-    return ErrorType(CoarseType(entry["coarse"]), entry["fine"])
+    """One `error_types` entry as the shared label of its fine id, which
+    must name that id's coarse category."""
+    label = ErrorType.from_fine(entry["fine"])
+    if label.coarse.value != entry["coarse"]:
+        raise ValidationError(
+            f"fine type {label.fine!r} belongs to {label.coarse.value}, not {entry['coarse']}"
+        )
+    return label
 
 
 def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:

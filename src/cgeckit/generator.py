@@ -28,6 +28,7 @@ from cgeckit.core import (
     ConfigError,
     CorpusPair,
     ErrorType,
+    ParseError,
     TaggedSentence,
     apply_edits,
     diff_edits,
@@ -277,7 +278,13 @@ def _generate_job(
 ) -> list[CorpusPair]:
     config, resources = state
     index, line = item
-    sentence = parse_pretagged(line) if config.pretagged else segment_and_tag(line)
+    if config.pretagged:
+        try:
+            sentence = parse_pretagged(line)
+        except ParseError as exc:
+            raise ParseError(f"sentence {index}: {exc}") from exc
+    else:
+        sentence = segment_and_tag(line)
     roles = identify_roles(sentence)
     pairs = []
     for attempt in range(config.per_sentence):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, zip_longest
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -70,8 +70,7 @@ class GoldEdit(NamedTuple):
     correction: str
 
 
-@dataclass(frozen=True)
-class M2Sentence:
+class M2Sentence(NamedTuple):
     """One source sentence with each annotator's gold edit set, in
     ascending annotator id order."""
 
@@ -401,8 +400,7 @@ def _counts(
 # --- corpus scoring --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -554,16 +552,15 @@ def format_score(report: ScoreReport) -> str:
 # --- corpus statistics -----------------------------------------------------
 
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     """Aggregate corpus statistics; to_dict mirrors the report table rows,
     per_type holds the per-coarse-type op table (see corpus_stats)."""
 
-    number_of_sentences: int = 0
-    erroneous_sentences: int = 0
-    average_length_chars: float = 0.0
-    average_edit_distance_chars: float = 0.0
-    per_type: dict[str, dict[str, float]] = field(default_factory=dict)
+    number_of_sentences: int
+    erroneous_sentences: int
+    average_length_chars: float
+    average_edit_distance_chars: float
+    per_type: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
         return {
@@ -605,7 +602,7 @@ def corpus_stats(pairs: Iterable[CorpusPair]) -> StatsReport:
             for index, count in enumerate((ops.replace, ops.insert, ops.delete, ops.distance, 1)):
                 row[index] += count
     if sentences == 0:
-        return StatsReport()
+        return StatsReport(0, 0, 0.0, 0.0, {})
     per_type = {
         _display_name(coarse): {
             name: total / sums[coarse][4]

@@ -251,8 +251,6 @@ def _cand_lack_object(sentence, roles, resources):
 def _cand_lack_modifier(sentence, roles, resources):
     essential = resources._word_sets.get("essential_modifier", ())
     out = []
-    if len(sentence.tokens) < 2:
-        return out
     for k, tok in enumerate(sentence.tokens):
         if tok.surface in essential:
             out.extend(_delete_candidate(sentence, (k, k + 1)))

@@ -10,12 +10,10 @@ parser; it is validated against a hand-labeled fixture set.
 from __future__ import annotations
 
 import os
-import unicodedata
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cache
 from operator import attrgetter
-from typing import Container, Mapping
+from typing import Container, Mapping, NamedTuple
 
 from cgeckit.core import (
     ConfigError,
@@ -95,10 +93,6 @@ def load_lexicon(
     return lexicon
 
 
-def _is_digit(ch: str) -> bool:
-    return ch.isdigit() or unicodedata.category(ch) == "Nd"
-
-
 class Tagger:
     """Greedy longest-match segmenter over a loaded lexicon.
 
@@ -140,9 +134,9 @@ class Tagger:
                         break
             else:
                 end = pos + 1
-                if _is_digit(raw[pos]):
+                if raw[pos].isdigit():
                     # Numerals are unbounded; group a digit run into one NUM token.
-                    while end < n and _is_digit(raw[end]):
+                    while end < n and raw[end].isdigit():
                         end += 1
                     tag = _NUM
                 else:
@@ -240,11 +234,10 @@ def serialize_pretagged(sentence: TaggedSentence) -> str:
     return " ".join(f"{t.surface}/{t.tag.value}" for t in sentence.tokens)
 
 
-@dataclass(frozen=True)
-class RoleSpans:
+class RoleSpans(NamedTuple):
     """Token-index ranges [i, j) per syntactic role. Predicate has at most one."""
 
-    spans: Mapping[SyntacticRole, tuple[tuple[int, int], ...]] = field(default_factory=dict)
+    spans: Mapping[SyntacticRole, tuple[tuple[int, int], ...]]
 
     def ranges(self, role: SyntacticRole) -> tuple[tuple[int, int], ...]:
         return self.spans.get(role, ())

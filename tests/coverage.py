@@ -31,7 +31,6 @@ ALLOWED = {
     ("rules", "_cand_attributive_head", "continue"),
     ("rules", "_cand_imposing_cause_effect", "return []"),
     ("rules", "_cand_improper_negation", "break"),
-    ("rules", "_cand_lack_modifier", "return out"),
     ("rules", "_cand_mixed_subjects", "return []"),
     ("rules", "_cand_predicate_object", "continue"),
     ("rules", "_cand_reverse_host_guest", "continue"),

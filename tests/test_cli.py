@@ -18,8 +18,10 @@ import pytest
 from cgeckit import cli, generator, metrics, rules
 from cgeckit.cli import RESOURCES_ENV, run
 from cgeckit.core import (
+    CoarseType,
     CorpusPair,
     EditSpan,
+    ErrorType,
     apply_edits,
     diff_edits,
     pair_to_json,
@@ -205,6 +207,23 @@ def test_generate_pretagged_reads_external_tags_through_the_shipped_mapping(tmp_
         outputs.append((out.read_bytes(), (tmp_path / f"{name}.jsonl.report.json").read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count(b"\n") > 50
+
+
+@pytest.mark.parametrize("workers, good", [("1", 1), ("2", 70)])
+def test_generate_pretagged_error_names_its_sentence(tmp_path, capsys, workers, good):
+    # The index counts non-blank lines from 0, as pair ids do. At 2 workers
+    # the bad line lies past the first 64-line chunk, so its error comes
+    # back through the pool.
+    src, out = tmp_path / "tagged.txt", tmp_path / "pairs.jsonl"
+    lines = ["他/PRON 喜欢/VERB 苹果/NOUN"] * good + ["", "他/PRON 喜欢"]
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["generate", "--pretagged", "--input", str(src), "--output", str(out),
+            "--resources", RES_DIR, "--workers", workers]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        f"cgeckit: data error: sentence {good}: item 2 ('喜欢'): missing `/TAG` separator\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "augment"])
@@ -909,6 +928,23 @@ def test_stats_pair_record_error_type_faults_name_their_line(tmp_path, capsys, l
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cgeckit: data error: bad pair record at line 2: {message}\n"
+
+
+def test_stats_checks_the_label_that_an_unchecked_error_type_wrote(tmp_path, capsys):
+    # ErrorType does not check its fields; pair_from_json checks them where
+    # a record is read.
+    label = ErrorType(CoarseType.MISSING_COMPONENT, "MultiWords")
+    pair = CorpusPair("p0", "abc", "abc", (), (label,), "MultiWords", 0)
+    pairs, out = tmp_path / "pairs.jsonl", tmp_path / "stats.json"
+    pairs.write_text(pair_to_json(pair) + "\n", encoding="utf-8")
+    assert run(["stats", "--input", str(pairs), "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cgeckit: data error: bad pair record at line 1: "
+        "fine type 'MultiWords' belongs to RedundantComponent, not MissingComponent\n"
+    )
+    assert not out.exists()
 
 
 # --- score ---------------------------------------------------------------------

@@ -251,8 +251,9 @@ def test_role_spans_helpers():
 
 _FIRSTS = "他喜欢学生五"
 _CHARS = _FIRSTS + "十名苹果ab"
-# ASCII and full-width digits, and characters no lexicon below contains
-_TEXT = _CHARS + "0123４５６Q，。"
+# ASCII, full-width, Arabic-Indic and Devanagari digits, a superscript
+# digit, and characters no lexicon below contains
+_TEXT = _CHARS + "0123４５６٣३²Q，。"
 _entries = st.text(alphabet=_CHARS, min_size=1, max_size=6).map(
     lambda s: s if s[0] in _FIRSTS else _FIRSTS[len(s) % len(_FIRSTS)] + s[1:]
 )
