@@ -268,11 +268,16 @@ def apply_edits(incorrect: str, edits: Sequence[EditSpan]) -> str:
             overlapping the one before, naming the span.
     """
     _check_edits(incorrect, edits)
-    result = incorrect
-    # Right-to-left so earlier offsets stay valid as the string changes.
-    for span in reversed(list(edits)):
-        result = result[: span.start] + span.replacement + result[span.end :]
-    return result
+    # One join of the unchanged runs and the replacements, left to right:
+    # each character is copied once, however many edits there are.
+    pieces = []
+    pos = 0
+    for start, end, replacement in edits:
+        pieces.append(incorrect[pos:start])
+        pieces.append(replacement)
+        pos = end
+    pieces.append(incorrect[pos:])
+    return "".join(pieces)
 
 
 def _delta_columns(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
@@ -327,6 +332,18 @@ def _common_prefix_length(a: Sequence, b: Sequence) -> int:
         else:
             high = middle - 1
     return low
+
+
+def trim_edit(text: str, start: int, end: int, piece: str) -> EditSpan | None:
+    """The edit that replaces text[start:end] with piece, cut to its changed
+    window: the characters the slice and the piece share at either end are
+    dropped. None when the edit changes nothing."""
+    old = text[start:end]
+    if piece == old:
+        return None
+    head = _common_prefix_length(old, piece)
+    tail = _common_prefix_length(old[head:][::-1], piece[head:][::-1])
+    return EditSpan(start + head, end - tail, piece[head : len(piece) - tail])
 
 
 # The front walk is tried only on a core of at least this many items whose

@@ -9,6 +9,10 @@ the output is byte-identical for any worker count.
 each: they yield pairs in input order and count every line into the
 caller's report, through `GenerationReport.add` or `AugmentReport.add`.
 `generate_corpus` and `augment_corpus` collect a stream into a list.
+
+A generated pair's edits are the canonical character diff of its texts;
+an augmented pair's are the word operations its noise drew, undone
+(`_augment_ops`): exact, but not always minimal.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Iterable, Iterator
 from cgeckit.core import (
     ConfigError,
     CorpusPair,
+    EditSpan,
     ErrorType,
     ParseError,
     TaggedSentence,
@@ -34,6 +39,7 @@ from cgeckit.core import (
     diff_edits,
     finite_number,
     ordered_map,
+    trim_edit,
     _FRONT_MIN_CORE,
     _edit_ops,
 )
@@ -335,7 +341,19 @@ _OPS = ("keep", "insert", "replace", "delete")
 
 def _augment_ops(
     words: tuple[str, ...], config: AugmentConfig, pool: tuple[str, ...], rng: random.Random
-) -> tuple[str, dict[str, int]]:
+) -> tuple[str, tuple[EditSpan, ...], dict[str, int]]:
+    """The noised text of one line's words, the edits that restore the
+    words and the per-op draw counts.
+
+    Each changed word gives a span of the noised text: an insert removes
+    the word it put before the kept one, a replace puts the original back
+    and a delete is an empty span that restores the word. Spans of
+    consecutive changed words touch and are merged; a kept word lies
+    between any two others. Each span is then cut to the characters it
+    changes (`trim_edit`) and dropped if it changes none. The spans are
+    not always minimal: a word replaced by a rotation of itself is
+    restored whole, where `diff_edits` finds a shorter script.
+    """
     counts = dict.fromkeys(_OPS, 0)
     thresholds = (
         config.p_keep,
@@ -343,6 +361,8 @@ def _augment_ops(
         config.p_keep + config.p_insert + config.p_replace,
     )
     pieces: list[str] = []
+    spans: list[tuple[int, int, str]] = []
+    pos = 0  # the length of the noised text so far
     for surface in words:
         r = rng.random()
         if r < thresholds[0]:
@@ -354,12 +374,24 @@ def _augment_ops(
         else:
             op = "delete"
         counts[op] += 1
-        if op in ("insert", "replace"):
-            # the pool holds this line's words, so it is not empty
-            pieces.append(_choice(rng, pool))
+        if op != "keep":
+            start = pos
+            if op != "delete":
+                # the pool holds this line's words, so it is not empty
+                word = _choice(rng, pool)
+                pieces.append(word)
+                pos += len(word)
+            restore = "" if op == "insert" else surface
+            if spans and spans[-1][1] == start:
+                start, _, before = spans.pop()
+                restore = before + restore
+            spans.append((start, pos, restore))
         if op in ("insert", "keep"):
             pieces.append(surface)
-    return "".join(pieces), counts
+            pos += len(surface)
+    incorrect = "".join(pieces)
+    edits = tuple(filter(None, (trim_edit(incorrect, *span) for span in spans)))
+    return incorrect, edits, counts
 
 
 @dataclass
@@ -390,20 +422,22 @@ def _augment_job(
     (the naive baseline), drawing inserted and replacing words from the
     pool, with its per-op draw counts.
 
-    Unlike the rules, this may return an identity pair (all words kept) and
-    may produce an empty incorrect text (everything deleted); error_types
-    is empty and rule_id is "random-augment".
+    The edits are the drawn operations undone, not a character diff, so
+    the job is linear in the line. Unlike the rules, this may return an
+    identity pair (all words kept, no edits) and may produce an empty
+    incorrect text (everything deleted); error_types is empty and rule_id
+    is "random-augment".
     """
     config, pool = state
     index, words = item
     correct = "".join(words)
     pair_seed = derive_seed(config.seed, index)
-    incorrect, counts = _augment_ops(words, config, pool, random.Random(pair_seed))
+    incorrect, edits, counts = _augment_ops(words, config, pool, random.Random(pair_seed))
     pair = CorpusPair(
         id=f"aug-{index:06d}",
         incorrect=incorrect,
         correct=correct,
-        edits=diff_edits(incorrect, correct),
+        edits=edits,
         error_types=(),
         rule_id="random-augment",
         seed=pair_seed,

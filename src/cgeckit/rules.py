@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from cgeckit.core import POSTag, TaggedSentence, _common_prefix_length
+from cgeckit.core import EditSpan, POSTag, TaggedSentence, trim_edit
 from cgeckit.core import diff_edits  # unused; bench/spans.py patches this name
 from cgeckit.resources import RuleResources, _matching_rows
 from cgeckit.tagging import (
@@ -559,27 +559,25 @@ def apply_fine_rule(
     resources: RuleResources,
     rng: random.Random,
     fine_id: str,
-) -> tuple[int, int, str] | None:
-    """Apply one fine-grained rule: the edit (start, end, piece) it made to
-    sentence.text, or None when it does not match.
+) -> EditSpan | None:
+    """Apply one fine-grained rule: the edit it made to sentence.text, or
+    None when it does not match.
 
     Picks one of the rule's candidate edits uniformly and draws its word
-    when it carries a word pool. The edit is trimmed to its changed window:
-    the characters its slice and its piece share at either end are cut
-    off. An edit that leaves the text unchanged counts as a non-match, and
-    the pick is made again among the remaining candidates.
+    when it carries a word pool. The edit is trimmed to its changed window
+    (`core.trim_edit`): the characters its slice and its piece share at
+    either end are cut off. An edit that leaves the text unchanged counts
+    as a non-match, and the pick is made again among the remaining
+    candidates.
     """
     if fine_id not in RULE_REGISTRY:
         raise KeyError(f"unknown rule id: {fine_id}")
-    text = sentence.text
     candidates = RULE_REGISTRY[fine_id](sentence, roles, resources)
     while candidates:
         start, end, piece = candidates.pop(_choice(rng, range(len(candidates))))
         if isinstance(piece, tuple):
             piece = _choice(rng, piece)
-        old = text[start:end]
-        if piece != old:
-            head = _common_prefix_length(old, piece)
-            tail = _common_prefix_length(old[head:][::-1], piece[head:][::-1])
-            return start + head, end - tail, piece[head : len(piece) - tail]
+        edit = trim_edit(sentence.text, start, end, piece)
+        if edit is not None:
+            return edit
     return None

@@ -730,6 +730,24 @@ def test_augment_heap_does_not_grow_with_the_input(tmp_path):
     assert eight < 1.5 * one, (one, eight)
 
 
+def test_augment_heap_is_linear_in_the_line():
+    # One line of the fixtures at 2,000 and at 8,000 characters. Augment's
+    # edits are its own word operations, so the heap grows with the line:
+    # the long line peaks about 3.9 times as high as the short one, near
+    # 1.1 MiB (Python 3.11), and the limit is 6. A character diff of each
+    # pair held 3 bits per character pair: about 13.5 times, near 28 MiB.
+    text = "".join(_fixture_text().split())
+
+    def line(length):
+        return [(text * (length // len(text) + 1))[:length]]
+
+    config = AugmentConfig(seed=7)
+    augment_corpus(line(2000), config)  # loads the lexicon, which stays cached
+    short = _heap_peak(augment_corpus, line(2000), config)
+    long = _heap_peak(augment_corpus, line(8000), config)
+    assert long < 6 * short, (short, long)
+
+
 # A file that cannot be opened is an io error whichever flag names it: an
 # input, a saved model, or a table of a resource directory (here an empty one).
 @pytest.mark.parametrize(

@@ -150,6 +150,31 @@ def test_apply_edits_allows_touching_and_repeated_insertion_points():
     assert apply_edits("abc", [EditSpan(1, 1, "x"), EditSpan(1, 1, "y")]) == "axybc"
 
 
+def test_apply_edits_copies_each_character_once():
+    # 16,000 one-character edits over 48,000 characters. Every slice and
+    # concatenation of the text, and of what they give, counts the
+    # characters it copies. A join of the unchanged runs copies 32,000 of
+    # them, and the limit is the text's length; a splice per edit copies
+    # the whole string each time, about 1.9 billion characters.
+    copied = []
+
+    class Counted(str):
+        def __getitem__(self, key):
+            piece = Counted(str.__getitem__(self, key))
+            copied.append(len(piece))
+            return piece
+
+        def __add__(self, other):
+            joined = Counted(str.__add__(self, other))
+            copied.append(len(joined))
+            return joined
+
+    text = Counted("abc" * 16_000)
+    edits = [EditSpan(k, k + 1, "X") for k in range(0, len(text), 3)]
+    assert apply_edits(text, edits) == "Xbc" * 16_000
+    assert sum(copied) <= len(text), sum(copied)
+
+
 def test_diff_edits_examples():
     assert diff_edits("abc", "abc") == ()
     assert diff_edits("昨天是转会截止日期的最后一天", "昨天是转会的最后一天") == (

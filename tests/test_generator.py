@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgeckit import generator
+from cgeckit import core, generator
 from cgeckit.core import (
     FINE_TO_COARSE,
     CoarseType,
@@ -562,6 +562,60 @@ def test_random_augment_edits_always_restore_correct(seed, index):
     config = AugmentConfig(seed=seed)
     pair = augment_line("学生对这个问题很感兴趣", config, index, ("水果", "了"))
     assert apply_edits(pair.incorrect, pair.edits) == pair.correct
+
+
+# Words of 1-3 characters from four, so that a replacing or inserted word
+# often shares characters with the words around it.
+_SHORT_WORDS = st.text(alphabet="ab的了", min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.lists(_SHORT_WORDS, max_size=12).map(tuple),
+    pool=st.lists(_SHORT_WORDS, min_size=1, max_size=4).map(tuple),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    probs=st.sampled_from(
+        [
+            (0.70, 0.10, 0.10, 0.10),
+            (0.10, 0.30, 0.30, 0.30),
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.5, 0.0, 0.5),
+            (0.25, 0.0, 0.5, 0.25),
+            (1.0, 0.0, 0.0, 0.0),
+        ]
+    ),
+)
+def test_augment_edits_are_sorted_disjoint_and_trimmed(words, pool, seed, probs):
+    config = AugmentConfig(*probs, seed=seed)
+    pair, _ = _augment_job((config, pool), (0, words))
+    assert apply_edits(pair.incorrect, pair.edits) == pair.correct
+    if config.p_keep == 1.0:
+        assert pair.edits == ()
+    end = -1
+    for span in pair.edits:
+        assert span.start > end, pair.edits  # a character lies between spans
+        removed, replacement = pair.incorrect[span.start : span.end], span.replacement
+        assert removed != replacement, span
+        if removed and replacement:
+            assert removed[0] != replacement[0] and removed[-1] != replacement[-1], span
+        end = span.end
+
+
+def test_augment_makes_no_character_diff(monkeypatch):
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("augment aligned a pair")
+
+    monkeypatch.setattr(generator, "diff_edits", refuse)
+    monkeypatch.setattr(core, "_delta_columns", refuse)
+    pairs, _ = augment_corpus(fixture_sentences() * 3, AugmentConfig(seed=7))
+    assert calls == []
+    assert len(pairs) == 3 * len(fixture_sentences())
+    assert any(pair.edits for pair in pairs)
+    for pair in pairs:
+        assert apply_edits(pair.incorrect, pair.edits) == pair.correct
 
 
 def test_augment_corpus_reports_op_frequencies_within_one_percent():
