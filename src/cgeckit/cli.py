@@ -235,9 +235,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_score(args) -> int:
     params = ScoreParams(**_given(args, "beta", "max_unchanged", "char_tokenize"))
-    # One hypothesis per line, blank ones included. Lines end only at
-    # "\n", as iterating a text file gives them; str.splitlines would also
-    # break at \x0c, \x85, U+2028 and other characters inside a line. Each
+    # One hypothesis per line, blank ones included. Lines end where
+    # open_input's universal newlines end them, as for every text input:
+    # at "\n", "\r\n" or a lone "\r", never at the \x0b, \x0c, \x1c-\x1e,
+    # \x85, U+2028 or U+2029 that str.splitlines would also break at. Each
     # file is opened in its own generator, so a decode error names its file.
     def hypotheses() -> Iterator[str]:
         with open_input(args.hyp) as fh:

@@ -669,7 +669,8 @@ def pair_from_json(line: str, lineno: int | None = None) -> CorpusPair:
 def open_input(path: str) -> Iterator[TextIO]:
     """Open a UTF-8 text input, dropping a leading byte-order mark; a
     decoding error while it is read becomes a ParseError that names the
-    file."""
+    file. It reads with universal newlines: "\n", "\r\n" and a lone "\r"
+    end a line."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             yield fh

@@ -113,9 +113,10 @@ def parse_m2(source) -> Iterator[M2Sentence]:
         return
     tokens: tuple[str, ...] | None = None
     edits: dict[int, list[GoldEdit]] = {}
-    # Lines end only at "\n", as in iterating a text file; splitlines
-    # would also break an S line at a \x0c between tokens. The blank line
-    # chained on at the end closes the last sentence.
+    # Lines end where iterating the file ends them: for a path, open_input
+    # reads with universal newlines, so at "\n", "\r\n" or a lone "\r".
+    # splitlines would also break an S line at a \x0c between tokens. The
+    # blank line chained on at the end closes the last sentence.
     for num, line in enumerate(chain(source, ("",)), 1):
         line = line.rstrip()
         if not line or line.startswith("S ") or line == "S":
@@ -302,6 +303,17 @@ def extract_system_edits(
     if src == hyp:  # after the gold is read, so that bad gold still raises
         return [()] * k
     cell = _minimal_arcs(src, hyp)
+    gold_starts = {start for start, _, _ in gains}
+
+    def gold_may_open(i: int, j: int) -> bool:
+        """Whether an edit opened at (i, j) may be one a gold set holds:
+        a gold edit starts at i, and some hyp[j:l] joins to its correction
+        (l - j tokens join to at least l - j - 1 spaces)."""
+        for start, _, c in gains:
+            if start == i:
+                if not c or any(" ".join(hyp[j : j + l]) == c for l in range(1, c.count(" ") + 2)):
+                    return True
+        return False
 
     # A state is (i, j, seg, used). seg is None between edits, else
     # (start_i, start_j, trailing matches). Gold matching counts DISTINCT
@@ -328,13 +340,25 @@ def extract_system_edits(
             if seg[2] == 0:
                 edit = (seg[0], i, " ".join(hyp[seg[1] : j]))
                 gain = gains.get(edit)
-                next_used = used
-                if gain is not None and seg[0] == i:  # pure insertion; may repeat
-                    if edit[2] in used:
-                        gain = None
-                    else:
-                        next_used = used | {edit[2]}
-                out.append(((i, j, None, next_used), edit, gain))
+                # Closing an edit that no gold set holds, where the next edit
+                # must open at once and cannot be gold, only splits one edit
+                # in two: the unsplit edit crosses the same cells with no
+                # less gold and one edit fewer. So that close is left out:
+                # a long changed run costs states linear in its length,
+                # unless gold edits can start all along it.
+                if (
+                    gain is not None
+                    or match
+                    or (i == n and j == m)
+                    or (i in gold_starts and gold_may_open(i, j))
+                ):
+                    next_used = used
+                    if gain is not None and seg[0] == i:  # pure insertion; may repeat
+                        if edit[2] in used:
+                            gain = None
+                        else:
+                            next_used = used | {edit[2]}
+                    out.append(((i, j, None, next_used), edit, gain))
             if match and seg[2] < max_unchanged:
                 out.append(((i + 1, j + 1, (seg[0], seg[1], seg[2] + 1), _EMPTY), None, None))
             nseg = (seg[0], seg[1], 0)

@@ -16,6 +16,7 @@ never by interpreter details.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable
 
 from cgeckit.core import EditSpan, POSTag, TaggedSentence, trim_edit
@@ -68,6 +69,15 @@ def _surfaces_in(sentence: TaggedSentence, rng_range: tuple[int, int]) -> set[st
     return {t.surface for t in sentence.tokens[i:j]}
 
 
+def _adp_phrase(sentence, k):
+    """The end of the run of phrase tokens after token k."""
+    tokens = sentence.tokens
+    j = k + 1
+    while j < len(tokens) and tokens[j].tag in _PHRASE_TAGS:
+        j += 1
+    return j
+
+
 # --- StructuralConfusion -------------------------------------------------
 
 
@@ -80,7 +90,7 @@ def _core_end(sentence: TaggedSentence) -> int | None:
 
 
 def _mixed_candidates(
-    sentence: TaggedSentence, resources: RuleResources, kind: str
+    sentence: TaggedSentence, roles: RoleSpans, resources: RuleResources, kind: str
 ) -> list[Candidate]:
     out: list[Candidate] = []
     end = _core_end(sentence)
@@ -92,14 +102,6 @@ def _mixed_candidates(
     for entry in _matching_rows(resources.mixed_patterns, index, suffixes):
         out.append((end, end, entry.splice))
     return out
-
-
-def _cand_mixed_patterns(sentence, roles, resources):
-    return _mixed_candidates(sentence, resources, "pattern")
-
-
-def _cand_mixed_sentences(sentence, roles, resources):
-    return _mixed_candidates(sentence, resources, "sentence")
 
 
 def _cand_mixed_subjects(sentence, roles, resources):
@@ -191,9 +193,7 @@ def _cand_reverse_host_guest(sentence, roles, resources):
         a = k
         while a - 1 >= 0 and tokens[a - 1].tag in _PHRASE_TAGS:
             a -= 1
-        b = k + 1
-        while b < len(tokens) and tokens[b].tag in _PHRASE_TAGS:
-            b += 1
+        b = _adp_phrase(sentence, k)
         if a == k or b == k + 1:
             continue
         left = _span(sentence, a, k)
@@ -215,25 +215,18 @@ def _cand_imposing_cause_effect(sentence, roles, resources):
 # --- MissingComponent ----------------------------------------------------
 
 
-def _delete_candidate(sentence, token_range, char_range=None):
-    a, b = char_range if char_range else _span(sentence, *token_range)
+def _delete_candidate(sentence, token_range):
+    a, b = _span(sentence, *token_range)
     if (a, b) == (0, len(sentence.text)):  # the deletion would empty the text
         return []
     return [(a, b, "")]
 
 
-def _cand_lack_subject(sentence, roles, resources):
-    subject = roles.first(Role.SUBJECT)
-    if subject is None:
+def _lack_role_candidates(sentence, roles, resources, role):
+    first = roles.first(role)
+    if first is None:
         return []
-    return _delete_candidate(sentence, subject)
-
-
-def _cand_lack_predicate(sentence, roles, resources):
-    predicate = roles.first(Role.PREDICATE)
-    if predicate is None:
-        return []
-    return _delete_candidate(sentence, predicate)
+    return _delete_candidate(sentence, first)
 
 
 def _cand_lack_object(sentence, roles, resources):
@@ -243,9 +236,8 @@ def _cand_lack_object(sentence, roles, resources):
     i, j = obj
     if i > 0 and _is_de(sentence.tokens[i - 1]):
         # delete the 的-phrase head, leaving the attribute dangling
-        char_range = (sentence.tokens[i - 1].char_start, sentence.tokens[j - 1].char_end)
-        return _delete_candidate(sentence, (i - 1, j), char_range)
-    return _delete_candidate(sentence, obj)
+        i -= 1
+    return _delete_candidate(sentence, (i, j))
 
 
 def _cand_lack_modifier(sentence, roles, resources):
@@ -260,21 +252,15 @@ def _cand_lack_modifier(sentence, roles, resources):
 # --- RedundantComponent --------------------------------------------------
 
 
-def _insertion_candidates(sentence, table):
+def _insertion_candidates(sentence, roles, resources, table):
+    """Insert after a token a word of its row in `table`, a RuleResources field."""
+    rows = getattr(resources, table)
     out = []
     for tok in sentence.tokens:
-        words = tuple(w for w in table.get(tok.surface, []) if w != tok.surface)
+        words = tuple(w for w in rows.get(tok.surface, []) if w != tok.surface)
         if words:
             out.append((tok.char_end, tok.char_end, words))
     return out
-
-
-def _cand_multi_words(sentence, roles, resources):
-    return _insertion_candidates(sentence, resources.synonyms)
-
-
-def _cand_multi_meanings(sentence, roles, resources):
-    return _insertion_candidates(sentence, resources.meaning_pairs)
 
 
 # --- ImproperCollocation -------------------------------------------------
@@ -283,6 +269,12 @@ def _cand_multi_meanings(sentence, roles, resources):
 def _replace_word_candidate(sentence, index, wrong):
     tok = sentence.tokens[index]
     return (tok.char_start, tok.char_end, tuple(wrong))
+
+
+def _side_member(c, left, right):
+    """Index of the member that collocation row c's side names: token left
+    or token right. A rule that has yet to find the left word passes None."""
+    return left if c.side == "left" else right
 
 
 def _find_after(sentence, start, end, surface):
@@ -302,12 +294,10 @@ def _cand_subject_predicate(sentence, roles, resources):
     out = []
     for c in _matching_rows(resources.collocations, index, (sentence.tokens[p].surface,)):
         if c.left in subj_words:
-            if c.side == "right":
-                out.append(_replace_word_candidate(sentence, p, c.wrong))
-            else:
+            i = _side_member(c, None, p)
+            if i is None:
                 i = _find_after(sentence, subject[0], subject[1], c.left)
-                if i is not None:
-                    out.append(_replace_word_candidate(sentence, i, c.wrong))
+            out.append(_replace_word_candidate(sentence, i, c.wrong))
     return out
 
 
@@ -322,8 +312,7 @@ def _cand_predicate_object(sentence, roles, resources):
         m = _find_after(sentence, p + 1, ce, c.right)
         if m is None:
             continue
-        index = p if c.side == "left" else m
-        out.append(_replace_word_candidate(sentence, index, c.wrong))
+        out.append(_replace_word_candidate(sentence, _side_member(c, p, m), c.wrong))
     return out
 
 
@@ -340,12 +329,10 @@ def _cand_subject_object(sentence, roles, resources):
         m = _find_after(sentence, p + 1, ce, c.right)
         if m is None:
             continue
-        if c.side == "right":
-            out.append(_replace_word_candidate(sentence, m, c.wrong))
-        else:
+        i = _side_member(c, None, m)
+        if i is None:
             i = _find_after(sentence, subject[0], subject[1], c.left)
-            if i is not None:
-                out.append(_replace_word_candidate(sentence, i, c.wrong))
+        out.append(_replace_word_candidate(sentence, i, c.wrong))
     return out
 
 
@@ -360,8 +347,7 @@ def _cand_modifier_head(sentence, roles, resources):
             # head within two tokens so a linking 的 may intervene
             for m in range(k + 1, min(k + 3, len(tokens))):
                 if tokens[m].surface == c.right:
-                    index = k if c.side == "left" else m
-                    out.append(_replace_word_candidate(sentence, index, c.wrong))
+                    out.append(_replace_word_candidate(sentence, _side_member(c, k, m), c.wrong))
                     break
     return out
 
@@ -403,7 +389,7 @@ def _cand_multi_attributives(sentence, roles, resources):
             and w1.surface != w2.surface
         ):
             out.append(
-                _swap(sentence.text, (w1.char_start, w1.char_end), (w2.char_start, w2.char_end))
+                _swap(sentence.text, _span(sentence, k, k + 1), _span(sentence, k + 2, k + 3))
             )
     return out
 
@@ -418,7 +404,7 @@ def _cand_multi_adverbials(sentence, roles, resources):
         a, b = tokens[k], tokens[k + 1]
         if a.tag is _ADV and b.tag is _ADV and a.surface != b.surface:
             out.append(
-                _swap(sentence.text, (a.char_start, a.char_end), (b.char_start, b.char_end))
+                _swap(sentence.text, _span(sentence, k, k + 1), _span(sentence, k + 1, k + 2))
             )
     return out
 
@@ -437,14 +423,6 @@ def _cand_attributive_head(sentence, roles, resources):
             continue
         out.append(_swap(sentence.text, _span(sentence, a, b), _span(sentence, b, e)))
     return out
-
-
-def _adp_phrase(sentence, k):
-    tokens = sentence.tokens
-    j = k + 1
-    while j < len(tokens) and tokens[j].tag in _PHRASE_TAGS:
-        j += 1
-    return j
 
 
 def _cand_prepositions(sentence, roles, resources):
@@ -500,11 +478,7 @@ def _cand_associated_words(sentence, roles, resources):
     for k in range(len(tokens) - 1):
         if tokens[k].tag is _ADV and tokens[k + 1].tag is _VERB:
             out.append(
-                _swap(
-                    sentence.text,
-                    (tokens[k].char_start, tokens[k].char_end),
-                    (tokens[k + 1].char_start, tokens[k + 1].char_end),
-                )
+                _swap(sentence.text, _span(sentence, k, k + 1), _span(sentence, k + 1, k + 2))
             )
     return out
 
@@ -524,20 +498,20 @@ def _cand_adverbial_attributives(sentence, roles, resources):
 # rule's candidate edits, a fresh list in site order. FINE_TO_COARSE gives
 # each id's category.
 RULE_REGISTRY: dict[str, Callable[..., list[Candidate]]] = {
-    "MixedPatterns": _cand_mixed_patterns,
+    "MixedPatterns": partial(_mixed_candidates, kind="pattern"),
     "MixedSubjects": _cand_mixed_subjects,
-    "MixedSentences": _cand_mixed_sentences,
+    "MixedSentences": partial(_mixed_candidates, kind="sentence"),
     "MeasureWord": _cand_measure_word,
     "Unreasonable": _cand_unreasonable,
     "ImproperNegation": _cand_improper_negation,
     "ReverseHostGuest": _cand_reverse_host_guest,
     "ImposingCauseAndEffect": _cand_imposing_cause_effect,
-    "LackSubject": _cand_lack_subject,
-    "LackPredicate": _cand_lack_predicate,
+    "LackSubject": partial(_lack_role_candidates, role=Role.SUBJECT),
+    "LackPredicate": partial(_lack_role_candidates, role=Role.PREDICATE),
     "LackObject": _cand_lack_object,
     "LackModifier": _cand_lack_modifier,
-    "MultiWords": _cand_multi_words,
-    "MultiMeanings": _cand_multi_meanings,
+    "MultiWords": partial(_insertion_candidates, table="synonyms"),
+    "MultiMeanings": partial(_insertion_candidates, table="meaning_pairs"),
     "SubjectPredicate": _cand_subject_predicate,
     "PredicateObject": _cand_predicate_object,
     "SubjectObject": _cand_subject_object,

@@ -37,6 +37,10 @@ _VERB, _NOUN, _ADJ, _ADV, _ADP, _PART, _PRON, _NUM, _CCONJ, _PUNCT, _X, _OTHER =
 
 _START, _END = attrgetter("char_start"), attrgetter("char_end")
 
+# Characters of a CJK numeral. Where no lexicon entry matches, the tagger
+# groups a run of them into one NUM token, as it groups a run of digits.
+_CJK_NUMERALS = frozenset("〇零一二两三四五六七八九十百千万亿")
+
 NOMINAL_TAGS = frozenset({POSTag.NOUN, POSTag.PRON, POSTag.PROPN})
 # Tags allowed inside an attribute's modifier run (before 的).
 _ATTR_RUN_TAGS = frozenset({POSTag.ADJ, POSTag.NOUN, POSTag.PROPN, POSTag.NUM, POSTag.ADV})
@@ -134,9 +138,12 @@ class Tagger:
                         break
             else:
                 end = pos + 1
-                if raw[pos].isdigit():
-                    # Numerals are unbounded; group a digit run into one NUM token.
-                    while end < n and raw[end].isdigit():
+                ch = raw[pos]
+                if ch.isdigit() or ch in _CJK_NUMERALS:
+                    # Numerals are unbounded; group a run of digits, or a run
+                    # of CJK numerals, into one NUM token.
+                    numeral = str.isdigit if ch.isdigit() else _CJK_NUMERALS.__contains__
+                    while end < n and numeral(raw[end]):
                         end += 1
                     tag = _NUM
                 else:
@@ -156,7 +163,7 @@ class Tagger:
 
         The scan restarts at the first token that may read the edit: one
         that starts within the longest lexicon entry of `start`, or one that
-        reaches `start` (a digit run, or an external tagger's token). Up to
+        reaches `start` (a numeral run, or an external tagger's token). Up to
         there the greedy scan takes the same steps on both texts. It stops
         at the first position at or after the edit's end where an old token
         at or after `end` starts, moved by the edit's change in length;
@@ -198,9 +205,10 @@ def get_tagger() -> Tagger:
 def segment_and_tag(raw: str) -> TaggedSentence:
     """Segment and tag raw text with the shipped lexicon.
 
-    Greedy longest match against the lexicon; digit runs become single NUM
-    tokens; any other unknown character becomes a single-character OTHER
-    token, so the tokens always cover the whole input.
+    Greedy longest match against the lexicon; digit runs and runs of CJK
+    numerals (三十, 两千) become single NUM tokens; any other unknown
+    character becomes a single-character OTHER token, so the tokens always
+    cover the whole input.
     """
     return get_tagger()(raw)
 

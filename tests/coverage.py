@@ -36,11 +36,7 @@ ALLOWED = {
     ("rules", "_cand_reverse_host_guest", "continue"),
     ("rules", "_cand_subject_object", "continue"),
     ("rules", "_cand_subject_object", "i = _find_after(sentence, subject[0], subject[1], c.left)"),
-    ("rules", "_cand_subject_object", "if i is not None:"),
-    ("rules", "_cand_subject_object", "out.append(_replace_word_candidate(sentence, i, c.wrong))"),
     ("rules", "_cand_subject_predicate", "i = _find_after(sentence, subject[0], subject[1], c.left)"),
-    ("rules", "_cand_subject_predicate", "if i is not None:"),
-    ("rules", "_cand_subject_predicate", "out.append(_replace_word_candidate(sentence, i, c.wrong))"),
     ("rules", "_core_end", "return None"),
     ("rules", "_delete_candidate", "return []"),
     ("rules", "_find_after", "return None"),

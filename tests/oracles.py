@@ -799,12 +799,15 @@ def weighted_pop_reference(rng, pool: list[tuple[str, float]]) -> str:
 def longest_match_tag(lexicon, raw: str) -> list[tuple[str, POSTag, int, int]]:
     """Greedy longest-match segmentation by trying every length: at each
     position, every length from the longest lexicon entry down to 1; else a
-    run of decimal digits as one NUM token; else the character as OTHER.
-    Tokens are (surface, tag, start, end)."""
+    run of decimal digits, or a run of CJK numeral characters, as one NUM
+    token; else the character as OTHER. Tokens are (surface, tag, start, end)."""
     max_len = max((len(s) for s in lexicon), default=1)
 
     def is_digit(ch):
         return ch.isdigit() or unicodedata.category(ch) == "Nd"
+
+    def is_cjk_numeral(ch):
+        return ch in "〇零一二两三四五六七八九十百千万亿"
 
     tokens = []
     pos = 0
@@ -815,11 +818,12 @@ def longest_match_tag(lexicon, raw: str) -> list[tuple[str, POSTag, int, int]]:
             if tag is not None:
                 matched = (raw[pos : pos + length], tag)
                 break
-        if matched is None and is_digit(raw[pos]):
-            end = pos + 1
-            while end < len(raw) and is_digit(raw[end]):
-                end += 1
-            matched = (raw[pos:end], POSTag.NUM)
+        for in_run in (is_digit, is_cjk_numeral):
+            if matched is None and in_run(raw[pos]):
+                end = pos + 1
+                while end < len(raw) and in_run(raw[end]):
+                    end += 1
+                matched = (raw[pos:end], POSTag.NUM)
         if matched is None:
             matched = (raw[pos], POSTag.OTHER)
         surface, tag = matched

@@ -1225,6 +1225,31 @@ def test_score_hypothesis_lines_end_only_at_newlines(tmp_path, capsys, separator
     assert json.loads(report.read_text(encoding="utf-8")) == json.loads(report_json(expected.to_dict()))
 
 
+def test_score_reads_crlf_as_lf_and_a_lone_cr_as_a_line_end(tmp_path, capsys):
+    # Every text input is read with universal newlines: CRLF files score
+    # exactly as their LF copies, and a lone CR ends a hypothesis and an M2
+    # line alike.
+    def score(hyp_text, gold_text):
+        hyp, gold, report = tmp_path / "hyp.txt", tmp_path / "gold.m2", tmp_path / "score.json"
+        hyp.write_bytes(hyp_text.encode("utf-8"))
+        gold.write_bytes(gold_text.encode("utf-8"))
+        code = run(["score", "--hyp", str(hyp), "--m2", str(gold), "--report", str(report)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, code == 0 and report.read_bytes()
+
+    hyps = "a x c\nd f\n"
+    lf = score(hyps, WORD_GOLD)
+    assert lf[:3] == (0, "Precision : 0.5000\nRecall : 1.0000\nF_0.5 : 0.5556\n", "")
+    for end in ("\r\n", "\r"):
+        assert score(hyps.replace("\n", end), WORD_GOLD.replace("\n", end)) == lf, end
+    gold = tmp_path / "gold.m2"
+    gold.write_bytes(b"S a b c\rS d e\r")
+    assert [entry.tokens for entry in metrics.parse_m2(str(gold))] == [("a", "b", "c"), ("d", "e")]
+    code, _, err, _ = score("a x\rc\n", "S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n\n")
+    assert code == 3
+    assert err == "cgeckit: data error: count mismatch: 2 hypotheses, 1 gold sentences\n"
+
+
 def test_score_char_tokenized_hypothesis_keeps_a_form_feed_as_a_token(tmp_path, capsys):
     gold = tmp_path / "gold.m2"
     gold.write_text("S a b c\nA 1 2|||R|||x|||REQUIRED|||-NONE-|||0\n\n", encoding="utf-8")

@@ -409,6 +409,76 @@ def test_run_ends_are_scanned_in_linear_work(monkeypatch, src, hyp):
         assert 0 < sum(scanned) <= cells, (max_unchanged, sum(scanned), cells)
 
 
+@st.composite
+def _long_changed_runs(draw):
+    """A source of up to 3 tokens, a hypothesis that inserts or replaces
+    runs of 2-5 tokens in it, drawn from 3 letters so that tokens recur
+    within a run, and 1-3 gold sets. A gold edit starts at any source index
+    and takes its correction from anywhere in the hypothesis, so many start
+    inside a run; some sets hold the unmerged edits found against no gold."""
+    src = draw(st.lists(st.sampled_from("ab"), max_size=3))
+    hyp = list(src)
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(hyp)))
+        run = draw(st.lists(st.sampled_from("abx"), min_size=2, max_size=5))
+        hyp[at : at + draw(st.integers(0, 1))] = run
+    n, m = len(src), len(hyp)
+    found = extract_system_edits(src, hyp, [frozenset()], ScoreParams(max_unchanged=0))[0]
+    gold_sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        edits = set(draw(st.lists(st.sampled_from(found), max_size=2))) if found else set()
+        for _ in range(draw(st.integers(0, 3))):
+            lo, at = draw(st.integers(0, n)), draw(st.integers(0, m))
+            hi, to = draw(st.integers(lo, min(n, lo + 1))), draw(st.integers(at, min(m, at + 3)))
+            edits.add((lo, hi, " ".join(hyp[at:to])))
+        gold_sets.append(frozenset(edits))
+    return src, hyp, gold_sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_long_changed_runs(), st.integers(0, 3))
+def test_extract_inside_long_changed_runs_matches_both_oracles(case, max_unchanged):
+    # The walk leaves out a close that only splits a changed run where no
+    # gold edit can start; what it finds must not change, against the walk
+    # over the whole lattice and, for hypotheses short enough to enumerate,
+    # against every reachable edit set.
+    src, hyp, gold_sets = case
+    got = extract_system_edits(src, hyp, gold_sets, ScoreParams(max_unchanged=max_unchanged))
+    assert got == lattice_walk_edits(src, hyp, gold_sets, max_unchanged)
+    if len(hyp) <= 8:
+        expected = [best_edit_set(src, hyp, gold, max_unchanged) for gold in gold_sets]
+        assert [list(edits) for edits in got] == expected
+
+
+def test_a_long_insertion_reads_cells_in_linear_work(monkeypatch):
+    # A 1-token source against m distinct words, with one gold edit: the
+    # walk reads at most 4 cells per hypothesis word (3.5 here) at m and at
+    # 4m. Closing and reopening an edit at every split of the run made it
+    # read about 150 per word at m = 100 and 600 at m = 400.
+    real = metrics._minimal_arcs
+    reads = []
+
+    def counting(src, hyp):
+        cell = real(src, hyp)
+
+        def counted(i, j):
+            reads.append((i, j))
+            return cell(i, j)
+
+        return counted
+
+    monkeypatch.setattr(metrics, "_minimal_arcs", counting)
+    for m in (100, 400):
+        words = [f"w{k}" for k in range(m)]
+        reads.clear()
+        half = m // 2
+        got = extract_system_edits(["s"], words, [frozenset({(0, 1, words[half])})])
+        assert got == [(
+            (0, 0, " ".join(words[:half])), (0, 1, words[half]), (1, 1, " ".join(words[half + 1:]))
+        )]
+        assert len(reads) <= 4 * m, (m, len(reads))
+
+
 def test_score_reads_columns_once_per_changed_sentence(monkeypatch):
     text = io.StringIO(
         "S a b c d\nA 1 2|||X|||x|||REQUIRED|||-NONE-|||0\nA 3 4|||X|||y|||REQUIRED|||-NONE-|||0\n"

@@ -108,6 +108,19 @@ def test_measure_word_double_approximation():
     }
 
 
+def test_measure_word_fires_on_cjk_numerals():
+    # A run of CJK numerals is one NUM token, as a run of digits is.
+    assert rule_edit("大约三十个人来了。", "MeasureWord") == rule_edit("大约30个人来了。", "MeasureWord")
+    assert sweep("大约三十个人来了。", "MeasureWord") == {
+        "大约三十个左右人来了。",
+        "大约三十个上下人来了。",
+    }
+    assert sweep("共有两千名学生参加了比赛。", "MeasureWord") == {
+        "共有大约两千名学生参加了比赛。",
+        "共有将近两千名学生参加了比赛。",
+    }
+
+
 def test_unreasonable_inserts_subsumed_concept():
     incorrect = corrupt("集团向社会各界人士表示歉意", "Unreasonable")
     assert incorrect == "集团向社会各界人士、沿途村庄百姓表示歉意"

@@ -60,6 +60,16 @@ def test_longest_match_wins():
     assert [t.surface for t in sent.tokens] == ["图书馆", "里", "有", "很多", "有趣", "的", "书"]
 
 
+def test_cjk_numeral_runs_are_one_num_token():
+    tokens = segment_and_tag("大约三十个人来了。").tokens
+    assert (tokens[1].surface, tokens[1].tag) == ("三十", POSTag.NUM)
+    assert [(t.surface, t.tag) for t in segment_and_tag("两千〇五").tokens] == [
+        ("两千〇五", POSTag.NUM)
+    ]
+    # a lexicon entry that starts at the run's first character still wins
+    assert [t.surface for t in segment_and_tag("五十名学生").tokens] == ["五十名", "学生"]
+
+
 @given(st.text(alphabet="他喜欢苹果学生12５Qab的了，", max_size=40))
 def test_tokens_always_tile_the_input(raw):
     sent = segment_and_tag(raw)
@@ -252,8 +262,8 @@ def test_role_spans_helpers():
 _FIRSTS = "他喜欢学生五"
 _CHARS = _FIRSTS + "十名苹果ab"
 # ASCII, full-width, Arabic-Indic and Devanagari digits, a superscript
-# digit, and characters no lexicon below contains
-_TEXT = _CHARS + "0123４５６٣३²Q，。"
+# digit, CJK numerals, and characters no lexicon below contains
+_TEXT = _CHARS + "0123４５６٣३²三两〇亿Q，。"
 _entries = st.text(alphabet=_CHARS, min_size=1, max_size=6).map(
     lambda s: s if s[0] in _FIRSTS else _FIRSTS[len(s) % len(_FIRSTS)] + s[1:]
 )
@@ -304,15 +314,17 @@ def test_compiled_shipped_lexicon_matches_longest_match_oracle():
 
 # --- re-tagging only the window of an edit -----------------------------------
 
-# Digits start entries too, and texts hold digit runs that an edit can
-# join, split or extend.
-_SPLICE_CHARS = _CHARS + "12５"
-_SPLICE_TEXT = _SPLICE_CHARS + "0３Q，"
+# Digits and CJK numerals start entries too, and texts hold digit runs and
+# numeral runs that an edit can join, split or extend.
+_SPLICE_CHARS = _CHARS + "12５三"
+_SPLICE_TEXT = _SPLICE_CHARS + "0３两千Q，"
 _splice_entries = st.text(alphabet=_SPLICE_CHARS, min_size=1, max_size=6)
-# Runs of digits longer than most entries, among other characters.
+# Runs of digits or of numerals longer than most entries, among other
+# characters.
 _splice_chunk = st.one_of(
     st.text(alphabet=_SPLICE_TEXT, min_size=1, max_size=6),
     st.text(alphabet="012３５", min_size=2, max_size=9),
+    st.text(alphabet="五十三两千〇", min_size=2, max_size=9),
 )
 
 
