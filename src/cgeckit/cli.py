@@ -15,27 +15,22 @@ import json
 import os
 import random
 import sys
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
-from cgeckit import lm as lm_mod
+# What only some subcommands use is imported in their handlers (generator,
+# and rules with it, for generate and augment; lm for filter), so other runs
+# never compile it. metrics, resources and tagging stay here because
+# bench/spans.py patches their names in this module.
 from cgeckit.core import (
     ConfigError,
     CorpusPair,
     ParseError,
     ValidationError,
+    check_seed,
     open_input,
     pair_to_json,
     read_pairs,
     report_json,
-)
-from cgeckit.generator import (
-    AugmentConfig,
-    AugmentReport,
-    GenConfig,
-    GenerationReport,
-    check_seed,
-    stream_augment_lines,
-    stream_generate,
 )
 from cgeckit.metrics import (
     ScoreParams,
@@ -47,6 +42,9 @@ from cgeckit.metrics import (
 )
 from cgeckit.resources import load_resources
 from cgeckit.tagging import segment_and_tag  # unused; bench/spans.py patches this name
+
+if TYPE_CHECKING:
+    from cgeckit.generator import AugmentReport, GenerationReport
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -170,6 +168,8 @@ def _given(args, *names: str) -> dict:
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_filter(args) -> int:
+    from cgeckit import lm
+
     if args.model:
         given = _given(args, "n", "alpha", "save_model")
         if given:
@@ -177,24 +177,26 @@ def _cmd_filter(args) -> int:
                 f"--model excludes {', '.join('--' + name.replace('_', '-') for name in given)}: "
                 "a loaded model keeps its own n and alpha and is not saved again"
             )
-        model = lm_mod.load_lm(args.model)
+        model = lm.load_lm(args.model)
     else:
-        config = lm_mod.LMConfig(**_given(args, "n", "alpha"))
+        config = lm.LMConfig(**_given(args, "n", "alpha"))
     sentences = list(_read_lines(args.input))
     if not args.model:
-        model = lm_mod.train_lm(_read_lines(args.train) if args.train else sentences, config)
+        model = lm.train_lm(_read_lines(args.train) if args.train else sentences, config)
     # Filter first, then write the model and the kept lines (last, so they
     # win on a shared path) together: a failed run leaves neither behind.
-    kept = lm_mod.filter_percentile(sentences, model, args.keep)
+    kept = lm.filter_percentile(sentences, model, args.keep)
     models = [args.save_model] if args.save_model else []
     with _write_on_success(*models, args.output) as (*model_out, out):
         for fh in model_out:
-            lm_mod.dump_lm(model, fh)
+            lm.dump_lm(model, fh)
         out.writelines(sentence + "\n" for sentence in kept)
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
+    from cgeckit.generator import GenConfig, GenerationReport, stream_generate
+
     report_path = _report_path(args)
     resources_dir = args.resources or os.environ.get(RESOURCES_ENV)
     if not resources_dir:
@@ -211,6 +213,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from cgeckit.generator import AugmentConfig, AugmentReport, stream_augment_lines
+
     report_path = _report_path(args)
     config = _config(AugmentConfig, args.config, _given(args, "seed"))
     report = AugmentReport()
@@ -276,7 +280,6 @@ def _cmd_kappa(args) -> int:
 def _cmd_sample(args) -> int:
     if args.size < 1:
         raise ConfigError(f"--size must be >= 1, got {args.size}")
-    # random.Random seeds an int by its absolute value, so -1 would draw as 1.
     check_seed(args.seed)
     rng = random.Random(args.seed)
     reservoir: list[tuple[int, str]] = []
@@ -302,6 +305,8 @@ def _cmd_sample(args) -> int:
 
 
 def _filter_arguments(p: _Parser) -> None:
+    from cgeckit.lm import LMConfig
+
     p.add_argument("--input", required=True, help="corpus to filter, one sentence per line")
     p.add_argument("--output", required=True, help="kept sentences, original order")
     p.add_argument("--keep", required=True, type=float, help="percent to keep, in (0, 100]")
@@ -309,11 +314,13 @@ def _filter_arguments(p: _Parser) -> None:
     source.add_argument("--train", help="training corpus (default: the input itself)")
     source.add_argument("--model", help="load a saved model instead of training")
     p.add_argument("--save-model", help="save the trained model as JSON")
-    p.add_argument("--n", type=int, help=f"n-gram order when training (default {lm_mod.LMConfig.n})")
-    p.add_argument("--alpha", type=float, help=f"additive smoothing when training (default {lm_mod.LMConfig.alpha})")
+    p.add_argument("--n", type=int, help=f"n-gram order when training (default {LMConfig.n})")
+    p.add_argument("--alpha", type=float, help=f"additive smoothing when training (default {LMConfig.alpha})")
 
 
 def _generate_arguments(p: _Parser) -> None:
+    from cgeckit.generator import GenConfig
+
     p.add_argument("--input", required=True, help="correct sentences, one per line")
     p.add_argument("--output", required=True, help="pairs as JSON lines")
     p.add_argument("--resources", help=f"rule resources directory (or ${RESOURCES_ENV})")
@@ -328,6 +335,8 @@ def _generate_arguments(p: _Parser) -> None:
 
 
 def _augment_arguments(p: _Parser) -> None:
+    from cgeckit.generator import AugmentConfig
+
     p.add_argument("--input", required=True, help="correct sentences, one per line")
     p.add_argument("--output", required=True, help="pairs as JSON lines")
     p.add_argument("--seed", type=int, help=f"master seed (default {AugmentConfig.seed})")

@@ -40,6 +40,13 @@ def finite_number(name: str, value) -> float:
     return value
 
 
+def check_seed(seed) -> None:
+    """A ConfigError unless seed is an int in [0, 2**64). random.Random
+    seeds an int by its absolute value, so -1 would draw as 1."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer that fits in 64 unsigned bits, got {seed!r}")
+
+
 class ValidationError(CgecError):
     """Malformed input data (maps to exit code 3 in the CLI)."""
 

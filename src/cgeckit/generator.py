@@ -36,6 +36,7 @@ from cgeckit.core import (
     ParseError,
     TaggedSentence,
     apply_edits,
+    check_seed,
     diff_edits,
     finite_number,
     ordered_map,
@@ -54,11 +55,6 @@ from cgeckit.tagging import (
 )
 
 _MAX_DRAWS = 5  # weighted rule draws per pair before giving up
-
-
-def check_seed(seed) -> None:
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an integer that fits in 64 unsigned bits, got {seed!r}")
 
 
 @dataclass(frozen=True)
