@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import json
 import os
@@ -132,15 +131,17 @@ def _config(cls, path: str | None, given: dict):
         raise ConfigError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls) if f.name != "seed"}
+    unknown = set(doc) - (set(cls._fields) - {"seed"})
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
     try:
         config = cls(**doc)
     except ConfigError as exc:
         raise ConfigError(f"config {path}: {exc}") from None
+    # A new instance, not an edited one, so that the checks run again.
+    fields = {name: getattr(config, name) for name in cls._fields}
     try:
-        return dataclasses.replace(config, **given)
+        return cls(**{**fields, **given})
     except ConfigError as exc:
         raise ConfigError(f"config {path} with the given flags: {exc}") from None
 

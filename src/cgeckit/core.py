@@ -13,7 +13,6 @@ import contextlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -174,28 +173,58 @@ class Token(NamedTuple):
     char_end: int
 
 
-@dataclass(frozen=True)
+# The config, report and table classes of the package are plain classes,
+# not dataclasses: `dataclasses` imports `inspect` and `ast`, a cost every
+# run would pay at start-up. Each lists its fields, in constructor order,
+# in `_fields`, and takes its equality from these functions; a read-only
+# one also its hash and its refusal of assignment.
+
+
+def _same_fields(self, other) -> bool:
+    """An instance equals one of its own class whose fields are equal."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    fields = self._fields
+    return tuple(getattr(self, f) for f in fields) == tuple(getattr(other, f) for f in fields)
+
+
+def _hash_fields(self) -> int:
+    return hash(tuple(getattr(self, f) for f in self._fields))
+
+
+def _read_only(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of a read-only class, whose constructor
+    fills its __dict__ directly."""
+    raise AttributeError(f"cannot assign to field {name!r} of a read-only {type(self).__name__}")
+
+
 class TaggedSentence:
     """A segmented, tagged sentence. Token surfaces concatenate back to text."""
 
+    _fields = ("text", "tokens")
     text: str
     tokens: tuple[Token, ...]
 
-    def __post_init__(self) -> None:
+    __eq__ = _same_fields
+    __hash__ = _hash_fields
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, text: str, tokens: tuple[Token, ...]) -> None:
         pos = 0
-        for tok in self.tokens:
+        for tok in tokens:
             if (
                 not tok.surface
                 or tok.char_start != pos
-                or self.text[tok.char_start : tok.char_end] != tok.surface
+                or text[tok.char_start : tok.char_end] != tok.surface
             ):
                 raise ValidationError(
                     f"token {tok.surface!r} at [{tok.char_start}, {tok.char_end}) "
                     f"does not tile the sentence text"
                 )
             pos = tok.char_end
-        if pos != len(self.text):
+        if pos != len(text):
             raise ValidationError("tokens do not cover the sentence text")
+        self.__dict__.update(text=text, tokens=tokens)
 
 
 def _tagged(text: str, tokens: tuple[Token, ...]) -> TaggedSentence:

@@ -19,11 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import pickle
 import random
-import tempfile
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -43,6 +40,9 @@ from cgeckit.core import (
     trim_edit,
     _FRONT_MIN_CORE,
     _edit_ops,
+    _hash_fields,
+    _read_only,
+    _same_fields,
 )
 from cgeckit.resources import RuleResources
 from cgeckit.rules import RULE_REGISTRY, _choice, apply_fine_rule
@@ -56,8 +56,11 @@ from cgeckit.tagging import (
 
 _MAX_DRAWS = 5  # weighted rule draws per pair before giving up
 
+# GenConfig's rule_weights default; each config given none gets its own
+# new empty dict instead, so no two share one.
+_UNWEIGHTED: dict[str, float] = {}
 
-@dataclass(frozen=True)
+
 class GenConfig:
     """Generation policy: which rules, how many, how seeded, and whether
     input lines are `surface/TAG` items (pretagged) or raw text.
@@ -68,14 +71,36 @@ class GenConfig:
     a frozenset.
     """
 
+    _fields = ("seed", "enabled_rules", "per_sentence", "combine_max", "rule_weights", "pretagged")
     seed: int = 0
     enabled_rules: frozenset[str] = frozenset(RULE_REGISTRY)
     per_sentence: int = 1
     combine_max: int = 1
-    rule_weights: dict[str, float] = field(default_factory=dict)
+    rule_weights: dict[str, float]  # default: a new empty dict, every rule weighing 1.0
     pretagged: bool = False
 
-    def __post_init__(self) -> None:
+    __eq__ = _same_fields  # no hash: rule_weights is a dict
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        seed: int = seed,
+        enabled_rules: Iterable[str] = enabled_rules,
+        per_sentence: int = per_sentence,
+        combine_max: int = combine_max,
+        rule_weights: dict[str, float] = _UNWEIGHTED,
+        pretagged: bool = pretagged,
+    ) -> None:
+        if rule_weights is _UNWEIGHTED:
+            rule_weights = {}
+        self.__dict__.update(
+            seed=seed,
+            enabled_rules=enabled_rules,
+            per_sentence=per_sentence,
+            combine_max=combine_max,
+            rule_weights=rule_weights,
+            pretagged=pretagged,
+        )
         check_seed(self.seed)
         if not isinstance(self.enabled_rules, (list, tuple, set, frozenset)) or not all(
             type(rule) is str for rule in self.enabled_rules
@@ -102,7 +127,7 @@ class GenConfig:
         for rule, weight in self.rule_weights.items():
             if finite_number(f"rule weight of {rule}", weight) < 0:
                 raise ConfigError("rule weights must be >= 0")
-        object.__setattr__(self, "enabled_rules", frozenset(self.enabled_rules))
+        self.__dict__["enabled_rules"] = frozenset(self.enabled_rules)
         rules, weights = self._rule_pool
         if not rules:
             raise ConfigError(
@@ -128,17 +153,31 @@ class GenConfig:
         )
 
 
-@dataclass(frozen=True)
 class AugmentConfig:
     """Per-word random corruption probabilities for the naive baseline."""
 
+    _fields = ("p_keep", "p_insert", "p_replace", "p_delete", "seed")
     p_keep: float = 0.70
     p_insert: float = 0.10
     p_replace: float = 0.10
     p_delete: float = 0.10
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    __eq__ = _same_fields
+    __hash__ = _hash_fields
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        p_keep: float = p_keep,
+        p_insert: float = p_insert,
+        p_replace: float = p_replace,
+        p_delete: float = p_delete,
+        seed: int = seed,
+    ) -> None:
+        self.__dict__.update(
+            p_keep=p_keep, p_insert=p_insert, p_replace=p_replace, p_delete=p_delete, seed=seed
+        )
         names = ("p_keep", "p_insert", "p_replace", "p_delete")
         probs = tuple(finite_number(name, getattr(self, name)) for name in names)
         if any(p < 0 for p in probs):
@@ -248,14 +287,24 @@ def generate_pair(
     )
 
 
-@dataclass
 class GenerationReport:
     """Counters for one generate run."""
 
-    sentences_read: int = 0
-    pairs_emitted: int = 0
-    skipped: int = 0
-    rule_fires: dict[str, int] = field(default_factory=dict)
+    _fields = ("sentences_read", "pairs_emitted", "skipped", "rule_fires")
+
+    __eq__ = _same_fields
+
+    def __init__(
+        self,
+        sentences_read: int = 0,
+        pairs_emitted: int = 0,
+        skipped: int = 0,
+        rule_fires: dict[str, int] | None = None,
+    ) -> None:
+        self.sentences_read = sentences_read
+        self.pairs_emitted = pairs_emitted
+        self.skipped = skipped
+        self.rule_fires = {} if rule_fires is None else rule_fires
 
     def add(self, pairs: list[CorpusPair], attempts: int) -> None:
         """Count one sentence from the pairs its attempts gave."""
@@ -390,11 +439,22 @@ def _augment_ops(
     return incorrect, edits, counts
 
 
-@dataclass
 class AugmentReport:
-    sentences_read: int = 0
-    words_seen: int = 0
-    op_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_OPS, 0))
+    """Counters for one augment run."""
+
+    _fields = ("sentences_read", "words_seen", "op_counts")
+
+    __eq__ = _same_fields
+
+    def __init__(
+        self,
+        sentences_read: int = 0,
+        words_seen: int = 0,
+        op_counts: dict[str, int] | None = None,
+    ) -> None:
+        self.sentences_read = sentences_read
+        self.words_seen = words_seen
+        self.op_counts = dict.fromkeys(_OPS, 0) if op_counts is None else op_counts
 
     def add(self, counts: dict[str, int]) -> None:
         """Count one augmented sentence from its per-op draw counts."""
@@ -453,6 +513,9 @@ def stream_augment_lines(
     unlinked temporary file, which the pairs are then made from. So memory
     holds the pool, not the lines, and `lines` may be a one-shot stream.
     """
+    import pickle  # only augment's spool uses these two
+    import tempfile
+
     with tempfile.TemporaryFile() as spool:
         pool: set[str] = set()
         count = 0

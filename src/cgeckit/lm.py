@@ -23,13 +23,20 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add, itemgetter, truediv
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from cgeckit.core import ConfigError, ParseError, finite_number, open_input
+from cgeckit.core import (
+    ConfigError,
+    ParseError,
+    _hash_fields,
+    _read_only,
+    _same_fields,
+    finite_number,
+    open_input,
+)
 
 BOUNDARY = "<b>"
 UNK = "<unk>"
@@ -37,14 +44,20 @@ UNK = "<unk>"
 _FORMAT = "cgeckit-ngram"
 _VERSION = 1
 
-@dataclass(frozen=True)
+
 class LMConfig:
     """Model order and additive smoothing constant."""
 
+    _fields = ("n", "alpha")
     n: int = 3
     alpha: float = 1.0
 
-    def __post_init__(self) -> None:
+    __eq__ = _same_fields
+    __hash__ = _hash_fields
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, n: int = n, alpha: float = alpha) -> None:
+        self.__dict__.update(n=n, alpha=alpha)
         if type(self.n) is not int or self.n < 1:
             raise ConfigError(f"n-gram order must be an integer >= 1, got {self.n!r}")
         if not finite_number("smoothing alpha", self.alpha) > 0:
@@ -68,7 +81,6 @@ def _contexts(ngrams: dict[tuple[str, ...], int]) -> dict[tuple[str, ...], int]:
     return contexts
 
 
-@dataclass
 class NGramModel:
     """Count tables over padded character sequences.
 
@@ -79,11 +91,23 @@ class NGramModel:
     after a perplexity has been computed.
     """
 
-    n: int
-    alpha: float
-    chars: frozenset[str]
-    ngrams: dict[tuple[str, ...], int] = field(default_factory=dict)
-    contexts: dict[tuple[str, ...], int] = field(default_factory=dict)
+    _fields = ("n", "alpha", "chars", "ngrams", "contexts")
+
+    __eq__ = _same_fields
+
+    def __init__(
+        self,
+        n: int,
+        alpha: float,
+        chars: frozenset[str],
+        ngrams: dict[tuple[str, ...], int] | None = None,
+        contexts: dict[tuple[str, ...], int] | None = None,
+    ) -> None:
+        self.n = n
+        self.alpha = alpha
+        self.chars = chars
+        self.ngrams = {} if ngrams is None else ngrams
+        self.contexts = {} if contexts is None else contexts
 
     @property
     def vocab_size(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, islice, zip_longest
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -27,7 +26,10 @@ from cgeckit.core import (
     ValidationError,
     _delta_columns,
     _edit_ops,
+    _hash_fields,
     _pair_bound,
+    _read_only,
+    _same_fields,
     finite_number,
     open_input,
 )
@@ -78,13 +80,26 @@ class M2Sentence(NamedTuple):
     by_annotator: Mapping[int, tuple[GoldEdit, ...]]
 
 
-@dataclass(frozen=True)
 class ScoreParams:
+    """How `score` scores: the F-measure beta, the merge window of
+    `extract_system_edits`, and whether hypotheses split into characters."""
+
+    _fields = ("beta", "max_unchanged", "char_tokenize")
     beta: float = 0.5
     max_unchanged: int = 2
     char_tokenize: bool = False
 
-    def __post_init__(self) -> None:
+    __eq__ = _same_fields
+    __hash__ = _hash_fields
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        beta: float = beta,
+        max_unchanged: int = max_unchanged,
+        char_tokenize: bool = char_tokenize,
+    ) -> None:
+        self.__dict__.update(beta=beta, max_unchanged=max_unchanged, char_tokenize=char_tokenize)
         if finite_number("beta", self.beta) <= 0:
             raise ConfigError(f"beta must be > 0, got {self.beta!r}")
         if type(self.max_unchanged) is not int or self.max_unchanged < 0:

@@ -31,14 +31,13 @@ candidate lists in file order, keeping each word's first occurrence.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from cgeckit.core import ConfigError, ParseError, open_input
+from cgeckit.core import ConfigError, ParseError, _same_fields, open_input
 
-# Table rows are named tuples: read-only records that, unlike frozen
-# dataclasses, cost next to nothing to define at import and to build per row.
+# Table rows are named tuples: read-only records that cost next to nothing
+# to define at import and to build per row.
 class MixedPattern(NamedTuple):
     kind: str  # "pattern" | "sentence"
     match: str
@@ -90,25 +89,52 @@ def _matching_rows(table: list, index: _Positions, keys: Iterable[str]) -> list:
     return [table[pos] for pos in positions]
 
 
-@dataclass
 class RuleResources:
-    """Parsed rule tables; read-only after load.
+    """Parsed rule tables; read-only after load. Each table not given
+    starts empty.
 
     The rules find their rows through private lookup maps built from the
     tables on first use. Each map takes the key a rule matches on to the
     positions of the matching rows, so a rule's cost grows with the
-    sentence, not with the size of its table.
+    sentence, not with the size of its table. Equality compares the
+    tables, not the maps.
     """
 
-    mixed_patterns: list[MixedPattern] = field(default_factory=list)
-    subsume_pairs: list[tuple[str, str]] = field(default_factory=list)
-    hostguest_markers: list[str] = field(default_factory=list)
-    causal_triggers: list[str] = field(default_factory=list)
-    collocations: list[Collocation] = field(default_factory=list)
-    synonyms: dict[str, list[str]] = field(default_factory=dict)
-    meaning_pairs: dict[str, list[str]] = field(default_factory=dict)
-    connective_pairs: list[ConnectivePair] = field(default_factory=list)
-    function_words: dict[str, list[str]] = field(default_factory=dict)
+    _fields = (
+        "mixed_patterns",
+        "subsume_pairs",
+        "hostguest_markers",
+        "causal_triggers",
+        "collocations",
+        "synonyms",
+        "meaning_pairs",
+        "connective_pairs",
+        "function_words",
+    )
+
+    __eq__ = _same_fields
+
+    def __init__(
+        self,
+        mixed_patterns: list[MixedPattern] | None = None,
+        subsume_pairs: list[tuple[str, str]] | None = None,
+        hostguest_markers: list[str] | None = None,
+        causal_triggers: list[str] | None = None,
+        collocations: list[Collocation] | None = None,
+        synonyms: dict[str, list[str]] | None = None,
+        meaning_pairs: dict[str, list[str]] | None = None,
+        connective_pairs: list[ConnectivePair] | None = None,
+        function_words: dict[str, list[str]] | None = None,
+    ) -> None:
+        self.mixed_patterns = [] if mixed_patterns is None else mixed_patterns
+        self.subsume_pairs = [] if subsume_pairs is None else subsume_pairs
+        self.hostguest_markers = [] if hostguest_markers is None else hostguest_markers
+        self.causal_triggers = [] if causal_triggers is None else causal_triggers
+        self.collocations = [] if collocations is None else collocations
+        self.synonyms = {} if synonyms is None else synonyms
+        self.meaning_pairs = {} if meaning_pairs is None else meaning_pairs
+        self.connective_pairs = [] if connective_pairs is None else connective_pairs
+        self.function_words = {} if function_words is None else function_words
 
     @cached_property
     def _mixed_index(self) -> dict[str, tuple[list[int], _Positions]]:

@@ -7,9 +7,11 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -34,7 +36,7 @@ from cgeckit.generator import (
     augment_corpus,
     generate_corpus,
 )
-from cgeckit.lm import keep_indices
+from cgeckit.lm import LMConfig, keep_indices
 from cgeckit.metrics import ScoreParams, format_score, levenshtein, score_corpus, write_m2
 from cgeckit.resources import default_resources_dir, load_resources
 from cgeckit.tagging import _shipped, load_tag_mapping, segment_and_tag, serialize_pretagged
@@ -83,6 +85,31 @@ def test_help_exits_zero(capsys):
         out = capsys.readouterr().out
         assert out.startswith(f"usage: cgeckit {command} "), command
         assert "--" in out
+
+
+# (subcommand, flag, config class, field): each flag whose help names the
+# default of its setting.
+HELP_DEFAULTS = [
+    ("filter", "--n", LMConfig, "n"),
+    ("filter", "--alpha", LMConfig, "alpha"),
+    ("generate", "--seed", GenConfig, "seed"),
+    ("generate", "--per-sentence", GenConfig, "per_sentence"),
+    ("generate", "--combine-max", GenConfig, "combine_max"),
+    ("augment", "--seed", AugmentConfig, "seed"),
+    ("score", "--beta", ScoreParams, "beta"),
+    ("score", "--max-unchanged", ScoreParams, "max_unchanged"),
+]
+
+
+@pytest.mark.parametrize("command,flag,cls,name", HELP_DEFAULTS)
+def test_help_shows_the_default_a_config_is_built_with(command, flag, cls, name, monkeypatch, capsys):
+    # The help reads the class attribute; a config built without the flag
+    # gets the constructor's default. They must be the same value.
+    monkeypatch.setenv("COLUMNS", "500")  # no help text wraps
+    assert run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    shown = re.findall(rf"^  {flag} \S+\s+[^\n]*\(default ([^)]*)\)$", out, re.M)
+    assert shown == [str(getattr(cls(), name))]
 
 
 def test_a_run_builds_only_its_own_subcommand_parser(tmp_path, corpus_file, monkeypatch, capsys):
@@ -790,7 +817,7 @@ def test_augment_spool_error_is_io_error_and_writes_nothing(
     def full(*args, **kwargs):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(generator.tempfile, "TemporaryFile", full)
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
     before = sorted(p.name for p in tmp_path.iterdir())
     assert run(["augment", "--input", str(corpus_file), "--output", str(tmp_path / "o.jsonl")]) == 1
     err = capsys.readouterr().err

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -442,9 +441,9 @@ def _repeat_rows(tables):
     """The tables with every row list repeated three times, the middle copy
     reversed, so every key has several rows in a new order."""
     repeated = {}
-    for f in fields(tables):
-        rows = getattr(tables, f.name)
-        repeated[f.name] = rows + rows[::-1] + rows if isinstance(rows, list) else rows
+    for name in RuleResources._fields:
+        rows = getattr(tables, name)
+        repeated[name] = rows + rows[::-1] + rows if isinstance(rows, list) else rows
     return RuleResources(**repeated)
 
 
